@@ -57,7 +57,6 @@ from .rules import (
 )
 from .trainer_incremental import (
     AuditError,
-    RuleRecord,
     TrainerIndex,
     apply_and_update,
     init_index,

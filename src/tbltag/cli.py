@@ -40,6 +40,7 @@ from .training import (
     load_model,
     save_model,
     trace_tsv,
+    write_text_atomic,
 )
 
 
@@ -128,8 +129,7 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text_atomic(path, text)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from None
 
@@ -207,7 +207,7 @@ def _cmd_train(args) -> int:
         _write_text(args.deps_out or args.model + ".deps.txt", _header("train", effective) + report)
 
     if args.audit_log and audit_log is not None:
-        log_text = "pass\trules_in_table\tlinks_total\tunseen_rules_added\tsites_rechecked\n"
+        log_text = "pass\tcandidates\tkeys\tnew_keys\tsites_rechecked\n"
         log_text += "".join(line + "\n" for line in audit_log)
         _write_text(args.audit_log, _header("train", effective) + log_text)
 

@@ -1,181 +1,173 @@
-"""Incremental trainer: keep every rule's score and match sites live.
+"""Incremental trainer: per-observation-key truth counters, kept live.
 
-Instead of rescanning the corpus every pass, this trainer indexes all
-rules that ever had a positive site, linked bidirectionally to the sites
-they match.  Applying a rule only disturbs matches within the largest
-template span of a changed site, so links and scores are repaired by
-re-deriving just those neighborhoods.  Rules surfacing there for the
-first time are collected and scored in one batched sweep.  Rules whose
-scores fall to zero or below stay in the table; they may become useful
-again and their links stay current either way.
+A rule ``frm -> to`` over the offsets ``pset`` matches a site exactly
+when the site's observation key ``(pset, current tag, context tags)`` is
+the rule's key.  So instead of linking rules to sites, the index groups
+sites by key and counts the truth tags of each group; a rule's effect
+counts are read off its key's counter: ``pos = counts[to]``,
+``neg = counts[frm]`` and ``neut`` the rest of the group.  The candidates
+are the pairs (key, to) with ``to != frm`` and ``counts[to] > 0``: exactly
+the rules that would fix some mistagged site.
+
+Applying a rule changes observations only within the largest template
+span of a changed site, so only those sites are re-observed and moved
+between keys, and only the keys they left or joined are rescored, once,
+at the end of the pass.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
-from . import dependency
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, baseline_assign, error_count
-from .rules import Rule, RuleScore
-from .training import Model, TraceRecord, TrainerConfig, select
+from .rules import Rule
+from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
 
 
 class AuditError(AssertionError):
     """The live index disagrees with a from-scratch recount."""
 
 
-class RuleRecord:
-    """A rule's live effect counts and the sites it currently matches."""
+class Candidate:
+    """A live rule and its effect counts as of the end of the last pass."""
 
-    __slots__ = ("rule", "pos", "neg", "neut", "sites")
+    __slots__ = ("rule", "pos", "neg", "neut")
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.pos = 0
-        self.neg = 0
-        self.neut = 0
+        self.pos = self.neg = self.neut = 0
+
+
+class KeyGroup:
+    """The sites observing one key, their truth-tag counts, its candidates."""
+
+    __slots__ = ("key", "sites", "counts", "cands")
+
+    def __init__(self, key: tuple):
+        self.key = key
         self.sites: set[Site] = set()
+        self.counts: dict[str | None, int] = {}  # truth -> count, never 0
+        self.cands: dict[str, Candidate] = {}  # to -> candidate
 
-    @property
-    def score(self) -> int:
-        return self.pos - self.neg
+    def add(self, site: Site, truth) -> None:
+        self.sites.add(site)
+        self.counts[truth] = self.counts.get(truth, 0) + 1
 
-    def snapshot(self) -> RuleScore:
-        return RuleScore(self.pos, self.neg, self.neut)
-
-    def __repr__(self):
-        return (
-            f"RuleRecord({self.rule.canonical!r}, pos={self.pos}, "
-            f"neg={self.neg}, neut={self.neut}, sites={len(self.sites)})"
-        )
+    def remove(self, site: Site, truth) -> None:
+        self.sites.remove(site)
+        left = self.counts[truth] - 1
+        if left:
+            self.counts[truth] = left
+        else:
+            del self.counts[truth]
 
 
 class TrainerIndex:
-    """Rule table plus per-site rule links, kept exact between passes."""
+    """Sites grouped by observation key, and the live candidate table."""
 
     __slots__ = (
-        "templates",
         "psets",
-        "table",
-        "groups",
-        "site_rules",
-        "sites_by_tag",
-        "site_id",
         "max_span",
+        "keys",
+        "site_keys",
+        "site_id",
+        "table",
+        "dirty",
         "links_total",
         "last_unseen_added",
         "last_sites_rechecked",
     )
 
     def __init__(self, templates):
-        self.templates = tuple(templates)
         psets = []
-        for t in self.templates:
+        for t in templates:
             if t.positions not in psets:
                 psets.append(t.positions)
         self.psets: list[tuple[int, ...]] = psets
-        self.max_span = max(t.span for t in self.templates)
-        self.table: dict[Rule, RuleRecord] = {}
-        # (pset index, source tag, observed context tags) -> records; this
-        # lets one observation at a site find every table rule matching it.
-        self.groups: dict[tuple, list[RuleRecord]] = {}
-        self.site_rules: dict[Site, set[RuleRecord]] = {}
-        self.sites_by_tag: dict[str, set[Site]] = {}
-        self.site_id: list[list[Site]] = []
-        self.links_total = 0
-        self.last_unseen_added = 0
+        self.max_span = max(t.span for t in templates)
+        # (pset index, current tag, context tags) -> its group
+        self.keys: dict[tuple, KeyGroup] = {}
+        # site_keys[si][ti][pi]: the site's key under position set pi
+        self.site_keys: list[list[list[tuple]]] = []
+        self.site_id: list[list[Site]] = []  # one shared tuple per site
+        self.table: dict[Rule, Candidate] = {}
+        self.dirty: set[KeyGroup] = set()  # groups to rescore
+        self.links_total = 0  # site-to-key memberships
+        self.last_unseen_added = 0  # keys created by the last pass
         self.last_sites_rechecked = 0
 
-    def _group_key(self, rule: Rule) -> tuple:
-        pi = self.psets.index(rule.positions)
-        return (pi, rule.frm, tuple(t for _, t in rule.ctx))
+    def key_of(self, rule: Rule) -> tuple:
+        return (self.psets.index(rule.positions), rule.frm, tuple(t for _, t in rule.ctx))
 
-    def _add_rule(self, rule: Rule) -> RuleRecord:
-        rec = RuleRecord(rule)
-        self.table[rule] = rec
-        self.groups.setdefault(self._group_key(rule), []).append(rec)
-        return rec
+    def _refresh(self, group: KeyGroup) -> None:
+        """Make the group's candidates and their counts match its counter."""
+        table = self.table
+        counts = group.counts
+        cands = group.cands
+        for to in [to for to in cands if to not in counts]:
+            del table[cands.pop(to).rule]
+        if not group.sites:
+            del self.keys[group.key]
+            return
+        pi, cur, ctx_tags = group.key
+        neg = counts.get(cur, 0)
+        rest = len(group.sites) - neg
+        for to, pos in counts.items():
+            if to == cur or to is None:
+                continue
+            cand = cands.get(to)
+            if cand is None:
+                cand = Candidate(Rule(cur, to, zip(self.psets[pi], ctx_tags)))
+                cands[to] = table[cand.rule] = cand
+            cand.pos = pos
+            cand.neg = neg
+            cand.neut = rest - pos
 
-    def _link(self, rec: RuleRecord, site: Site, truth) -> None:
-        rec.sites.add(site)
-        rules = self.site_rules.get(site)
-        if rules is None:
-            self.site_rules[site] = {rec}
-        else:
-            rules.add(rec)
-        self.links_total += 1
-        if truth == rec.rule.to:
-            rec.pos += 1
-        elif truth == rec.rule.frm:
-            rec.neg += 1
-        else:
-            rec.neut += 1
 
-    def _untally(self, rec: RuleRecord, truth) -> None:
-        self.links_total -= 1
-        if truth == rec.rule.to:
-            rec.pos -= 1
-        elif truth == rec.rule.frm:
-            rec.neg -= 1
-        else:
-            rec.neut -= 1
+def _observe(sent, lo: int, hi: int, psets, span: int) -> list[list[tuple]]:
+    """Observation keys of sites lo..hi-1: per site, one per position set.
+
+    ``span`` must be at least the largest offset in ``psets``.
+    """
+    n = len(sent)
+    m = hi - lo
+    tags = [sent[j].current if 0 <= j < n else BOUNDARY for j in range(lo - span, hi + span)]
+    cur = tags[span : span + m]
+    columns = [
+        zip(repeat(pi), cur, zip(*[tags[span + off : span + off + m] for off in pset]))
+        for pi, pset in enumerate(psets)
+    ]
+    return list(map(list, zip(*columns)))
 
 
 def init_index(corpus: Corpus, templates) -> TrainerIndex:
-    """Build the table from scratch against the corpus's current tags.
+    """Build the index from scratch against the corpus's current tags.
 
-    Two sweeps: instantiate a record for every rule that would fix some
-    mistagged site, then link each record to every site it matches and
-    tally the effect there.  Scores come out equal to a fresh
-    enumerate_candidates over the same corpus.
+    One sweep files every site under its key for each position set; then
+    every group is scored.  The candidates and their counts come out equal
+    to a fresh enumerate_candidates over the same corpus.
     """
     index = TrainerIndex(templates)
-    index.site_id = [
-        [(si, ti) for ti in range(len(sent))] for si, sent in enumerate(corpus.sentences)
-    ]
+    keys = index.keys
     psets = index.psets
-
     for si, sent in enumerate(corpus.sentences):
-        n = len(sent)
-        for ti in range(n):
-            tok = sent[ti]
-            cur = tok.current
+        ids = [(si, ti) for ti in range(len(sent))]
+        rows = _observe(sent, 0, len(sent), psets, index.max_span)
+        for site, tok, row in zip(ids, sent, rows):
             truth = tok.truth
-            if cur == truth or truth is None:
-                continue
-            for pset in psets:
-                ctx = tuple(
-                    (off, sent[ti + off].current if 0 <= ti + off < n else BOUNDARY)
-                    for off in pset
-                )
-                rule = Rule(cur, truth, ctx)
-                if rule not in index.table:
-                    index._add_rule(rule)
-
-    groups = index.groups
-    sites_by_tag = index.sites_by_tag
-    for si, sent in enumerate(corpus.sentences):
-        n = len(sent)
-        row = index.site_id[si]
-        for ti in range(n):
-            tok = sent[ti]
-            cur = tok.current
-            site = row[ti]
-            bucket = sites_by_tag.get(cur)
-            if bucket is None:
-                sites_by_tag[cur] = {site}
-            else:
-                bucket.add(site)
-            truth = tok.truth
-            for pi, pset in enumerate(psets):
-                ctx_tags = tuple(
-                    sent[ti + off].current if 0 <= ti + off < n else BOUNDARY
-                    for off in pset
-                )
-                grp = groups.get((pi, cur, ctx_tags))
-                if grp:
-                    for rec in grp:
-                        index._link(rec, site, truth)
+            for pi, key in enumerate(row):
+                group = keys.get(key)
+                if group is None:
+                    group = keys[key] = KeyGroup(key)
+                else:
+                    row[pi] = group.key  # share one tuple per key
+                group.add(site, truth)
+        index.site_id.append(ids)
+        index.site_keys.append(rows)
+    for group in keys.values():
+        index._refresh(group)
+    index.links_total = corpus.n_tokens * len(psets)
     return index
 
 
@@ -186,211 +178,159 @@ def apply_and_update(
     pass_no: int = 0,
     record_deps: bool = False,
 ) -> list[Site]:
-    """Apply a table rule at its linked sites and repair the index.
+    """Apply a candidate rule at its key's sites and repair the index.
 
-    The site list is snapshotted up front, so later changes never alter
-    the match set mid-pass.  After rewriting, every site within the
-    largest template span of a change (same sentence) has its matching
-    rule set re-derived: stale links are dropped, new links added, and
-    each affected score adjusted by the effect class of the link's site.
-    Mistagged neighborhood sites may instantiate rules the table has
-    never seen; those are added and scored in one batched sweep over the
-    sites currently holding their source tag.  Returns the changed sites
-    in corpus order.
+    The sites are rewritten as snapshotted before the pass, so changes
+    never alter the match set mid-pass.  Then every site within the
+    largest template span of a change (same sentence) is re-observed;
+    wherever one of its keys changed, it moves from the old group to the
+    new one, and both groups are rescored once at the end.  Returns the
+    changed sites in corpus order.
     """
-    rec = index.table.get(rule)
-    if rec is None:
+    if rule not in index.table:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")
-    sites = sorted(rec.sites)
+    sites = sorted(index.keys[index.key_of(rule)].sites)
+    apply_at_sites(corpus, rule, sites, pass_no, record_deps)
 
-    if record_deps:
-        dependency.record_pass(corpus, sites, rule, pass_no)
-
-    to = rule.to
+    # The neighborhood: every same-sentence site within the largest span of
+    # a change, as disjoint intervals (sites are sorted).
+    span = index.max_span
     sentences = corpus.sentences
-    sites_by_tag = index.sites_by_tag
-    for site in sites:
-        si, ti = site
-        tok = sentences[si][ti]
-        sites_by_tag[tok.current].discard(site)
-        tok.current = to
-        bucket = sites_by_tag.get(to)
-        if bucket is None:
-            sites_by_tag[to] = {site}
-        else:
-            bucket.add(site)
-
-    # Deduplicated neighborhood: every same-sentence site within max_span
-    # of a change, the changed sites themselves included.
-    max_span = index.max_span
-    neighborhood: dict[Site, None] = {}
+    intervals: list[list[int]] = []
     for si, ti in sites:
-        row = index.site_id[si]
-        lo = ti - max_span
-        if lo < 0:
-            lo = 0
-        hi = ti + max_span + 1
-        if hi > len(row):
-            hi = len(row)
-        for tj in range(lo, hi):
-            neighborhood[row[tj]] = None
-
-    table = index.table
-    groups = index.groups
-    psets = index.psets
-    site_rules = index.site_rules
-    templates = index.templates
-    unseen: dict[Rule, None] = {}
-
-    for site in neighborhood:
-        si, ti = site
-        sent = sentences[si]
-        n = len(sent)
-        tok = sent[ti]
-        cur = tok.current
-        truth = tok.truth
-
-        new_set: set[RuleRecord] = set()
-        for pi, pset in enumerate(psets):
-            ctx_tags = tuple(
-                sent[ti + off].current if 0 <= ti + off < n else BOUNDARY
-                for off in pset
-            )
-            grp = groups.get((pi, cur, ctx_tags))
-            if grp:
-                new_set.update(grp)
-
-        old_set = site_rules.get(site)
-        if old_set:
-            for gone in old_set - new_set:
-                gone.sites.discard(site)
-                index._untally(gone, truth)
-            for came in new_set - old_set:
-                came.sites.add(site)
-                index.links_total += 1
-                if truth == came.rule.to:
-                    came.pos += 1
-                elif truth == came.rule.frm:
-                    came.neg += 1
-                else:
-                    came.neut += 1
+        lo, hi = max(0, ti - span), min(len(sentences[si]), ti + span + 1)
+        last = intervals[-1] if intervals else None
+        if last is not None and last[0] == si and last[2] >= lo:
+            last[2] = hi
         else:
-            for came in new_set:
-                came.sites.add(site)
-                index.links_total += 1
-                if truth == came.rule.to:
-                    came.pos += 1
-                elif truth == came.rule.frm:
-                    came.neg += 1
-                else:
-                    came.neut += 1
-        if new_set:
-            site_rules[site] = new_set
-        elif old_set is not None:
-            del site_rules[site]
+            intervals.append([si, lo, hi])
 
-        if truth is not None and cur != truth:
-            for t in templates:
-                ctx = tuple(
-                    (off, sent[ti + off].current if 0 <= ti + off < n else BOUNDARY)
-                    for off in t.positions
-                )
-                fix = Rule(cur, truth, ctx)
-                if fix not in table:
-                    unseen[fix] = None
+    keys = index.keys
+    dirty = index.dirty
+    psets = index.psets
+    created = rechecked = 0
+    for si, lo, hi in intervals:
+        sent = sentences[si]
+        ids = index.site_id[si]
+        rows = index.site_keys[si]
+        rechecked += hi - lo
+        for ti, observed in enumerate(_observe(sent, lo, hi, psets, span), lo):
+            row = rows[ti]
+            if observed == row:
+                continue
+            site = ids[ti]
+            truth = sent[ti].truth
+            for pi, key in enumerate(observed):
+                old = row[pi]
+                if key == old:
+                    continue
+                group = keys[old]
+                group.remove(site, truth)
+                dirty.add(group)
+                group = keys.get(key)
+                if group is None:
+                    group = keys[key] = KeyGroup(key)
+                    created += 1
+                group.add(site, truth)
+                dirty.add(group)
+                row[pi] = group.key
 
-    # Newly seen rules: add them, then score each against just the sites
-    # whose current tag is its source; this finds exactly the sites a
-    # whole-corpus sweep would, since a match requires that tag.
-    for new_rule in unseen:
-        new_rec = index._add_rule(new_rule)
-        bucket = sites_by_tag.get(new_rule.frm)
-        if not bucket:
-            continue
-        ctx = new_rule.ctx
-        for site in bucket:
-            si, ti = site
-            sent = sentences[si]
-            n = len(sent)
-            ok = True
-            for off, tag in ctx:
-                j = ti + off
-                got = sent[j].current if 0 <= j < n else BOUNDARY
-                if got != tag:
-                    ok = False
-                    break
-            if ok:
-                index._link(new_rec, site, sent[ti].truth)
-
-    index.last_unseen_added = len(unseen)
-    index.last_sites_rechecked = len(neighborhood)
+    for group in dirty:
+        index._refresh(group)
+    dirty.clear()
+    index.last_unseen_added = created
+    index.last_sites_rechecked = rechecked
     return sites
 
 
 def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
-    """Recount every table rule from the corpus and compare to the index.
+    """Recount the whole index from the corpus tags and compare.
 
-    Brute force on purpose: match sets are re-derived with nothing but
-    the corpus tags, then checked against stored links, scores, per-site
-    rule sets, the tag buckets, and the link total.  Raises AuditError
-    on the first discrepancy.
+    Brute force on purpose and independent of the update code: every key
+    group, counter and site_keys row is rebuilt by reading the tags at
+    each position set's offsets; every candidate's counts are recounted
+    by matching its context at each site holding its source tag; and the
+    candidate set must be the rules instantiated at mistagged sites.
+    Raises AuditError on the first discrepancy.
     """
+    psets = index.psets
+    sentences = corpus.sentences
+    if len(index.site_keys) != len(sentences):
+        raise AuditError("site_keys has the wrong number of sentences")
+    if index.dirty:
+        raise AuditError(f"{len(index.dirty)} key groups left unscored")
+
+    groups: dict[tuple, list] = {}  # key -> [sites, truth counts]
     by_cur: dict[str, list[Site]] = {}
-    for si, sent in enumerate(corpus.sentences):
+    want_rules = set()
+    for si, sent in enumerate(sentences):
+        n = len(sent)
+        have_rows = index.site_keys[si]
+        if len(have_rows) != n:
+            raise AuditError(f"site_keys row count wrong in sentence {si}")
         for ti, tok in enumerate(sent):
-            by_cur.setdefault(tok.current, []).append((si, ti))
+            site = (si, ti)
+            by_cur.setdefault(tok.current, []).append(site)
+            row = []
+            for pi, pset in enumerate(psets):
+                tags = []
+                for off in pset:
+                    j = ti + off
+                    tags.append(sent[j].current if 0 <= j < n else BOUNDARY)
+                key = (pi, tok.current, tuple(tags))
+                row.append(key)
+                want = groups.get(key)
+                if want is None:
+                    want = groups[key] = [set(), {}]
+                want[0].add(site)
+                want[1][tok.truth] = want[1].get(tok.truth, 0) + 1
+                if tok.truth is not None and tok.truth != tok.current:
+                    want_rules.add(Rule(tok.current, tok.truth, zip(pset, tags)))
+            if have_rows[ti] != row:
+                raise AuditError(f"site_keys{list(site)} {have_rows[ti]} != observed {row}")
 
-    want_by_tag = {tag: set(sites) for tag, sites in by_cur.items()}
-    have_by_tag = {tag: b for tag, b in index.sites_by_tag.items() if b}
-    if want_by_tag != have_by_tag:
-        raise AuditError("sites_by_tag disagrees with the corpus")
+    if set(index.keys) != set(groups):
+        raise AuditError("key groups disagree with the recount")
+    links = 0
+    for key, (sites, counts) in groups.items():
+        group = index.keys[key]
+        if group.key != key or group.sites != sites:
+            raise AuditError(f"{key}: stored sites {sorted(group.sites)} != {sorted(sites)}")
+        if group.counts != counts:
+            raise AuditError(f"{key}: stored truth counts {group.counts} != {counts}")
+        links += len(sites)
+    if links != index.links_total:
+        raise AuditError(f"links_total {index.links_total} != recounted {links}")
 
-    links_seen = 0
-    want_site_rules: dict[Site, set] = {}
-    for rule, rec in index.table.items():
-        want_sites = set()
+    if set(index.table) != want_rules:
+        raise AuditError("candidate table disagrees with the rules fixing mistagged sites")
+    if sum(len(g.cands) for g in index.keys.values()) != len(index.table):
+        raise AuditError("key groups hold candidates the table does not")
+    for rule, cand in index.table.items():
+        key = (psets.index(rule.positions), rule.frm, tuple(t for _, t in rule.ctx))
+        if cand.rule != rule or index.keys[key].cands.get(rule.to) is not cand:
+            raise AuditError(f"{rule.canonical!r}: candidate not filed under its key")
         pos = neg = neut = 0
-        ctx = rule.ctx
-        for site in by_cur.get(rule.frm, ()):
-            si, ti = site
-            sent = corpus.sentences[si]
+        for si, ti in by_cur.get(rule.frm, ()):
+            sent = sentences[si]
             n = len(sent)
-            ok = True
-            for off, tag in ctx:
+            for off, tag in rule.ctx:
                 j = ti + off
-                got = sent[j].current if 0 <= j < n else BOUNDARY
-                if got != tag:
-                    ok = False
+                if (sent[j].current if 0 <= j < n else BOUNDARY) != tag:
                     break
-            if not ok:
-                continue
-            want_sites.add(site)
-            truth = sent[ti].truth
-            if truth == rule.to:
-                pos += 1
-            elif truth == rule.frm:
-                neg += 1
             else:
-                neut += 1
-        if want_sites != rec.sites:
+                truth = sent[ti].truth
+                if truth == rule.to:
+                    pos += 1
+                elif truth == rule.frm:
+                    neg += 1
+                else:
+                    neut += 1
+        if (pos, neg, neut) != (cand.pos, cand.neg, cand.neut):
             raise AuditError(
-                f"{rule.canonical!r}: stored sites {sorted(rec.sites)} != "
-                f"recounted {sorted(want_sites)}"
-            )
-        if (pos, neg, neut) != (rec.pos, rec.neg, rec.neut):
-            raise AuditError(
-                f"{rule.canonical!r}: stored score ({rec.pos},{rec.neg},{rec.neut})"
+                f"{rule.canonical!r}: stored score ({cand.pos},{cand.neg},{cand.neut})"
                 f" != recounted ({pos},{neg},{neut})"
             )
-        links_seen += len(want_sites)
-        for site in want_sites:
-            want_site_rules.setdefault(site, set()).add(rec)
-
-    have_site_rules = {s: rules for s, rules in index.site_rules.items() if rules}
-    if want_site_rules != have_site_rules:
-        raise AuditError("per-site rule links disagree with the recount")
-    if links_seen != index.links_total:
-        raise AuditError(f"links_total {index.links_total} != recounted {links_seen}")
 
 
 def train_incremental(
@@ -404,8 +344,7 @@ def train_incremental(
     Output-equivalent to train_naive under the same config and seed.
     With config.audit the index is recounted after setup and every pass.
     audit_log, when given, receives one tab-separated line per pass:
-    pass, rules_in_table, links_total, unseen_rules_added,
-    sites_rechecked.
+    pass, candidates, keys, new_keys, sites_rechecked.
     """
     if config is None:
         config = TrainerConfig()
@@ -443,7 +382,7 @@ def train_incremental(
                 )
         if audit_log is not None:
             audit_log.append(
-                f"{pass_no}\t{len(index.table)}\t{index.links_total}"
+                f"{pass_no}\t{len(index.table)}\t{len(index.keys)}"
                 f"\t{index.last_unseen_added}\t{index.last_sites_rechecked}"
             )
     return Model(lexicon, learned, config), trace, curve

@@ -8,6 +8,7 @@ either engine.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from . import dependency
 from .corpus import BOUNDARY, Corpus, Lexicon, Site
 from .rules import (
     DEFAULT_TEMPLATES,
+    DecodeError,
     Rule,
     RuleScore,
     Template,
@@ -174,9 +176,26 @@ def config_pairs(config: TrainerConfig) -> list[tuple[str, str]]:
     ]
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file in the same directory.
+
+    The temp file replaces path only once it is complete, so no reader
+    ever sees a half-written file and a failed write leaves the old one.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_model(model: Model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_model(model))
+    write_text_atomic(path, format_model(model))
 
 
 def format_model(model: Model) -> str:
@@ -186,8 +205,20 @@ def format_model(model: Model) -> str:
     counts (words sorted, tags sorted within a word), then the learned
     rules one canonical encoding per line in application order.  The
     engine that produced the model is deliberately not recorded; both
-    engines must produce byte-identical files.
+    engines must produce byte-identical files.  Raises ModelFormatError
+    for a rule whose tags the encoding cannot carry (one that would read
+    back as a different rule).
     """
+    for rule in model.rules:
+        try:
+            same = decode_rule(rule.canonical) == rule
+        except DecodeError:
+            same = False
+        if not same:
+            raise ModelFormatError(
+                f"rule {rule.canonical!r} would not read back as itself; "
+                "its tags cannot be stored in a model file"
+            )
     lines = [f"{MODEL_FORMAT} {MODEL_VERSION}"]
     for key, value in config_pairs(model.config):
         lines.append(f"{key} {value}")

@@ -140,7 +140,7 @@ def test_train_audit_log(tmp_path, chain):
     _train(tmp_path, chain, "--audit", "--audit-log", str(log))
     body = _body(log.read_text())
     lines = body.splitlines()
-    assert lines[0] == "pass\trules_in_table\tlinks_total\tunseen_rules_added\tsites_rechecked"
+    assert lines[0] == "pass\tcandidates\tkeys\tnew_keys\tsites_rechecked"
     assert len(lines) == 3
     assert lines[1].split("\t")[0] == "1"
 
@@ -401,6 +401,28 @@ def test_exit_2_on_malformed_corpus(tmp_path, capsys):
     )
     assert rc == 2
     assert "line 1, column 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # baseline tag A>B for y, fixed after D: learns A>B>C @ -1:D
+        "x/D y/C\nx/D y/C\nw/E y/A>B\nw/E y/A>B\nw/E y/A>B\n",
+        # the learned rule's context tag is D,1:Q
+        "x/D,1:Q y/C\nx/D,1:Q y/C\nw/E y/A\nw/E y/A\nw/E y/A\n",
+    ],
+)
+def test_exit_2_on_rule_the_model_file_cannot_hold(tmp_path, capsys, text):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(text)
+    model = tmp_path / "m.model"
+    rc = main(
+        ["train", "--corpus", str(corpus), "--default-tag", "Z", "--templates", "-1",
+         "-o", str(model)]
+    )
+    assert rc == 2
+    assert "would not read back" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
 
 def test_exit_2_on_corrupt_model(tmp_path, chain, capsys):

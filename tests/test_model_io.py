@@ -1,9 +1,11 @@
 """Model file format: render, parse, round-trips, corruption handling."""
 
+import os
+
 import pytest
 
 from tbltag.corpus import Lexicon, build_lexicon, parse_corpus
-from tbltag.rules import Rule, parse_template_spec
+from tbltag.rules import Rule, decode_rule, parse_template_spec
 from tbltag.trainer_naive import train_naive
 from tbltag.training import (
     Model,
@@ -90,6 +92,48 @@ def test_round_trip_wide_template(tmp_path):
     loaded = load_model(str(path))
     assert loaded.config.templates == cfg.templates
     assert loaded.rules == model.rules
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        Rule("A>B", "C", [(-1, "D")]),  # "A>B>C @ -1:D" reads back as A -> B>C
+        Rule("A", "B", [(-1, "D,1:Q")]),  # the context tag reads back as two items
+    ],
+)
+def test_format_model_rejects_rules_that_do_not_read_back(tmp_path, rule):
+    assert decode_rule(rule.canonical) != rule
+    model = Model(Lexicon("A"), [rule], TrainerConfig())
+    with pytest.raises(ModelFormatError):
+        format_model(model)
+    path = tmp_path / "m.model"
+    path.write_text("old\n")
+    with pytest.raises(ModelFormatError):
+        save_model(model, str(path))
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["m.model"]
+
+
+def test_save_model_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "toy.model"
+    path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_model(_toy_model(), str(path))
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["toy.model"]
+
+
+def test_save_model_replaces_existing_file(tmp_path):
+    path = tmp_path / "toy.model"
+    path.write_text("old\n")
+    save_model(_toy_model(), str(path))
+    assert path.read_text() == format_model(_toy_model())
+    assert os.listdir(tmp_path) == ["toy.model"]
 
 
 def test_tagset_merges_lexicon_and_rules():

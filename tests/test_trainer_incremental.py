@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tbltag.corpus import baseline_assign, build_lexicon, error_count, parse_corpus
 from tbltag.dependency import dependency_report
-from tbltag.rules import Rule, RuleScore, parse_template_spec
+from tbltag.rules import Rule, RuleScore, apply_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import (
     AuditError,
@@ -40,23 +40,31 @@ def _small_corpus(seed: int, n_tokens: int = 200):
 # --- init_index -----------------------------------------------------------------
 
 
+def _scores(index) -> dict:
+    return {r: RuleScore(c.pos, c.neg, c.neut) for r, c in index.table.items()}
+
+
 def test_init_index_matches_enumeration_toy():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     index = init_index(c, T1)
-    cands = enumerate_candidates(c, T1)
-    assert {r: rec.snapshot() for r, rec in index.table.items()} == cands
+    assert _scores(index) == enumerate_candidates(c, T1)
     verify_index(index, c)
 
 
 def test_init_index_links():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     index = init_index(c, T1)
-    rec = index.table[Rule("MD", "NN", [(-1, "DT")])]
-    assert rec.sites == {(0, 1), (0, 4)}
-    assert rec.snapshot() == RuleScore(2, 0, 0)
-    assert index.links_total == 2
-    assert index.sites_by_tag["MD"] == {(0, 1), (0, 4)}
-    assert index.sites_by_tag["DT"] == {(0, 0), (0, 3)}
+    rule = Rule("MD", "NN", [(-1, "DT")])
+    group = index.keys[index.key_of(rule)]
+    assert group.key == (0, "MD", ("DT",))
+    assert group.sites == {(0, 1), (0, 4)}
+    assert group.counts == {"NN": 2}
+    assert _scores(index) == {rule: RuleScore(2, 0, 0)}
+    assert len(index.keys) == 5
+    # one site-to-key membership per token and position set
+    assert index.links_total == 6
+    assert index.site_keys[0][4] == [(0, "MD", ("DT",))]
+    assert index.site_keys[0][0] == [(0, "DT", ("<B>",))]
 
 
 @given(seed=st.integers(0, 10**6))
@@ -65,8 +73,7 @@ def test_init_index_matches_enumeration(seed):
     c = _small_corpus(seed)
     baseline_assign(c, build_lexicon(c, "T00"))
     index = init_index(c, T3)
-    cands = enumerate_candidates(c, T3)
-    assert {r: rec.snapshot() for r, rec in index.table.items()} == cands
+    assert _scores(index) == enumerate_candidates(c, T3)
     verify_index(index, c)
 
 
@@ -80,12 +87,15 @@ def test_apply_and_update_toy():
     changed = apply_and_update(index, c, rule)
     assert changed == [(0, 1), (0, 4)]
     assert error_count(c) == 0
-    rec = index.table[rule]
-    # both sites now carry NN, so the rule matches nowhere
-    assert rec.sites == set()
-    assert rec.snapshot() == RuleScore(0, 0, 0)
-    assert index.sites_by_tag.get("MD", set()) == set()
-    assert index.sites_by_tag["NN"] == {(0, 1), (0, 4)}
+    # both sites now carry NN: the rule's key has no sites left, so the key
+    # and its only candidate are gone, and nothing is left to fix
+    assert (0, "MD", ("DT",)) not in index.keys
+    assert index.table == {}
+    assert index.keys[(0, "NN", ("DT",))].sites == {(0, 1), (0, 4)}
+    # the two rewritten sites and their right neighbors moved to new keys
+    assert index.last_unseen_added == 3
+    assert index.last_sites_rechecked == 6
+    assert len(index.keys) == 5
     verify_index(index, c)
 
 
@@ -97,9 +107,9 @@ def test_apply_and_update_unknown_rule():
 
 
 def test_apply_and_update_discovers_unseen_rules():
-    # pass 1 rewrites f's tag; the neighbor v then instantiates a rule the
-    # table has never held, and the batched scan must also link it to the
-    # far site in the second sentence
+    # pass 1 rewrites f's tag; the neighbor v then joins the key the far
+    # site in the second sentence already observes, and the rule fixing v
+    # becomes a candidate scored over both sites
     text = "f/T v/V2\nt/T v/V9\n"
     c = baselined(text, {"f": "F", "v": "V", "t": "T"}, "Z")
     index = init_index(c, T1)
@@ -108,17 +118,14 @@ def test_apply_and_update_discovers_unseen_rules():
 
     r1 = Rule("F", "T", [(-1, "<B>")])
     apply_and_update(index, c, r1)
-    assert index.last_unseen_added == 1
+    assert index.last_unseen_added == 0  # both keys were already observed
     assert index.last_sites_rechecked == 2
-    rec = index.table[r2]
-    assert rec.sites == {(0, 1), (1, 1)}
-    assert rec.snapshot() == RuleScore(pos=1, neg=0, neut=1)
+    assert index.keys[index.key_of(r2)].sites == {(0, 1), (1, 1)}
+    assert _scores(index)[r2] == RuleScore(pos=1, neg=0, neut=1)
     verify_index(index, c)
 
 
-def test_stale_rules_stay_with_live_links():
-    # after training, rules displaced by context changes remain in the table
-    # at score zero with no sites
+def test_chained_rules_learned_in_order():
     text = "a/DT b/X c/Y\n"
     c = baselined(text, {"a": "DT", "b": "P", "c": "Q"}, "Z")
     cfg = TrainerConfig(templates=T1, threshold=1)
@@ -135,27 +142,24 @@ def test_chaining_pass_by_pass():
 
     first = Rule("P", "X", [(-1, "DT")])
     stale = Rule("Q", "Y", [(-1, "P")])
-    assert index.table[first].snapshot() == RuleScore(1, 0, 0)
-    assert index.table[stale].snapshot() == RuleScore(1, 0, 0)
+    assert _scores(index) == {first: RuleScore(1, 0, 0), stale: RuleScore(1, 0, 0)}
 
     apply_and_update(index, c, first)
     # the first rewrite retired both initial rules and surfaced the chained one
     chained = Rule("Q", "Y", [(-1, "X")])
-    assert index.table[first].snapshot() == RuleScore(0, 0, 0)
-    assert index.table[stale].snapshot() == RuleScore(0, 0, 0)
-    assert index.table[stale].sites == set()
-    assert index.table[chained].snapshot() == RuleScore(1, 0, 0)
-    assert index.table[chained].sites == {(0, 2)}
+    assert _scores(index) == {chained: RuleScore(1, 0, 0)}
+    assert index.key_of(stale) not in index.keys
+    assert index.keys[index.key_of(chained)].sites == {(0, 2)}
     verify_index(index, c)
 
     apply_and_update(index, c, chained)
     assert error_count(c) == 0
+    assert index.table == {}
     verify_index(index, c)
 
 
 def test_index_vs_fresh_rebuild_after_pass():
-    # a live index may hold extra retired rules, but every rule a fresh
-    # rebuild finds must be present with identical links and scores
+    # after every pass the live index equals one rebuilt from scratch
     c = _small_corpus(41, n_tokens=250)
     baseline_assign(c, build_lexicon(c, "T00"))
     index = init_index(c, T3)
@@ -167,14 +171,18 @@ def test_index_vs_fresh_rebuild_after_pass():
             break
         apply_and_update(index, c, picked[0])
         fresh = init_index(c, T3)
-        for rule, fresh_rec in fresh.table.items():
-            live = index.table[rule]
-            assert live.sites == fresh_rec.sites
-            assert live.snapshot() == fresh_rec.snapshot()
+        assert index.keys.keys() == fresh.keys.keys()
+        for key, group in fresh.keys.items():
+            assert index.keys[key].sites == group.sites
+            assert index.keys[key].counts == group.counts
+        assert index.site_keys == fresh.site_keys
+        assert _scores(index) == _scores(fresh)
         verify_index(index, c)
 
 
 # --- verify_index catches corruption ------------------------------------------------
+
+TOY_RULE = Rule("MD", "NN", [(-1, "DT")])
 
 
 def _fresh_index():
@@ -184,24 +192,28 @@ def _fresh_index():
 
 def test_verify_index_catches_score_drift():
     index, c = _fresh_index()
-    rec = next(iter(index.table.values()))
-    rec.pos += 1
+    index.table[TOY_RULE].pos += 1
+    with pytest.raises(AuditError):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_missing_candidate():
+    index, c = _fresh_index()
+    del index.table[TOY_RULE]
     with pytest.raises(AuditError):
         verify_index(index, c)
 
 
 def test_verify_index_catches_missing_link():
     index, c = _fresh_index()
-    rec = next(iter(index.table.values()))
-    site = next(iter(rec.sites))
-    rec.sites.discard(site)
+    index.keys[index.key_of(TOY_RULE)].sites.discard((0, 1))
     with pytest.raises(AuditError):
         verify_index(index, c)
 
 
 def test_verify_index_catches_bucket_drift():
     index, c = _fresh_index()
-    index.sites_by_tag["MD"].discard((0, 1))
+    index.keys[index.key_of(TOY_RULE)].counts["NN"] += 1
     with pytest.raises(AuditError):
         verify_index(index, c)
 
@@ -213,9 +225,9 @@ def test_verify_index_catches_link_total_drift():
         verify_index(index, c)
 
 
-def test_verify_index_catches_site_rules_drift():
+def test_verify_index_catches_site_keys_drift():
     index, c = _fresh_index()
-    del index.site_rules[(0, 1)]
+    index.site_keys[0][1][0] = (0, "MD", ("VBZ",))
     with pytest.raises(AuditError):
         verify_index(index, c)
 
@@ -256,9 +268,16 @@ def test_train_incremental_audit_log_format():
         fields = line.split("\t")
         assert len(fields) == 5
         assert all(f.isdigit() for f in fields)
-    # table only grows
-    tables = [int(line.split("\t")[1]) for line in log]
-    assert tables == sorted(tables)
+    # after each pass the candidates are exactly the rules a fresh
+    # enumeration finds once the learned rules so far are replayed
+    replay = c.clone()
+    baseline_assign(replay, lex)
+    for rule, line in zip(model.rules, log):
+        apply_rule(rule, replay)
+        candidates, keys, new_keys, rechecked = map(int, line.split("\t")[1:])
+        assert candidates == len(enumerate_candidates(replay, T3))
+        assert new_keys <= keys <= replay.n_tokens * len(T3)
+        assert 1 <= rechecked <= replay.n_tokens
 
 
 def _equiv_config(draw_seed: int) -> TrainerConfig:
@@ -315,3 +334,52 @@ def test_engine_equivalence_random_long():
         mi, ti, _ = train_incremental(corpus_i.clone(), lex, cfg)
         assert mn.rules == mi.rules
         assert tn == ti
+
+
+# --- adversarial corpora the Markov generator never makes ---------------------------
+
+# Spans up to 3, so most sentences are shorter than some template.
+T_WIDE = parse_template_spec("-1; +1; -3; +2,+3; -2,-1")
+
+
+@st.composite
+def _adversarial_corpus(draw) -> str:
+    """Tiny alphabets, 1-4 token sentences, and sometimes nothing to fix."""
+    tags = draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3, unique=True))
+    words = ["w0", "w1", "w2", "w3"][: draw(st.integers(1, 4))]
+    # one fixed tag per word makes the baseline exact: all tokens correct
+    fixed = draw(st.none() | st.fixed_dictionaries({w: st.sampled_from(tags) for w in words}))
+    lines = []
+    for length in draw(st.lists(st.integers(1, 4), min_size=1, max_size=10)):
+        items = []
+        for _ in range(length):
+            word = draw(st.sampled_from(words))
+            tag = fixed[word] if fixed else draw(st.sampled_from(tags))
+            items.append(f"{word}/{tag}")
+        lines.append(" ".join(items))
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    text=_adversarial_corpus(),
+    strategy=st.sampled_from([Strategy.GREEDY, Strategy.RANDOM]),
+    threshold=st.integers(1, 2),
+    rng_seed=st.integers(0, 99),
+)
+@settings(max_examples=150)
+def test_engine_equivalence_adversarial(text, strategy, threshold, rng_seed):
+    corpus_n = parse_corpus(text)
+    corpus_i = corpus_n.clone()
+    lex = build_lexicon(corpus_n, "A")
+    base = dict(templates=T_WIDE, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
+    cfg_n = TrainerConfig(**base, record_deps=True)
+    cfg_i = TrainerConfig(**base, record_deps=True, audit=True)
+
+    mn, tn, cvn = train_naive(corpus_n, lex, cfg_n)
+    mi, ti, cvi = train_incremental(corpus_i, lex, cfg_i)
+
+    assert mn.rules == mi.rules
+    assert tn == ti
+    assert cvn == cvi
+    assert corpus_n == corpus_i
+    assert dependency_report(corpus_n) == dependency_report(corpus_i)
