@@ -33,7 +33,7 @@ from .dependency import (
     record_pass,
     render_tree,
 )
-from .evaluate import Curve, evaluate_curve, tag
+from .evaluate import Curve, evaluate_curve, replay, tag
 from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_TEMPLATES,

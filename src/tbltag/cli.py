@@ -9,23 +9,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .corpus import (
+    Corpus,
     ParseError,
     accuracy,
-    baseline_assign,
     build_lexicon,
     error_count,
     parse_corpus,
     serialize_corpus,
 )
-from .dependency import RecordingDisabledError, dependency_report
-from .evaluate import evaluate_curve, tag
+from .dependency import RecordingDisabledError, dependency_report, record_pass
+from .evaluate import evaluate_curve, replay, tag
 from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_WINDOW,
     DecodeError,
-    find_sites,
     parse_template_spec,
     render_template_spec,
 )
@@ -36,7 +36,7 @@ from .training import (
     ModelFormatError,
     Strategy,
     TrainerConfig,
-    apply_at_sites,
+    check_tagset,
     load_model,
     save_model,
     trace_tsv,
@@ -46,6 +46,10 @@ from .training import (
 
 class _UsageError(Exception):
     pass
+
+
+class _DataError(Exception):
+    """Input files that parse but cannot be used together; exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,6 +158,7 @@ def _cmd_train(args) -> int:
     if corpus.n_tokens == 0:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
     lexicon = build_lexicon(corpus, args.default_tag)
+    check_tagset(t for by_tag in lexicon.counts.values() for t in by_tag)
     templates = parse_template_spec(args.templates, window=args.window)
     config = TrainerConfig(
         templates=templates,
@@ -218,6 +223,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _tag_timed(model: Model, corpus: Corpus) -> None:
+    """Tag the corpus and write a one-line speed summary to stderr."""
+    start = time.perf_counter()
+    tag(model, corpus)
+    seconds = time.perf_counter() - start
+    rate = corpus.n_tokens / seconds if seconds > 0 else 0.0
+    sys.stderr.write(
+        f"tagged {corpus.n_tokens} tokens with {len(model.rules)} rules "
+        f"in {seconds:.3f} s ({rate:.0f} tokens/s)\n"
+    )
+
+
 def _cmd_tag(args) -> int:
     model = _load_model(args.model)
     corpus = parse_corpus(_read_text(args.input, "input corpus"), tagged=not args.raw)
@@ -231,7 +248,7 @@ def _cmd_tag(args) -> int:
                     sys.stderr.write(
                         f"warning: tag {tok.truth!r} not in the model's tagset\n"
                     )
-    tag(model, corpus)
+    _tag_timed(model, corpus)
     _write_text(args.output, serialize_corpus(corpus, "current"))
     return 0
 
@@ -239,7 +256,7 @@ def _cmd_tag(args) -> int:
 def _cmd_eval(args) -> int:
     model = _load_model(args.model)
     corpus = parse_corpus(_read_text(args.corpus, "corpus"))
-    tag(model, corpus)
+    _tag_timed(model, corpus)
     pairs = {"model": args.model, "corpus": args.corpus}
     body = (
         f"tokens\t{corpus.n_tokens}\n"
@@ -273,12 +290,17 @@ def _cmd_deps(args) -> int:
             "model was trained without --deps; retrain with dependency recording"
         )
     corpus = parse_corpus(_read_text(args.corpus, "corpus"))
+    if build_lexicon(corpus, model.default_tag).counts != model.lexicon.counts:
+        raise _DataError(
+            f"corpus {args.corpus} is not the one the model was trained on: "
+            "its word/tag counts differ from the model's lexicon"
+        )
     # Replay the training application order with recording on; this
     # reconstructs the same structures the training run produced.
-    baseline_assign(corpus, model.lexicon)
-    for pass_no, rule in enumerate(model.rules, start=1):
-        sites = find_sites(rule, corpus)
-        apply_at_sites(corpus, rule, sites, pass_no, record_deps=True)
+    replay(
+        model, corpus,
+        on_rule=lambda pass_no, rule, sites: record_pass(corpus, sites, rule, pass_no),
+    )
     report = dependency_report(corpus, model, include_pass=not args.no_pass_in_key)
     pairs = {
         "model": args.model,
@@ -374,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
+    except _DataError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except (RecordingDisabledError, ValueError) as exc:
         if isinstance(exc, (ParseError, DecodeError, ModelFormatError)):
             sys.stderr.write(f"error: {exc}\n")

@@ -57,7 +57,8 @@ def record_pass(corpus: Corpus, sites: list[Site], rule: Rule, pass_no: int) -> 
 
     Child links are gathered for every site before any node is installed,
     so sites changed together see each other's previous nodes, never the
-    new ones.  Call before the tags themselves are rewritten.
+    new ones.  Only dep links are read, never tags, so it may be called
+    before or after the tags themselves are rewritten.
     """
     offsets = [off for off, _ in rule.ctx]
     gathered = []

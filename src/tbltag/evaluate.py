@@ -2,11 +2,111 @@
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .corpus import Corpus, accuracy, baseline_assign
-from .rules import apply_rule
+from .corpus import BOUNDARY, Corpus, Site, accuracy, baseline_assign
+from .rules import Rule
 from .training import Model
+
+# The coded corpus string pads sentences with this character; rule contexts
+# code BOUNDARY as it.  Tags are coded from the next code point up.
+_PAD = "\0"
+
+
+def _tag_codes(tags) -> dict[str, str]:
+    """One character per tag, skipping the surrogate block."""
+    codes = {BOUNDARY: _PAD}
+    for tag in tags:
+        if tag not in codes:
+            i = len(codes)
+            codes[tag] = chr(i if i < 0xD800 else i + 0x800)
+    return codes
+
+
+def _compile(rule: Rule, codes: dict[str, str], width: int) -> re.Pattern | None:
+    """Pattern whose matches are the rule's sites, or None if it has none.
+
+    A match is the source tag's single character, so the search skips
+    other positions at C speed.  A lookbehind ending just after it checks
+    the negative offsets, a lookahead the positive ones; unconstrained
+    positions in between are ``.``.  In a corpus string padded by
+    ``width``, an offset beyond ``width`` lies outside every sentence.
+    """
+    before: dict[int, str] = {}
+    after: dict[int, str] = {}
+    for off, tag in rule.ctx:
+        if abs(off) > width:
+            if tag == BOUNDARY:
+                continue
+            return None
+        (before if off < 0 else after)[abs(off)] = re.escape(codes[tag])
+    pattern = re.escape(codes[rule.frm])
+    if before:
+        # The last lookbehind position is the source character itself.
+        behind = "".join(before.get(d, ".") for d in range(max(before), 0, -1))
+        pattern += f"(?<={behind}.)"
+    if after:
+        ahead = "".join(after.get(d, ".") for d in range(1, max(after) + 1))
+        pattern += f"(?={ahead})"
+    return re.compile(pattern, re.S)
+
+
+def replay(
+    model: Model,
+    corpus: Corpus,
+    on_rule: Callable[[int, Rule, list[Site]], object] | None = None,
+) -> Corpus:
+    """Baseline-tag the corpus, then apply the model's rules in order.
+
+    Each rule rewrites every site that matched before it was applied, as
+    ``rules.apply_rule`` does, so overlapping matches all fire.  After
+    rule ``pass_no`` (from 1) has rewritten its sites, ``on_rule(pass_no,
+    rule, sites)`` is called with the sites in corpus order.  Mutates and
+    returns the given corpus; current tags are overwritten, truth tags
+    (when present) are untouched.
+
+    The rules run as compiled regular expressions over the corpus coded
+    one character per tag, sentences separated by enough boundary padding
+    for the widest rule context that can fit in a sentence.
+    """
+    baseline_assign(corpus, model.lexicon)
+    sentences = corpus.sentences
+    codes = _tag_codes(model.tagset())
+    longest = max((len(sent) for sent in sentences), default=0)
+    width = min(max((rule.span for rule in model.rules), default=0), longest)
+    pad = _PAD * width
+    starts = []
+    pos = width
+    for sent in sentences:
+        starts.append(pos)
+        pos += len(sent) + width
+    text = pad + pad.join(
+        "".join([codes[tok.current] for tok in sent]) for sent in sentences
+    ) + pad
+
+    for pass_no, rule in enumerate(model.rules, start=1):
+        pattern = _compile(rule, codes, width)
+        hits = [m.start() for m in pattern.finditer(text)] if pattern else []
+        sites = []
+        if hits:
+            to = rule.to
+            pieces = []
+            prev = 0
+            for h in hits:
+                si = bisect_right(starts, h) - 1
+                ti = h - starts[si]
+                sentences[si][ti].current = to
+                sites.append((si, ti))
+                pieces.append(text[prev:h])
+                prev = h + 1
+            pieces.append(text[prev:])
+            text = codes[to].join(pieces)
+        if on_rule is not None:
+            on_rule(pass_no, rule, sites)
+    return corpus
 
 
 def tag(model: Model, corpus: Corpus) -> Corpus:
@@ -16,10 +116,7 @@ def tag(model: Model, corpus: Corpus) -> Corpus:
     truth tags (when present) are untouched.  Replaying a model over its
     own training corpus reproduces the trainer's final tags exactly.
     """
-    baseline_assign(corpus, model.lexicon)
-    for rule in model.rules:
-        apply_rule(rule, corpus)
-    return corpus
+    return replay(model, corpus)
 
 
 @dataclass(slots=True)
@@ -49,6 +146,23 @@ def _masked_accuracy(tokens) -> float:
     return sum(1 for t in tokens if t.current == t.truth) / len(tokens)
 
 
+def _accuracies(model: Model, corpus: Corpus, errored_only: bool) -> list[float]:
+    """Accuracy of the corpus at the baseline and after each rule."""
+    baseline_assign(corpus, model.lexicon)
+    if errored_only:
+        mask = [
+            t for sent in corpus.sentences for t in sent
+            if t.truth is not None and t.current != t.truth
+        ]
+
+    def measure() -> float:
+        return _masked_accuracy(mask) if errored_only else accuracy(corpus)
+
+    points = [measure()]
+    replay(model, corpus, on_rule=lambda pass_no, rule, sites: points.append(measure()))
+    return points
+
+
 def evaluate_curve(
     model: Model,
     train_corpus: Corpus,
@@ -63,26 +177,9 @@ def evaluate_curve(
     tokens the baseline got wrong, isolating how much of the originally
     wrong material the rules repair.
     """
-    corpora = [train_corpus] + ([test_corpus] if test_corpus is not None else [])
-    masks: list = []
-    for c in corpora:
-        baseline_assign(c, model.lexicon)
-        if errored_only:
-            masks.append(
-                [t for sent in c.sentences for t in sent if t.truth is not None and t.current != t.truth]
-            )
-
-    def measure(i: int) -> float:
-        return _masked_accuracy(masks[i]) if errored_only else accuracy(corpora[i])
-
-    def point(pass_no: int):
-        train_acc = measure(0)
-        test_acc = measure(1) if test_corpus is not None else None
-        return (pass_no, train_acc, test_acc)
-
-    points = [point(0)]
-    for pass_no, rule in enumerate(model.rules, start=1):
-        for c in corpora:
-            apply_rule(rule, c)
-        points.append(point(pass_no))
-    return Curve(points)
+    train = _accuracies(model, train_corpus, errored_only)
+    if test_corpus is None:
+        test = [None] * len(train)
+    else:
+        test = _accuracies(model, test_corpus, errored_only)
+    return Curve(list(zip(range(len(train)), train, test)))

@@ -279,7 +279,19 @@ def apply_rule(rule: Rule, corpus: Corpus) -> list[Site]:
 # Context items are "offset:TAG" joined by commas.  Tags never contain
 # whitespace (corpus format guarantees it) but may contain ':' or ',', so
 # items are split at comma-then-integer-then-colon boundaries only.
-_CTX_ITEM_RE = re.compile(r"(-?\d+):(.*?)(?=,-?\d+:|$)")
+_CTX_SEP = r",-?\d+:"
+_CTX_ITEM_RE = re.compile(rf"(-?\d+):(.*?)(?={_CTX_SEP}|$)")
+_CTX_SEP_RE = re.compile(_CTX_SEP)
+
+
+def encodable_tag(tag: str) -> bool:
+    """True when the rule text carries the tag in any role of a rule.
+
+    A '>' in a source tag would split the rule's head in the wrong place,
+    and a context tag containing a comma, an integer and a colon would
+    split into two context items.
+    """
+    return ">" not in tag and _CTX_SEP_RE.search(tag) is None
 
 
 def encode_rule(rule: Rule) -> str:

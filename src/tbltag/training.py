@@ -24,6 +24,7 @@ from .rules import (
     Template,
     decode_rule,
     display_rule,
+    encodable_tag,
     parse_template_spec,
     render_template_spec,
 )
@@ -192,6 +193,21 @@ def write_text_atomic(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def check_tagset(tags) -> None:
+    """Raise ModelFormatError for a tag a learned rule could not carry.
+
+    Training can make any corpus tag a rule's source, target or context,
+    so checking the corpus tags up front refuses, before any pass runs,
+    what format_model would otherwise refuse only after the whole run.
+    """
+    bad = [t for t in tags if not encodable_tag(t)]
+    if bad:
+        raise ModelFormatError(
+            f"tag {min(bad)!r} would not read back from a model file: a tag "
+            "may not contain '>' or a comma followed by an integer and a colon"
+        )
 
 
 def save_model(model: Model, path: str) -> None:

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, config files."""
 
+import re
 import subprocess
 import sys
 
@@ -175,6 +176,20 @@ def test_tag_round_trip_stdout(tmp_path, chain, capsys):
     assert capsys.readouterr().out == CHAIN
 
 
+def test_tag_and_eval_write_speed_summary(tmp_path, chain, capsys):
+    model = _train(tmp_path, chain)
+    capsys.readouterr()
+    summary = re.compile(r"tagged 15 tokens with 2 rules in \d+\.\d{3} s \(\d+ tokens/s\)\n")
+    assert main(["tag", "--model", str(model), "--in", str(chain)]) == 0
+    out, err = capsys.readouterr()
+    assert out == CHAIN
+    assert summary.fullmatch(err)
+    assert main(["eval", "--model", str(model), "--corpus", str(chain)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("# tbltag eval\n")
+    assert summary.fullmatch(err)
+
+
 def test_tag_raw_input(tmp_path, chain, capsys):
     model = _train(tmp_path, chain)
     raw = tmp_path / "raw.txt"
@@ -248,6 +263,19 @@ def test_deps_command(tmp_path, chain, capsys):
     # the replayed report matches the one the training run wrote, minus headers
     trained = _body((tmp_path / "m.model.deps.txt").read_text())
     assert _body(out) == trained
+
+
+def test_deps_refuses_other_corpus(tmp_path, chain, capsys):
+    model = _train(tmp_path, chain, "--deps")
+    other = tmp_path / "other.txt"
+    other.write_text(CHAIN.replace("f1/Z c/Q f2/Z\n", "", 1))
+    capsys.readouterr()
+    rc = main(["deps", "--model", str(model), "--corpus", str(other)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "lexicon" in err
 
 
 def test_deps_no_pass_in_key(tmp_path, chain, capsys):
@@ -422,6 +450,29 @@ def test_exit_2_on_rule_the_model_file_cannot_hold(tmp_path, capsys, text):
     )
     assert rc == 2
     assert "would not read back" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
+
+
+@pytest.mark.parametrize("engine", ["incremental", "naive"])
+def test_exit_2_on_unencodable_tag_before_training(tmp_path, capsys, monkeypatch, engine):
+    # The A>B token is never mistagged, so one pass would learn and save a
+    # storable rule; the tagset is refused up front all the same.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.cli.train_naive", no_training)
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(CHAIN + "q/A>B\n")
+    rc = main(
+        ["train", "--corpus", str(corpus), "--default-tag", "Z", "--templates", "-1",
+         "--threshold", "1", "--max-passes", "1", "--engine", engine,
+         "-o", str(tmp_path / "m.model")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'A>B' would not read back" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
 

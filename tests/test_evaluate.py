@@ -5,12 +5,21 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbltag.corpus import accuracy, build_lexicon, parse_corpus, serialize_corpus
-from tbltag.evaluate import Curve, evaluate_curve, tag
-from tbltag.rules import parse_template_spec
+from tbltag.corpus import (
+    BOUNDARY,
+    Corpus,
+    Token,
+    accuracy,
+    baseline_assign,
+    build_lexicon,
+    parse_corpus,
+    serialize_corpus,
+)
+from tbltag.evaluate import Curve, evaluate_curve, replay, tag
+from tbltag.rules import Rule, apply_rule, decode_rule, encode_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
-from tbltag.training import TrainerConfig
+from tbltag.training import Model, TrainerConfig
 
 from helpers import TOY_LEX, TOY_TEXT, lex_of
 
@@ -57,6 +66,90 @@ def test_tag_replay_property(seed):
     lex = build_lexicon(corpus, "T00")
     model, _, _ = train_naive(corpus, lex, TrainerConfig(templates=T2, threshold=1))
     assert tag(model, corpus.clone()) == corpus
+
+
+# Every regex metacharacter as a tag, and enough further tags that the
+# corpus string's codes leave Latin-1.
+_META_TAGS = list(".*+?()[]{}|\\^$") + ["a.b", "(?:", "\\d"]
+_MANY_TAGS = [f"T{i}" for i in range(300)]
+_ABSENT = "ABSENT"  # a rule tag no corpus token carries
+
+
+@st.composite
+def _replay_case(draw):
+    """A lexicon, rules over its tags, and sentences of 1-6 tokens."""
+    many = draw(st.booleans())
+    tags = draw(
+        st.lists(
+            st.sampled_from(_META_TAGS + (_MANY_TAGS if many else [])),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    words = [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    sentences = [
+        [(draw(st.sampled_from(words)), draw(st.sampled_from(tags))) for _ in range(n)]
+        for n in draw(st.lists(st.integers(1, 6), max_size=6))
+    ]
+    lexicon = build_lexicon(
+        Corpus([[Token(w, t, t) for w, t in sent] for sent in sentences]), tags[0]
+    )
+    if many:
+        for i, t in enumerate(_MANY_TAGS):
+            lexicon.add(f"x{i}", t)
+    rule_tags = tags + [_ABSENT]
+    # offsets beyond every sentence: with <B> the constraint always holds,
+    # with a tag it never does
+    offset = st.integers(-4, 4).filter(bool) | st.sampled_from([-1_000_000, 1_000_000])
+    rules = []
+    for _ in range(draw(st.integers(0, 8))):
+        frm = draw(st.sampled_from(rule_tags))
+        to = draw(st.sampled_from([t for t in rule_tags if t != frm]))
+        offsets = draw(st.lists(offset, min_size=1, max_size=3, unique=True))
+        ctx = [(o, draw(st.sampled_from(rule_tags + [BOUNDARY]))) for o in offsets]
+        rules.append(decode_rule(encode_rule(Rule(frm, to, ctx))))
+    return Model(lexicon, rules), sentences
+
+
+@given(case=_replay_case())
+@settings(max_examples=300)
+def test_replay_matches_apply_rule_adversarial(case):
+    model, sentences = case
+
+    def fresh() -> Corpus:
+        return Corpus([[Token(w, t) for w, t in sent] for sent in sentences])
+
+    expected = fresh()
+    baseline_assign(expected, model.lexicon)
+    expected_sites = [
+        (pass_no, rule, apply_rule(rule, expected))
+        for pass_no, rule in enumerate(model.rules, start=1)
+    ]
+    got_sites = []
+    got = replay(
+        model, fresh(),
+        on_rule=lambda pass_no, rule, sites: got_sites.append((pass_no, rule, sites)),
+    )
+    assert got_sites == expected_sites
+    assert got == expected
+
+
+def test_replay_codes_beyond_latin1():
+    # 600 tags, one token each; rule i looks two back across an
+    # unconstrained gap.  Descending order keeps every context intact, so
+    # each rule fires exactly once, whatever its tags' codes.
+    tags = [f"T{i:03d}" for i in range(600)]
+    gold = " ".join(f"w{i}/{t}" for i, t in enumerate(tags))
+    lexicon = build_lexicon(parse_corpus(gold), "Z")
+    rules = [Rule(tags[i], "Z", [(-2, tags[i - 2])]) for i in range(599, 1, -1)]
+    model = Model(lexicon, rules)
+    text = " ".join(f"w{i}" for i in range(600)) + "\n"
+    got_sites = []
+    got = replay(
+        model, parse_corpus(text, tagged=False),
+        on_rule=lambda pass_no, rule, sites: got_sites.extend(sites),
+    )
+    assert got_sites == [(0, i) for i in range(599, 1, -1)]
+    assert [t.current for t in got.sentences[0]] == tags[:2] + ["Z"] * 598
 
 
 def test_tag_unknown_words_get_default():
