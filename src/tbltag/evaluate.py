@@ -7,7 +7,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .corpus import BOUNDARY, Corpus, Site, accuracy, baseline_assign
+from .corpus import BOUNDARY, Corpus, Site, baseline_assign
 from .rules import Rule
 from .training import Model
 
@@ -140,26 +140,46 @@ class Curve:
         return "\n".join(lines) + "\n"
 
 
-def _masked_accuracy(tokens) -> float:
-    if not tokens:
-        return 1.0
-    return sum(1 for t in tokens if t.current == t.truth) / len(tokens)
-
-
 def _accuracies(model: Model, corpus: Corpus, errored_only: bool) -> list[float]:
-    """Accuracy of the corpus at the baseline and after each rule."""
+    """Accuracy of the corpus at the baseline and after each rule.
+
+    The baseline is counted once; after that each rule moves the count of
+    correct tokens by its own sites alone, each of which went from
+    ``rule.frm`` to ``rule.to``.  A token without a truth tag counts as
+    correct, as in ``corpus.accuracy``; rewriting it moves no count, since
+    None equals neither tag.
+    """
     baseline_assign(corpus, model.lexicon)
+    sentences = corpus.sentences
+    wrong = {
+        (si, ti)
+        for si, sent in enumerate(sentences)
+        for ti, tok in enumerate(sent)
+        if tok.truth is not None and tok.current != tok.truth
+    }
     if errored_only:
-        mask = [
-            t for sent in corpus.sentences for t in sent
-            if t.truth is not None and t.current != t.truth
-        ]
+        mask = wrong
+        total = len(wrong)
+        correct = 0
+    else:
+        mask = None
+        total = corpus.n_tokens
+        correct = total - len(wrong)
 
     def measure() -> float:
-        return _masked_accuracy(mask) if errored_only else accuracy(corpus)
+        return correct / total if total else 1.0
+
+    def count(pass_no: int, rule: Rule, sites: list[Site]) -> None:
+        nonlocal correct
+        frm, to = rule.frm, rule.to
+        for si, ti in sites:
+            if mask is None or (si, ti) in mask:
+                truth = sentences[si][ti].truth
+                correct += (truth == to) - (truth == frm)
+        points.append(measure())
 
     points = [measure()]
-    replay(model, corpus, on_rule=lambda pass_no, rule, sites: points.append(measure()))
+    replay(model, corpus, on_rule=count)
     return points
 
 

@@ -117,10 +117,6 @@ class Rule:
         return tuple(o for o, _ in self.ctx)
 
     @property
-    def template(self) -> Template:
-        return Template(self.positions, window=self.span)
-
-    @property
     def span(self) -> int:
         return max(abs(o) for o, _ in self.ctx)
 

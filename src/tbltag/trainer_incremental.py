@@ -12,17 +12,21 @@ the rules that would fix some mistagged site.
 Applying a rule changes observations only within the largest template
 span of a changed site, so only those sites are re-observed and moved
 between keys, and only the keys they left or joined are rescored, once,
-at the end of the pass.
+at the end of the pass.  The net-positive candidates are also kept in a
+list sorted by ``training.rule_order``, so a random pick draws from it
+directly; a candidate enters or leaves it only when its rescored net
+score crosses 1 or it leaves the table.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from itertools import repeat
 
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, baseline_assign, error_count
-from .rules import Rule
-from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
+from .rules import Rule, RuleScore
+from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order, select
 
 
 class AuditError(AssertionError):
@@ -37,6 +41,11 @@ class Candidate:
     def __init__(self, rule: Rule):
         self.rule = rule
         self.pos = self.neg = self.neut = 0
+
+
+def _order(cand: Candidate) -> tuple:
+    # Built on demand: only net-positive candidates ever need it.
+    return rule_order(cand.rule)
 
 
 class KeyGroup:
@@ -73,6 +82,7 @@ class TrainerIndex:
         "site_keys",
         "site_id",
         "table",
+        "eligible",
         "dirty",
         "links_total",
         "last_unseen_added",
@@ -92,6 +102,8 @@ class TrainerIndex:
         self.site_keys: list[list[list[tuple]]] = []
         self.site_id: list[list[Site]] = []  # one shared tuple per site
         self.table: dict[Rule, Candidate] = {}
+        # the candidates with pos - neg >= 1, sorted by rule_order
+        self.eligible: list[Candidate] = []
         self.dirty: set[KeyGroup] = set()  # groups to rescore
         self.links_total = 0  # site-to-key memberships
         self.last_unseen_added = 0  # keys created by the last pass
@@ -100,13 +112,36 @@ class TrainerIndex:
     def key_of(self, rule: Rule) -> tuple:
         return (self.psets.index(rule.positions), rule.frm, tuple(t for _, t in rule.ctx))
 
+    def pick(self, config: TrainerConfig, rng: random.Random):
+        """Pick the next rule as ``training.select`` would over the table.
+
+        Greedy calls select.  Random draws from the live list with the same
+        single ``randrange`` that select makes over its sorted list, and
+        like it draws nothing when no candidate is net-positive, so the rng
+        stream is the same.
+        """
+        if config.strategy is not Strategy.RANDOM:
+            return select(self.table.items(), config, rng)
+        eligible = self.eligible
+        if not eligible:
+            return None
+        cand = eligible[rng.randrange(len(eligible))]
+        return cand.rule, RuleScore(cand.pos, cand.neg, cand.neut)
+
+    def _unlist(self, cand: Candidate) -> None:
+        eligible = self.eligible
+        del eligible[bisect_left(eligible, _order(cand), key=_order)]
+
     def _refresh(self, group: KeyGroup) -> None:
-        """Make the group's candidates and their counts match its counter."""
+        """Make the group's candidates, their counts and listing match its counter."""
         table = self.table
         counts = group.counts
         cands = group.cands
         for to in [to for to in cands if to not in counts]:
-            del table[cands.pop(to).rule]
+            cand = cands.pop(to)
+            del table[cand.rule]
+            if cand.pos - cand.neg >= 1:
+                self._unlist(cand)
         if not group.sites:
             del self.keys[group.key]
             return
@@ -120,9 +155,15 @@ class TrainerIndex:
             if cand is None:
                 cand = Candidate(Rule(cur, to, zip(self.psets[pi], ctx_tags)))
                 cands[to] = table[cand.rule] = cand
+            was = cand.pos - cand.neg >= 1
             cand.pos = pos
             cand.neg = neg
             cand.neut = rest - pos
+            if pos - neg >= 1:
+                if not was:
+                    insort(self.eligible, cand, key=_order)
+            elif was:
+                self._unlist(cand)
 
 
 def _observe(sent, lo: int, hi: int, psets, span: int) -> list[list[tuple]]:
@@ -250,8 +291,9 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     group, counter and site_keys row is rebuilt by reading the tags at
     each position set's offsets; every candidate's counts are recounted
     by matching its context at each site holding its source tag; and the
-    candidate set must be the rules instantiated at mistagged sites.
-    Raises AuditError on the first discrepancy.
+    candidate set must be the rules instantiated at mistagged sites; and
+    the live draw list must be exactly the table's net-positive candidates
+    in rule_order.  Raises AuditError on the first discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
@@ -332,6 +374,23 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
                 f" != recounted ({pos},{neg},{neut})"
             )
 
+    # The scores were just recounted, so the wanted list rests on them.
+    want_listed = sorted(
+        (cand for cand in index.table.values() if cand.pos - cand.neg >= 1),
+        key=lambda cand: rule_order(cand.rule),
+    )
+    if len(index.eligible) != len(want_listed):
+        raise AuditError(
+            f"draw list holds {len(index.eligible)} candidates,"
+            f" {len(want_listed)} are net-positive"
+        )
+    for i, (have, want) in enumerate(zip(index.eligible, want_listed)):
+        if have is not want:
+            raise AuditError(
+                f"draw list entry {i} is {have.rule.canonical!r},"
+                f" wanted the table's {want.rule.canonical!r}"
+            )
+
 
 def train_incremental(
     corpus: Corpus,
@@ -360,7 +419,7 @@ def train_incremental(
     acc = 1.0 if n == 0 else (n - errors) / n
     curve: list[tuple[int, float]] = [(0, acc)]
     while config.max_passes is None or len(learned) < config.max_passes:
-        picked = select(index.table.items(), config, rng)
+        picked = index.pick(config, rng)
         if picked is None:
             break
         rule, sc = picked

@@ -40,7 +40,7 @@ class ModelFormatError(ValueError):
 class Strategy(Enum):
     """How the next rule is picked each pass."""
 
-    GREEDY = "greedy"  # highest net score, ties to smallest canonical form
+    GREEDY = "greedy"  # highest net score, ties to the smallest rule_order
     RANDOM = "random"  # seeded uniform draw among net-positive rules
 
 
@@ -61,10 +61,6 @@ class TrainerConfig:
             raise ValueError("at least one template is required")
         if self.max_passes is not None and self.max_passes < 0:
             raise ValueError(f"max_passes must be >= 0, got {self.max_passes}")
-
-    @property
-    def max_span(self) -> int:
-        return max(t.span for t in self.templates)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +103,29 @@ class Model:
         return sorted(tags)
 
 
+def rule_order(rule: Rule) -> tuple:
+    """Total order of rules: canonical encoding, then source, target, context.
+
+    Two distinct rules can share a canonical encoding when their tags hold
+    '>' or a ',N:' item boundary (``A>B>C @ -1:X`` reads either way), so the
+    canonical string alone would leave such ties to the order candidates
+    happened to be found in, which differs between the trainers.
+    """
+    return (rule.canonical, rule.frm, rule.to, rule.ctx)
+
+
 def select(scored, config: TrainerConfig, rng: random.Random):
     """Pick the next rule from (rule, score-like) pairs, or None to stop.
 
     Greedy: the highest net score wins, ties broken by the smallest
-    canonical encoding; returns None below the threshold.  Random: a
-    seeded uniform draw over rules with net score >= 1, ignoring the
-    threshold; returns None when no rule is net-positive.
+    rule_order; returns None below the threshold.  Random: a seeded
+    uniform draw over the rules with net score >= 1 sorted by rule_order,
+    ignoring the threshold; returns None, without drawing, when no rule is
+    net-positive.
+
+    This is the oracle order: the naive trainer calls it every pass, and
+    the incremental trainer's live list of net-positive candidates
+    reproduces its random draw without the per-pass sort.
     """
     if config.strategy is Strategy.GREEDY:
         best_rule = None
@@ -121,19 +133,22 @@ def select(scored, config: TrainerConfig, rng: random.Random):
         best_score = None
         for rule, sc in scored:
             s = sc.pos - sc.neg
-            if (
-                best_score is None
-                or s > best_score
-                or (s == best_score and rule.canonical < best_rule.canonical)
-            ):
+            if best_score is None or s > best_score:
                 best_rule, best_sc, best_score = rule, sc, s
+            elif s == best_score:
+                # Build the full order key only for equal canonicals.
+                canon, best_canon = rule.canonical, best_rule.canonical
+                if canon < best_canon or (
+                    canon == best_canon and rule_order(rule) < rule_order(best_rule)
+                ):
+                    best_rule, best_sc = rule, sc
         if best_rule is None or best_score < config.threshold:
             return None
         return best_rule, RuleScore(best_sc.pos, best_sc.neg, best_sc.neut)
     eligible = [(r, sc) for r, sc in scored if sc.pos - sc.neg >= 1]
     if not eligible:
         return None
-    eligible.sort(key=lambda pair: pair[0].canonical)
+    eligible.sort(key=lambda pair: rule_order(pair[0]))
     rule, sc = eligible[rng.randrange(len(eligible))]
     return rule, RuleScore(sc.pos, sc.neg, sc.neut)
 

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,39 @@ def test_evaluate_curve_errored_only_empty_mask():
     model, _, _ = train_naive(corpus, build_lexicon(corpus, "A"))
     curve = evaluate_curve(model, corpus.clone(), errored_only=True)
     assert curve.points == [(0, 1.0, None)]
+
+
+def _recounted_curve(model, corpus, errored_only):
+    """Accuracy recounted over the whole corpus after each rule."""
+    baseline_assign(corpus, model.lexicon)
+    mask = [
+        t for sent in corpus.sentences for t in sent
+        if t.truth is not None and t.current != t.truth
+    ]
+
+    def measure():
+        if not errored_only:
+            return accuracy(corpus)
+        return sum(t.current == t.truth for t in mask) / len(mask) if mask else 1.0
+
+    points = [measure()]
+    for rule in model.rules:
+        apply_rule(rule, corpus)
+        points.append(measure())
+    return points
+
+
+@pytest.mark.parametrize("errored_only", [False, True])
+def test_evaluate_curve_counts_match_recount(errored_only):
+    model, corpus, test, _, _ = _trained(seed=17, n_tokens=2000)
+    # tokens without a truth tag count as correct and are never in the mask
+    for sent in test.sentences[::3]:
+        sent[0].truth = None
+    curve = evaluate_curve(model, corpus.clone(), test.clone(), errored_only=errored_only)
+    assert len(model.rules) > 10
+    assert [p for p, _, _ in curve.points] == list(range(len(model.rules) + 1))
+    assert [a for _, a, _ in curve.points] == _recounted_curve(model, corpus, errored_only)
+    assert [t for _, _, t in curve.points] == _recounted_curve(model, test, errored_only)
 
 
 def test_curve_tsv_train_only():

@@ -12,6 +12,7 @@ from tbltag.rules import Rule, RuleScore, apply_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import (
     AuditError,
+    Candidate,
     apply_and_update,
     init_index,
     train_incremental,
@@ -232,6 +233,55 @@ def test_verify_index_catches_site_keys_drift():
         verify_index(index, c)
 
 
+def _listed_index():
+    # two net-positive candidates and one at net score 0 (P>X @ -1:DT
+    # fixes one site and breaks another)
+    text = "a/DT b/X c/Y\na/DT b/P\nd/Z b/X\n"
+    c = baselined(text, {"a": "DT", "b": "P", "c": "Q", "d": "Z"}, "Z")
+    index = init_index(c, T1)
+    verify_index(index, c)
+    assert [cand.rule.canonical for cand in index.eligible] == [
+        "P>X @ -1:Z",
+        "Q>Y @ -1:P",
+    ]
+    assert index.table[Rule("P", "X", [(-1, "DT")])].pos == 1
+    return index, c
+
+
+def test_verify_index_catches_missing_draw_entry():
+    index, c = _listed_index()
+    del index.eligible[0]
+    with pytest.raises(AuditError, match="draw list"):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_stale_draw_entry():
+    index, c = _listed_index()
+    stale = index.table[Rule("P", "X", [(-1, "DT")])]
+    assert stale.pos - stale.neg < 1
+    index.eligible.insert(0, stale)
+    with pytest.raises(AuditError, match="draw list"):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_swapped_draw_entries():
+    index, c = _listed_index()
+    index.eligible[0], index.eligible[1] = index.eligible[1], index.eligible[0]
+    with pytest.raises(AuditError, match="draw list"):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_foreign_draw_entry():
+    index, c = _listed_index()
+    # an equal-valued copy, not the table's own candidate
+    listed = index.eligible[1]
+    copy = Candidate(listed.rule)
+    copy.pos, copy.neg, copy.neut = listed.pos, listed.neg, listed.neut
+    index.eligible[1] = copy
+    with pytest.raises(AuditError, match="draw list"):
+        verify_index(index, c)
+
+
 # --- full runs and engine equivalence -------------------------------------------------
 
 
@@ -336,6 +386,89 @@ def test_engine_equivalence_random_long():
         assert tn == ti
 
 
+# Tags holding '>' give distinct rules one canonical string: A>B>C @ -1:X is
+# both A>B -> C and A -> B>C.
+SHARED_CANONICAL_TEXT = (
+    "w4/A w1/A w3/B>C\nw3/B>C\nw0/B w4/A>B w0/B>C\nw4/A w1/B w0/A\n"
+    "w2/D w4/D w0/C\nw4/D w2/B>C\nw2/A>B w1/C w4/A>B w4/A>B\n"
+    "w5/C w4/C w1/A>B w5/A w4/D\nw0/C w2/C w0/B w2/A>B w1/C w2/C\nw4/D\n"
+    "w3/C w2/A>B w3/B>C w1/A>B\n"
+)
+
+
+def test_engines_agree_on_rules_sharing_a_canonical_string():
+    # the two engines find candidates in different orders, so a tie left to
+    # that order made them pick different rules at pass 6
+    corpus_n = parse_corpus(SHARED_CANONICAL_TEXT)
+    corpus_i = corpus_n.clone()
+    lex = build_lexicon(corpus_n, "A")
+    cfg = TrainerConfig(threshold=1, strategy=Strategy.RANDOM, rng_seed=34)
+    mn, tn, _ = train_naive(corpus_n, lex, cfg)
+    mi, ti, _ = train_incremental(corpus_i, lex, cfg)
+    assert len(mn.rules) > 6
+    assert mn.rules == mi.rules
+    assert tn == ti
+    assert corpus_n == corpus_i
+
+
+def test_select_orders_rules_sharing_a_canonical_string():
+    first = Rule("A", "B>C", [(-1, "X")])
+    second = Rule("A>B", "C", [(-1, "X")])
+    assert first.canonical == second.canonical
+    cfg = TrainerConfig(threshold=1)
+    for scored in ([(first, RuleScore(1)), (second, RuleScore(1))],
+                   [(second, RuleScore(1)), (first, RuleScore(1))]):
+        assert select(scored, cfg, random.Random(0))[0] is first
+
+
+# --- the random draw, pass by pass against the oracle --------------------------------
+
+
+def _draw_pass_by_pass(corpus, cfg, audit: bool) -> int:
+    """Run random passes, checking each live draw against select; returns passes."""
+    index = init_index(corpus, cfg.templates)
+    rng = random.Random(cfg.rng_seed)
+    passes = 0
+    while True:
+        before = rng.getstate()
+        oracle_rng = random.Random()
+        oracle_rng.setstate(before)
+        want = select(index.table.items(), cfg, oracle_rng)
+        got = index.pick(cfg, rng)
+        assert got == want
+        assert rng.getstate() == oracle_rng.getstate()
+        if got is None:
+            # nothing net-positive is left, and stopping draws nothing
+            assert rng.getstate() == before
+            assert not index.eligible
+            assert all(c.pos - c.neg < 1 for c in index.table.values())
+            verify_index(index, corpus)
+            return passes
+        assert got[0] is want[0]
+        passes += 1
+        apply_and_update(index, corpus, got[0], passes, cfg.record_deps)
+        if audit:
+            verify_index(index, corpus)
+
+
+def test_live_draw_matches_select_every_pass():
+    spec = ChainSpec(
+        n_tags=20, words_per_tag=6, ambiguous_words=40, ambiguous_rate=0.5, structure_seed=11
+    )
+    corpus = parse_corpus(markov_corpus(spec, draw_seed=13, n_tokens=3000))
+    baseline_assign(corpus, build_lexicon(corpus, "T00"))
+    cfg = TrainerConfig(strategy=Strategy.RANDOM, rng_seed=3, record_deps=True)
+    assert _draw_pass_by_pass(corpus, cfg, audit=False) > 100
+
+
+@pytest.mark.parametrize("rng_seed", range(20))
+def test_live_draw_matches_select_on_shared_canonicals(rng_seed):
+    corpus = parse_corpus(SHARED_CANONICAL_TEXT)
+    baseline_assign(corpus, build_lexicon(corpus, "A"))
+    cfg = TrainerConfig(strategy=Strategy.RANDOM, rng_seed=rng_seed, record_deps=True)
+    assert _draw_pass_by_pass(corpus, cfg, audit=True) > 5
+
+
 # --- adversarial corpora the Markov generator never makes ---------------------------
 
 # Spans up to 3, so most sentences are shorter than some template.
@@ -345,7 +478,9 @@ T_WIDE = parse_template_spec("-1; +1; -3; +2,+3; -2,-1")
 @st.composite
 def _adversarial_corpus(draw) -> str:
     """Tiny alphabets, 1-4 token sentences, and sometimes nothing to fix."""
-    tags = draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3, unique=True))
+    # '>' in tags lets distinct rules share a canonical string
+    alphabet = ["A", "B", "C", "A>B", "B>C"]
+    tags = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3, unique=True))
     words = ["w0", "w1", "w2", "w3"][: draw(st.integers(1, 4))]
     # one fixed tag per word makes the baseline exact: all tokens correct
     fixed = draw(st.none() | st.fixed_dictionaries({w: st.sampled_from(tags) for w in words}))

@@ -139,10 +139,6 @@ def test_config_rejects_bad_values():
         TrainerConfig(max_passes=-1)
 
 
-def test_config_max_span():
-    assert TrainerConfig(templates=parse_template_spec("-1; +2")).max_span == 2
-
-
 # --- training runs -----------------------------------------------------------------
 
 
