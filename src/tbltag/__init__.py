@@ -20,7 +20,6 @@ from .corpus import (
     error_count,
     parse_corpus,
     serialize_corpus,
-    tag_at,
 )
 from .dependency import (
     DependencyNode,
@@ -29,7 +28,6 @@ from .dependency import (
     canonical_key,
     collect_classes,
     dependency_report,
-    record_application,
     record_pass,
     render_tree,
 )
@@ -38,19 +36,17 @@ from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_TEMPLATES,
     DecodeError,
-    Effect,
     Rule,
     RuleScore,
     Template,
     apply_rule,
-    classify_effect,
     decode_rule,
     display_rule,
     encode_rule,
     find_sites,
-    instantiate,
-    matches,
+    observe,
     parse_template_spec,
+    position_sets,
     render_slots,
     render_template_spec,
     score_rule,

@@ -21,7 +21,7 @@ from .corpus import (
     serialize_corpus,
 )
 from .dependency import RecordingDisabledError, dependency_report, record_pass
-from .evaluate import evaluate_curve, replay, tag
+from .evaluate import Curve, evaluate_curve, replay, tag
 from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_WINDOW,
@@ -29,7 +29,7 @@ from .rules import (
     parse_template_spec,
     render_template_spec,
 )
-from .trainer_incremental import train_incremental
+from .trainer_incremental import AUDIT_LOG_HEADER, train_incremental
 from .trainer_naive import train_naive
 from .training import (
     Model,
@@ -158,7 +158,7 @@ def _cmd_train(args) -> int:
     if corpus.n_tokens == 0:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
     lexicon = build_lexicon(corpus, args.default_tag)
-    check_tagset(t for by_tag in lexicon.counts.values() for t in by_tag)
+    check_tagset(lexicon.tags())
     templates = parse_template_spec(args.templates, window=args.window)
     config = TrainerConfig(
         templates=templates,
@@ -200,20 +200,16 @@ def _cmd_train(args) -> int:
     if args.test_corpus:
         test = parse_corpus(_read_text(args.test_corpus, "test corpus"))
         curve_obj = evaluate_curve(model, corpus.clone(), test)
-        curve_text = curve_obj.to_tsv()
     else:
-        curve_text = "pass\ttrain_acc\n" + "".join(
-            f"{p}\t{a!r}\n" for p, a in curve
-        )
-    _write_text(curve_path, _header("train", effective) + curve_text)
+        curve_obj = Curve([(p, a, None) for p, a in curve])
+    _write_text(curve_path, _header("train", effective) + curve_obj.to_tsv())
 
     if args.deps:
         report = dependency_report(corpus, model)
         _write_text(args.deps_out or args.model + ".deps.txt", _header("train", effective) + report)
 
     if args.audit_log and audit_log is not None:
-        log_text = "pass\tcandidates\tkeys\tnew_keys\tsites_rechecked\n"
-        log_text += "".join(line + "\n" for line in audit_log)
+        log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])
         _write_text(args.audit_log, _header("train", effective) + log_text)
 
     final_acc = curve[-1][1]

@@ -49,21 +49,6 @@ class Corpus:
         self.sentences = sentences
         self.n_tokens = sum(len(s) for s in sentences)
 
-    def sites(self):
-        """Yield every (sentence, token) site in corpus order."""
-        for si, sent in enumerate(self.sentences):
-            for ti in range(len(sent)):
-                yield (si, ti)
-
-    def token(self, site: Site) -> Token:
-        si, ti = site
-        if not (0 <= si < len(self.sentences)):
-            raise IndexError(f"sentence index {si} out of range")
-        sent = self.sentences[si]
-        if not (0 <= ti < len(sent)):
-            raise IndexError(f"token index {ti} out of range in sentence {si}")
-        return sent[ti]
-
     def clone(self) -> "Corpus":
         """Fresh copy with current reset to truth and dep links cleared."""
         return Corpus(
@@ -172,9 +157,6 @@ class Lexicon:
         self._best[word] = best
         return best
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.counts
-
     def tags(self) -> set[str]:
         """All tag symbols in the table plus the default."""
         out = {self.default_tag}
@@ -209,20 +191,6 @@ def baseline_assign(corpus: Corpus, lexicon: Lexicon) -> int:
             if tok.truth is not None and tok.current != tok.truth:
                 errors += 1
     return errors
-
-
-def tag_at(corpus: Corpus, site: Site, offset: int) -> str:
-    """Current tag at site+offset, or BOUNDARY outside the sentence."""
-    si, ti = site
-    if not (0 <= si < len(corpus.sentences)):
-        raise IndexError(f"sentence index {si} out of range")
-    sent = corpus.sentences[si]
-    if not (0 <= ti < len(sent)):
-        raise IndexError(f"token index {ti} out of range in sentence {si}")
-    j = ti + offset
-    if 0 <= j < len(sent):
-        return sent[j].current
-    return BOUNDARY
 
 
 def error_count(corpus: Corpus) -> int:

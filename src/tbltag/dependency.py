@@ -83,11 +83,6 @@ def record_pass(corpus: Corpus, sites: list[Site], rule: Rule, pass_no: int) -> 
     return nodes
 
 
-def record_application(corpus: Corpus, site: Site, rule: Rule, pass_no: int) -> DependencyNode:
-    """Single-site convenience wrapper around record_pass."""
-    return record_pass(corpus, [site], rule, pass_no)[0]
-
-
 def canonical_key(node: DependencyNode, include_pass: bool = True, _memo=None) -> str:
     """Deterministic serialization of a tree's shape, rules, and offsets.
 

@@ -2,14 +2,16 @@
 
 A rule rewrites a token's current tag ``frm -> to`` when the current tags
 at fixed relative offsets match the rule's context.  Rules are generated
-by instantiating templates (sets of nonzero offsets) at mistagged sites.
+by instantiating templates (sets of nonzero offsets) at mistagged sites:
+a site's observation key under a template's offsets, together with its
+truth tag, is a rule that would fix it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
+from itertools import repeat
 
 from .corpus import BOUNDARY, Corpus, Site
 
@@ -140,15 +142,6 @@ class Rule:
         return f"Rule({self.canonical!r})"
 
 
-class Effect(Enum):
-    """What applying a rule at one site would do to that site."""
-
-    POSITIVE = "positive"  # matched, fixes the tag
-    NEGATIVE = "negative"  # matched, breaks a correct tag
-    NEUTRAL = "neutral"  # matched, wrong before and wrong after
-    NO_MATCH = "no_match"
-
-
 @dataclass(frozen=True, slots=True)
 class RuleScore:
     """Counts of match effects over a corpus; net score is pos - neg."""
@@ -162,81 +155,51 @@ class RuleScore:
         return self.pos - self.neg
 
 
-def instantiate(template: Template, corpus: Corpus, site: Site) -> Rule | None:
-    """Rule fixing the error at site, or None if the site is correct.
+def position_sets(templates) -> list[tuple[int, ...]]:
+    """The templates' distinct offset tuples, in first-seen order."""
+    out = []
+    for t in templates:
+        if t.positions not in out:
+            out.append(t.positions)
+    return out
 
-    The rule's source is the site's current tag, its target the truth tag,
-    and its context the current tags observed at the template's offsets.
+
+def observe(sent, lo: int, hi: int, psets, span: int) -> list[list[tuple]]:
+    """Observation keys of sites lo..hi-1: per site, one per position set.
+
+    A site's key under position set ``pi`` is ``(pi, current tag, context
+    tags)``, the context read at the set's offsets with BOUNDARY outside
+    the sentence.  A rule over ``psets[pi]`` matches the site exactly when
+    its source and context tags make the same key.  ``span`` must be at
+    least the largest offset in ``psets``.
     """
-    si, ti = site
-    sent = corpus.sentences[si]
-    tok = sent[ti]
-    if tok.truth is None or tok.current == tok.truth:
-        return None
     n = len(sent)
-    ctx = tuple(
-        (off, sent[ti + off].current if 0 <= ti + off < n else BOUNDARY)
-        for off in template.positions
-    )
-    return Rule(tok.current, tok.truth, ctx)
-
-
-def matches(rule: Rule, corpus: Corpus, site: Site) -> bool:
-    """True when the site's current tag and context satisfy the rule."""
-    si, ti = site
-    sent = corpus.sentences[si]
-    if sent[ti].current != rule.frm:
-        return False
-    n = len(sent)
-    for off, tag in rule.ctx:
-        j = ti + off
-        got = sent[j].current if 0 <= j < n else BOUNDARY
-        if got != tag:
-            return False
-    return True
-
-
-def classify_effect(rule: Rule, corpus: Corpus, site: Site) -> Effect:
-    if not matches(rule, corpus, site):
-        return Effect.NO_MATCH
-    truth = corpus.sentences[site[0]][site[1]].truth
-    if truth == rule.to:
-        return Effect.POSITIVE
-    if truth == rule.frm:
-        return Effect.NEGATIVE
-    return Effect.NEUTRAL
+    m = hi - lo
+    tags = [sent[j].current if 0 <= j < n else BOUNDARY for j in range(lo - span, hi + span)]
+    cur = tags[span : span + m]
+    columns = [
+        zip(repeat(pi), cur, zip(*[tags[span + off : span + off + m] for off in pset]))
+        for pi, pset in enumerate(psets)
+    ]
+    return list(map(list, zip(*columns)))
 
 
 def score_rule(rule: Rule, corpus: Corpus) -> RuleScore:
-    """Tally the rule's effects over every site of the corpus."""
-    pos = neg = neut = 0
-    frm, to, ctx = rule.frm, rule.to, rule.ctx
-    for sent in corpus.sentences:
-        n = len(sent)
-        for ti in range(n):
-            if sent[ti].current != frm:
-                continue
-            ok = True
-            for off, tag in ctx:
-                j = ti + off
-                got = sent[j].current if 0 <= j < n else BOUNDARY
-                if got != tag:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            truth = sent[ti].truth
-            if truth == to:
-                pos += 1
-            elif truth == frm:
-                neg += 1
-            else:
-                neut += 1
-    return RuleScore(pos, neg, neut)
+    """Tally the truth tags at the rule's sites over the whole corpus."""
+    sentences = corpus.sentences
+    truths = [sentences[si][ti].truth for si, ti in find_sites(rule, corpus)]
+    pos = truths.count(rule.to)
+    neg = truths.count(rule.frm)
+    return RuleScore(pos, neg, len(truths) - pos - neg)
 
 
 def find_sites(rule: Rule, corpus: Corpus) -> list[Site]:
-    """All sites the rule matches, in corpus order, against current tags."""
+    """All sites the rule matches, in corpus order, against current tags.
+
+    It reads each site directly rather than through ``observe``: it is the
+    oracle the compiled replay is checked against, and a rule's offsets may
+    reach far past any sentence.
+    """
     out = []
     frm, ctx = rule.frm, rule.ctx
     for si, sent in enumerate(corpus.sentences):

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from itertools import repeat
 
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, baseline_assign, error_count
-from .rules import Rule, RuleScore
+from .rules import Rule, RuleScore, observe, position_sets
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order, select
+
+
+# Columns of the per-pass lines train_incremental appends to its audit_log.
+AUDIT_LOG_HEADER = "pass\tcandidates\tkeys\tnew_keys\tsites_rechecked"
 
 
 class AuditError(AssertionError):
@@ -90,11 +93,7 @@ class TrainerIndex:
     )
 
     def __init__(self, templates):
-        psets = []
-        for t in templates:
-            if t.positions not in psets:
-                psets.append(t.positions)
-        self.psets: list[tuple[int, ...]] = psets
+        self.psets: list[tuple[int, ...]] = position_sets(templates)
         self.max_span = max(t.span for t in templates)
         # (pset index, current tag, context tags) -> its group
         self.keys: dict[tuple, KeyGroup] = {}
@@ -166,22 +165,6 @@ class TrainerIndex:
                 self._unlist(cand)
 
 
-def _observe(sent, lo: int, hi: int, psets, span: int) -> list[list[tuple]]:
-    """Observation keys of sites lo..hi-1: per site, one per position set.
-
-    ``span`` must be at least the largest offset in ``psets``.
-    """
-    n = len(sent)
-    m = hi - lo
-    tags = [sent[j].current if 0 <= j < n else BOUNDARY for j in range(lo - span, hi + span)]
-    cur = tags[span : span + m]
-    columns = [
-        zip(repeat(pi), cur, zip(*[tags[span + off : span + off + m] for off in pset]))
-        for pi, pset in enumerate(psets)
-    ]
-    return list(map(list, zip(*columns)))
-
-
 def init_index(corpus: Corpus, templates) -> TrainerIndex:
     """Build the index from scratch against the corpus's current tags.
 
@@ -194,7 +177,7 @@ def init_index(corpus: Corpus, templates) -> TrainerIndex:
     psets = index.psets
     for si, sent in enumerate(corpus.sentences):
         ids = [(si, ti) for ti in range(len(sent))]
-        rows = _observe(sent, 0, len(sent), psets, index.max_span)
+        rows = observe(sent, 0, len(sent), psets, index.max_span)
         for site, tok, row in zip(ids, sent, rows):
             truth = tok.truth
             for pi, key in enumerate(row):
@@ -255,7 +238,7 @@ def apply_and_update(
         ids = index.site_id[si]
         rows = index.site_keys[si]
         rechecked += hi - lo
-        for ti, observed in enumerate(_observe(sent, lo, hi, psets, span), lo):
+        for ti, observed in enumerate(observe(sent, lo, hi, psets, span), lo):
             row = rows[ti]
             if observed == row:
                 continue
@@ -402,8 +385,8 @@ def train_incremental(
 
     Output-equivalent to train_naive under the same config and seed.
     With config.audit the index is recounted after setup and every pass.
-    audit_log, when given, receives one tab-separated line per pass:
-    pass, candidates, keys, new_keys, sites_rechecked.
+    audit_log, when given, receives one tab-separated line per pass, in
+    the columns of AUDIT_LOG_HEADER.
     """
     if config is None:
         config = TrainerConfig()

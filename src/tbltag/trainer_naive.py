@@ -10,17 +10,9 @@ from __future__ import annotations
 
 import random
 
-from .corpus import BOUNDARY, Corpus, Lexicon, baseline_assign, error_count
-from .rules import Rule, RuleScore, find_sites
+from .corpus import Corpus, Lexicon, baseline_assign, error_count
+from .rules import Rule, RuleScore, find_sites, observe, position_sets
 from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
-
-
-def _distinct_position_sets(templates) -> list[tuple[int, ...]]:
-    out = []
-    for t in templates:
-        if t.positions not in out:
-            out.append(t.positions)
-    return out
 
 
 def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
@@ -28,50 +20,41 @@ def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
 
     Scores equal score_rule for every returned rule; candidates generated
     at several sites are merged into one entry.  Every candidate has
-    pos >= 1 because its generating site is a positive match.
+    pos >= 1 because its generating site is a positive match.  Each scan
+    reads the keys with one ``observe`` call per sentence; keeping them
+    between the scans would hold every site's keys at once.
     """
-    psets = _distinct_position_sets(templates)
+    psets = position_sets(templates)
+    span = max(t.span for t in templates)
 
     # Scan 1: instantiate at error sites, dedup by rule value.
     tallies: dict[Rule, list[int]] = {}
     groups: dict[tuple, list[Rule]] = {}
     for sent in corpus.sentences:
-        n = len(sent)
-        for ti in range(n):
-            tok = sent[ti]
-            cur = tok.current
+        for tok, row in zip(sent, observe(sent, 0, len(sent), psets, span)):
             truth = tok.truth
-            if cur == truth or truth is None:
+            if tok.current == truth or truth is None:
                 continue
-            for pi, pset in enumerate(psets):
-                ctx_tags = tuple(
-                    sent[ti + off].current if 0 <= ti + off < n else BOUNDARY
-                    for off in pset
-                )
-                rule = Rule(cur, truth, tuple(zip(pset, ctx_tags)))
+            for key in row:
+                pi, cur, ctx_tags = key
+                rule = Rule(cur, truth, zip(psets[pi], ctx_tags))
                 if rule not in tallies:
                     tallies[rule] = [0, 0, 0]
-                    groups.setdefault((pi, cur, ctx_tags), []).append(rule)
+                    groups.setdefault(key, []).append(rule)
 
     if not tallies:
         return {}
 
-    # Scan 2: tally every candidate's effects in one sweep by matching the
-    # observed (positions, current, context) key against the group table.
+    # Scan 2: tally every candidate's effects in one sweep by matching each
+    # site's observed key against the group table.
     for sent in corpus.sentences:
-        n = len(sent)
-        for ti in range(n):
-            tok = sent[ti]
-            cur = tok.current
+        for tok, row in zip(sent, observe(sent, 0, len(sent), psets, span)):
             truth = tok.truth
-            for pi, pset in enumerate(psets):
-                ctx_tags = tuple(
-                    sent[ti + off].current if 0 <= ti + off < n else BOUNDARY
-                    for off in pset
-                )
-                grp = groups.get((pi, cur, ctx_tags))
+            for key in row:
+                grp = groups.get(key)
                 if not grp:
                     continue
+                cur = key[1]
                 for rule in grp:
                     t = tallies[rule]
                     if truth == rule.to:

@@ -210,19 +210,25 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def _unreadable(tag: str, what: str):
+    raise ModelFormatError(
+        f"tag {tag!r} would not read back from a model file: a tag may not contain {what}"
+    )
+
+
 def check_tagset(tags) -> None:
-    """Raise ModelFormatError for a tag a learned rule could not carry.
+    """Raise ModelFormatError for a tag a model file could not carry.
 
     Training can make any corpus tag a rule's source, target or context,
-    so checking the corpus tags up front refuses, before any pass runs,
-    what format_model would otherwise refuse only after the whole run.
+    and the default tag goes into the model's tagset, so checking the
+    lexicon's tags up front refuses, before any pass runs, what
+    format_model would otherwise refuse only after the whole run.
     """
-    bad = [t for t in tags if not encodable_tag(t)]
-    if bad:
-        raise ModelFormatError(
-            f"tag {min(bad)!r} would not read back from a model file: a tag "
-            "may not contain '>' or a comma followed by an integer and a colon"
-        )
+    for tag in sorted(tags):
+        if tag.split() != [tag]:
+            _unreadable(tag, "whitespace")
+        if not encodable_tag(tag):
+            _unreadable(tag, "'>' or a comma followed by an integer and a colon")
 
 
 def save_model(model: Model, path: str) -> None:
@@ -238,7 +244,8 @@ def format_model(model: Model) -> str:
     engine that produced the model is deliberately not recorded; both
     engines must produce byte-identical files.  Raises ModelFormatError
     for a rule whose tags the encoding cannot carry (one that would read
-    back as a different rule).
+    back as a different rule) and for a tag holding whitespace, which the
+    whitespace-split tags and lexicon lines cannot carry.
     """
     for rule in model.rules:
         try:
@@ -250,11 +257,14 @@ def format_model(model: Model) -> str:
                 f"rule {rule.canonical!r} would not read back as itself; "
                 "its tags cannot be stored in a model file"
             )
+    tags = model.tagset()
+    for tag in tags:
+        if tag.split() != [tag]:
+            _unreadable(tag, "whitespace")
     lines = [f"{MODEL_FORMAT} {MODEL_VERSION}"]
     for key, value in config_pairs(model.config):
         lines.append(f"{key} {value}")
     lines.append(f"default-tag {model.lexicon.default_tag}")
-    tags = model.tagset()
     lines.append(f"tags {len(tags)} {' '.join(tags)}".rstrip())
     words = sorted(model.lexicon.counts)
     lines.append(f"lexicon {len(words)}")

@@ -476,6 +476,23 @@ def test_exit_2_on_unencodable_tag_before_training(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
 
+def test_exit_2_on_default_tag_with_whitespace(tmp_path, chain, capsys, monkeypatch):
+    # The model file splits its tags line on whitespace, so a model with
+    # this default tag would be written but could not be loaded.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    rc = main(
+        ["train", "--corpus", str(chain), "--default-tag", "N N", "-o", str(tmp_path / "m.model")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'N N' would not read back" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.txt"]
+
+
 def test_exit_2_on_corrupt_model(tmp_path, chain, capsys):
     model = _train(tmp_path, chain)
     model.write_text(model.read_text().replace("tblmodel 1", "tblmodel 99"))

@@ -15,7 +15,6 @@ from tbltag.corpus import (
     error_count,
     parse_corpus,
     serialize_corpus,
-    tag_at,
 )
 
 from helpers import TOY_LEX, TOY_TEXT, baselined, lex_of
@@ -161,8 +160,8 @@ def test_lexicon_most_frequent_and_default():
     lex.add("can", "VB", 1)
     assert lex.most_frequent("can") == "MD"
     assert lex.most_frequent("unseen") == "NN"
-    assert "can" in lex
-    assert "unseen" not in lex
+    assert "can" in lex.counts
+    assert "unseen" not in lex.counts
 
 
 def test_lexicon_tie_breaks_lexicographically():
@@ -232,58 +231,7 @@ def test_baseline_assign_untagged_counts_zero():
     assert all(t.current == "X" for t in c.sentences[0])
 
 
-# --- sites, tag_at, clone ------------------------------------------------------
-
-
-def test_sites_order():
-    c = parse_corpus("a/A b/B\nc/C\n")
-    assert list(c.sites()) == [(0, 0), (0, 1), (1, 0)]
-
-
-def test_token_index_errors():
-    c = parse_corpus("a/A\n")
-    with pytest.raises(IndexError):
-        c.token((1, 0))
-    with pytest.raises(IndexError):
-        c.token((0, 1))
-    with pytest.raises(IndexError):
-        c.token((0, -1))
-
-
-def test_tag_at_boundaries():
-    c = parse_corpus("a/A b/B c/C\n")
-    assert tag_at(c, (0, 1), -1) == "A"
-    assert tag_at(c, (0, 1), 1) == "C"
-    assert tag_at(c, (0, 0), -1) == BOUNDARY
-    assert tag_at(c, (0, 2), 1) == BOUNDARY
-    assert tag_at(c, (0, 0), -5) == BOUNDARY
-    with pytest.raises(IndexError):
-        tag_at(c, (0, 3), -1)
-    with pytest.raises(IndexError):
-        tag_at(c, (1, 0), 1)
-
-
-@given(
-    st.lists(
-        st.lists(st.tuples(_WORD, _TAG), min_size=1, max_size=6),
-        min_size=1,
-        max_size=4,
-    ),
-    st.integers(min_value=-4, max_value=4),
-)
-def test_tag_at_boundary_exactly_outside(sentences, offset):
-    text = "".join(
-        " ".join(f"{w}/{t}" for w, t in sent) + "\n" for sent in sentences
-    )
-    c = parse_corpus(text)
-    for site in c.sites():
-        si, ti = site
-        inside = 0 <= ti + offset < len(c.sentences[si])
-        got = tag_at(c, site, offset)
-        if inside:
-            assert got == c.sentences[si][ti + offset].current
-        else:
-            assert got == BOUNDARY
+# --- clone ---------------------------------------------------------------------
 
 
 def test_clone_resets_state():

@@ -9,7 +9,6 @@ from tbltag.dependency import (
     canonical_key,
     collect_classes,
     dependency_report,
-    record_application,
     record_pass,
     render_tree,
 )
@@ -53,14 +52,14 @@ def test_node_count_shares_subtrees():
 
 def test_record_application_links_prior_and_context():
     c = parse_corpus("x/X a/A\n")
-    first = record_application(c, (0, 1), R1, 1)
+    first = record_pass(c, [(0, 1)], R1, 1)[0]
     assert first.children == {}
     assert c.sentences[0][1].dep is first
     # second change at the same site: prior node becomes the offset-0 child
-    second = record_application(c, (0, 1), R2, 2)
+    second = record_pass(c, [(0, 1)], R2, 2)[0]
     assert second.children == {0: first}
     # a later change whose context covers the site picks it up at the offset
-    third = record_application(c, (0, 0), R3, 3)
+    third = record_pass(c, [(0, 0)], R3, 3)[0]
     assert third.children == {1: second}
 
 
@@ -68,7 +67,7 @@ def test_record_pass_snapshot_within_pass():
     # two sites changed by one pass must not see each other's new nodes
     c = parse_corpus("a/A a/A\n")
     rule = Rule("A", "B", [(-1, "A"), (1, "A")])
-    n0 = record_application(c, (0, 0), R1, 1)
+    n0 = record_pass(c, [(0, 0)], R1, 1)[0]
     nodes = record_pass(c, [(0, 0), (0, 1)], rule, 2)
     assert nodes[0].children == {0: n0}
     # site 1 sees site 0's OLD node, not the pass-2 node just built for it
@@ -79,7 +78,7 @@ def test_record_pass_snapshot_within_pass():
 
 def test_record_pass_out_of_sentence_offsets_ignored():
     c = parse_corpus("a/A\n")
-    node = record_application(c, (0, 0), Rule("A", "B", [(-1, "X"), (1, "Y")]), 1)
+    node = record_pass(c, [(0, 0)], Rule("A", "B", [(-1, "X"), (1, "Y")]), 1)[0]
     assert node.children == {}
 
 

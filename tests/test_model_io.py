@@ -114,6 +114,21 @@ def test_format_model_rejects_rules_that_do_not_read_back(tmp_path, rule):
     assert os.listdir(tmp_path) == ["m.model"]
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Model(Lexicon("N N"), [], TrainerConfig()),
+        Model(lex_of({"w": "A\tB"}, "Z"), [], TrainerConfig()),
+        Model(Lexicon("Z"), [Rule("A", "B", [(-1, "C\u2028D")])], TrainerConfig()),
+    ],
+    ids=["default", "lexicon", "rule"],
+)
+def test_format_model_rejects_tags_with_whitespace(model):
+    # the tags and lexicon lines are split on whitespace when read back
+    with pytest.raises(ModelFormatError, match="whitespace"):
+        format_model(model)
+
+
 def test_save_model_failed_write_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "toy.model"
     path.write_text("old\n")

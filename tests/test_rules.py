@@ -9,23 +9,22 @@ from tbltag.rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_TEMPLATES,
     DecodeError,
-    Effect,
     Rule,
     RuleScore,
     Template,
     apply_rule,
-    classify_effect,
     decode_rule,
     display_rule,
     encode_rule,
     find_sites,
-    instantiate,
-    matches,
+    observe,
     parse_template_spec,
+    position_sets,
     render_slots,
     render_template_spec,
     score_rule,
 )
+from tbltag.trainer_naive import enumerate_candidates
 
 from helpers import TOY_LEX, TOY_TEXT, baselined
 
@@ -122,58 +121,114 @@ def test_rule_rejects_invalid(frm, to, ctx):
         Rule(frm, to, ctx)
 
 
-# --- instantiate / matches / classify ------------------------------------------
+# --- observation keys ----------------------------------------------------------
+
+
+def test_position_sets_dedupe_in_order():
+    templates = parse_template_spec("+1; -1; 1; -2,-1; -1,-2")
+    assert position_sets(templates) == [(1,), (-1,), (-2, -1)]
+
+
+def test_observe_boundaries():
+    c = parse_corpus("a/A b/B c/C\n")
+    sent = c.sentences[0]
+    psets = [(-1,), (1,), (-5,)]
+    rows = observe(sent, 0, 3, psets, 5)
+    assert rows == [
+        [(0, "A", (BOUNDARY,)), (1, "A", ("B",)), (2, "A", (BOUNDARY,))],
+        [(0, "B", ("A",)), (1, "B", ("C",)), (2, "B", (BOUNDARY,))],
+        [(0, "C", ("B",)), (1, "C", (BOUNDARY,)), (2, "C", (BOUNDARY,))],
+    ]
+    # a window reads the same keys as the whole sentence does, context
+    # beyond the window included
+    assert observe(sent, 1, 2, psets, 5) == rows[1:2]
+    assert observe(sent, 0, 1, [(2,)], 2) == [[(0, "A", ("C",))]]
+    assert observe(sent, 2, 3, [(-2,)], 2) == [[(0, "C", ("A",))]]
+    assert observe(sent, 2, 2, psets, 5) == []
+
+
+_OBS_TAG = st.sampled_from(["A", "B", "C"])
+_OFFSET = st.integers(-8, 8).filter(lambda o: o != 0)
+
+
+@given(
+    tags=st.lists(_OBS_TAG, min_size=1, max_size=6),
+    psets=st.lists(
+        st.lists(_OFFSET, min_size=1, max_size=3, unique=True).map(lambda p: tuple(sorted(p))),
+        min_size=1,
+        max_size=4,
+    ),
+    extra=st.integers(0, 3),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_observe_matches_per_site_read(tags, psets, extra, data):
+    # Offsets reach up to 8 past sentences of at most 6 tokens, so many sets
+    # span wider than the sentence; span may also exceed the widest offset.
+    sent = parse_corpus(" ".join(f"w/{t}" for t in tags) + "\n").sentences[0]
+    n = len(sent)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    span = max(abs(o) for pset in psets for o in pset) + extra
+
+    def tag_at(j):
+        return sent[j].current if 0 <= j < n else BOUNDARY
+
+    want = [
+        [(pi, tag_at(ti), tuple(tag_at(ti + off) for off in pset)) for pi, pset in enumerate(psets)]
+        for ti in range(lo, hi)
+    ]
+    assert observe(sent, lo, hi, psets, span) == want
 
 
 def test_instantiate_at_error_site():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
-    # site (0,1) is "can" tagged MD, truth NN, left neighbor DT
-    rule = instantiate(Template((-1,)), c, (0, 1))
-    assert rule == Rule("MD", "NN", [(-1, "DT")])
-    assert matches(rule, c, (0, 1))
-    assert classify_effect(rule, c, (0, 1)) is Effect.POSITIVE
+    # sites (0,1) and (0,4) are "can" tagged MD, truth NN, left neighbor DT
+    rule = Rule("MD", "NN", [(-1, "DT")])
+    assert enumerate_candidates(c, [Template((-1,))]) == {rule: RuleScore(2, 0, 0)}
+    assert find_sites(rule, c) == [(0, 1), (0, 4)]
 
 
 def test_instantiate_correct_site_none():
+    # only the two mistagged MD sites instantiate rules
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
-    assert instantiate(Template((-1,)), c, (0, 0)) is None
+    cands = enumerate_candidates(c, DEFAULT_TEMPLATES)
+    assert cands
+    assert {(r.frm, r.to) for r in cands} == {("MD", "NN")}
 
 
 def test_instantiate_untagged_none():
     c = parse_corpus("a b\n", tagged=False)
     c.sentences[0][0].current = "X"
-    assert instantiate(Template((1,)), c, (0, 0)) is None
+    assert enumerate_candidates(c, [Template((1,))]) == {}
 
 
 def test_instantiate_boundary_context():
     c = parse_corpus("a/A\n")
     c.sentences[0][0].current = "X"
-    rule = instantiate(Template((-1, 1)), c, (0, 0))
+    (rule,) = enumerate_candidates(c, [Template((-1, 1))])
     assert rule.ctx == ((-1, BOUNDARY), (1, BOUNDARY))
 
 
 def test_matches_requires_frm_and_context():
     c = parse_corpus("a/A b/B c/C\n")
-    r = Rule("B", "Z", [(-1, "A")])
-    assert matches(r, c, (0, 1))
-    assert not matches(r, c, (0, 0))  # current is A, not B
-    r2 = Rule("B", "Z", [(-1, "C")])
-    assert not matches(r2, c, (0, 1))
-    r3 = Rule("A", "Z", [(-1, BOUNDARY)])
-    assert matches(r3, c, (0, 0))
+    # (0,0) holds A, not B
+    assert find_sites(Rule("B", "Z", [(-1, "A")]), c) == [(0, 1)]
+    assert find_sites(Rule("B", "Z", [(-1, "C")]), c) == []
+    assert find_sites(Rule("A", "Z", [(-1, BOUNDARY)]), c) == [(0, 0)]
 
 
 def test_classify_effect_three_ways():
     c = parse_corpus("a/A b/GOOD c/C\n")
     c.sentences[0][1].current = "B"
     # matched, target equals truth
-    assert classify_effect(Rule("B", "GOOD", [(-1, "A")]), c, (0, 1)) is Effect.POSITIVE
+    assert score_rule(Rule("B", "GOOD", [(-1, "A")]), c) == RuleScore(1, 0, 0)
     # matched, source equals truth: would break a correct tag
     c2 = parse_corpus("a/A b/B c/C\n")
-    assert classify_effect(Rule("B", "Z", [(-1, "A")]), c2, (0, 1)) is Effect.NEGATIVE
+    assert score_rule(Rule("B", "Z", [(-1, "A")]), c2) == RuleScore(0, 1, 0)
     # matched, wrong before and after
-    assert classify_effect(Rule("B", "Z", [(-1, "A")]), c, (0, 1)) is Effect.NEUTRAL
-    assert classify_effect(Rule("B", "Z", [(-1, "Q")]), c, (0, 1)) is Effect.NO_MATCH
+    assert score_rule(Rule("B", "Z", [(-1, "A")]), c) == RuleScore(0, 0, 1)
+    assert score_rule(Rule("B", "Z", [(-1, "Q")]), c) == RuleScore(0, 0, 0)
 
 
 # --- scoring and application ----------------------------------------------------
@@ -224,6 +279,20 @@ def test_apply_rule_can_create_new_matches():
 _TAGS = ["T0", "T1", "T2", "T3"]
 
 
+def _sites(corpus):
+    return [(si, ti) for si, sent in enumerate(corpus.sentences) for ti in range(len(sent))]
+
+
+def _token(corpus, site):
+    return corpus.sentences[site[0]][site[1]]
+
+
+def _instantiate(sent, ti, positions):
+    """The rule fixing mistagged token ti, read at the given offsets."""
+    ctx = [(p, sent[ti + p].current if 0 <= ti + p < len(sent) else BOUNDARY) for p in positions]
+    return Rule(sent[ti].current, sent[ti].truth, ctx)
+
+
 @st.composite
 def corpus_and_rule(draw):
     n_sent = draw(st.integers(1, 4))
@@ -235,15 +304,17 @@ def corpus_and_rule(draw):
         )
     text = "".join(" ".join(f"{w}/{t}" for w, t in row) + "\n" for row in rows)
     corpus = parse_corpus(text)
-    for site in corpus.sites():
-        corpus.token(site).current = draw(st.sampled_from(_TAGS))
-    positions = draw(
-        st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2, unique=True)
-    )
-    template = Template(positions)
-    errs = [s for s in corpus.sites() if corpus.token(s).current != corpus.token(s).truth]
+    for sent in corpus.sentences:
+        for tok in sent:
+            tok.current = draw(st.sampled_from(_TAGS))
+    positions = tuple(sorted(
+        draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2, unique=True))
+    ))
+    errs = [s for s in _sites(corpus) if _token(corpus, s).current != _token(corpus, s).truth]
     if errs:
-        rule = instantiate(template, corpus, draw(st.sampled_from(errs)))
+        # the rule instantiated at a drawn error site
+        si, ti = draw(st.sampled_from(errs))
+        rule = _instantiate(corpus.sentences[si], ti, positions)
     else:
         ctx = [(p, draw(st.sampled_from(_TAGS + [BOUNDARY]))) for p in positions]
         rule = Rule("T0", "T1", ctx)
@@ -252,24 +323,26 @@ def corpus_and_rule(draw):
 
 @given(corpus_and_rule())
 def test_find_sites_agrees_with_matches(cr):
+    # find_sites against the sites whose observation key is the rule's key
     corpus, rule = cr
-    expected = [s for s in corpus.sites() if matches(rule, corpus, s)]
+    psets = [rule.positions]
+    key = (0, rule.frm, tuple(t for _, t in rule.ctx))
+    expected = [
+        (si, ti)
+        for si, sent in enumerate(corpus.sentences)
+        for ti, row in enumerate(observe(sent, 0, len(sent), psets, rule.span))
+        if row[0] == key
+    ]
     assert find_sites(rule, corpus) == expected
 
 
 @given(corpus_and_rule())
 def test_score_agrees_with_classify(cr):
     corpus, rule = cr
-    pos = neg = neut = 0
-    for site in corpus.sites():
-        effect = classify_effect(rule, corpus, site)
-        if effect is Effect.POSITIVE:
-            pos += 1
-        elif effect is Effect.NEGATIVE:
-            neg += 1
-        elif effect is Effect.NEUTRAL:
-            neut += 1
-    assert score_rule(rule, corpus) == RuleScore(pos, neg, neut)
+    truths = [_token(corpus, s).truth for s in find_sites(rule, corpus)]
+    pos = truths.count(rule.to)
+    neg = truths.count(rule.frm)
+    assert score_rule(rule, corpus) == RuleScore(pos, neg, len(truths) - pos - neg)
 
 
 @given(corpus_and_rule())
@@ -279,28 +352,39 @@ def test_apply_drops_errors_by_score(cr):
     before = error_count(corpus)
     sites = apply_rule(rule, corpus)
     assert before - error_count(corpus) == expected_drop
-    assert all(corpus.token(s).current == rule.to for s in sites)
+    assert all(_token(corpus, s).current == rule.to for s in sites)
 
 
 @given(corpus_and_rule())
 def test_apply_touches_only_matched_sites(cr):
     corpus, rule = cr
-    frozen = {s: corpus.token(s).current for s in corpus.sites()}
+    frozen = {s: _token(corpus, s).current for s in _sites(corpus)}
     sites = apply_rule(rule, corpus)
-    for site in corpus.sites():
+    for site in _sites(corpus):
         if site in set(sites):
-            assert corpus.token(site).current == rule.to
+            assert _token(corpus, site).current == rule.to
         else:
-            assert corpus.token(site).current == frozen[site]
+            assert _token(corpus, site).current == frozen[site]
 
 
 @given(corpus_and_rule())
 def test_instantiated_rule_is_positive_at_origin(cr):
+    # the candidates are the rules instantiated at mistagged sites, each
+    # matching its origin, which it fixes
     corpus, rule = cr
-    for site in corpus.sites():
-        got = instantiate(Template(rule.positions, window=rule.span), corpus, site)
-        if got is not None:
-            assert classify_effect(got, corpus, site) is Effect.POSITIVE
+    template = Template(rule.positions, window=rule.span)
+    cands = enumerate_candidates(corpus, [template])
+    origins = {}
+    for si, sent in enumerate(corpus.sentences):
+        for ti, tok in enumerate(sent):
+            if tok.current != tok.truth:
+                origin = _instantiate(sent, ti, template.positions)
+                origins.setdefault(origin, []).append((si, ti))
+    assert set(cands) == set(origins)
+    for cand, sc in cands.items():
+        assert set(origins[cand]) <= set(find_sites(cand, corpus))
+        assert sc.pos >= len(origins[cand])
+        assert sc == score_rule(cand, corpus)
 
 
 # --- encodings ------------------------------------------------------------------
