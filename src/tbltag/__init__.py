@@ -3,8 +3,7 @@
 A most-frequent-tag baseline is refined by an ordered list of contextual
 rewrite rules, learned greedily by net error reduction.  Two trainers are
 provided: a simple per-pass rescanning reference and an incremental one
-that keeps rule scores and match sites live between passes, with
-identical output.
+that keeps rule scores live between passes, with identical output.
 """
 
 from .corpus import (

@@ -153,6 +153,8 @@ def _load_model(path: str) -> Model:
 
 
 def _cmd_train(args) -> int:
+    if args.engine == "naive" and (args.audit or args.audit_log):
+        raise _UsageError("--audit and --audit-log check the index of the incremental engine")
     text = _read_text(args.corpus, "corpus")
     corpus = parse_corpus(text)
     if corpus.n_tokens == 0:

@@ -1,57 +1,18 @@
-"""Applying trained models and measuring accuracy curves."""
+"""Applying trained models and measuring accuracy curves.
+
+Replay runs each rule as a compiled pattern over the corpus coded one
+character per tag, with the helpers the incremental trainer applies rules
+with (``rules.code_corpus`` and ``rules.rewrite``).
+"""
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .corpus import BOUNDARY, Corpus, Site, baseline_assign
-from .rules import Rule
-from .training import Model
-
-# The coded corpus string pads sentences with this character; rule contexts
-# code BOUNDARY as it.  Tags are coded from the next code point up.
-_PAD = "\0"
-
-
-def _tag_codes(tags) -> dict[str, str]:
-    """One character per tag, skipping the surrogate block."""
-    codes = {BOUNDARY: _PAD}
-    for tag in tags:
-        if tag not in codes:
-            i = len(codes)
-            codes[tag] = chr(i if i < 0xD800 else i + 0x800)
-    return codes
-
-
-def _compile(rule: Rule, codes: dict[str, str], width: int) -> re.Pattern | None:
-    """Pattern whose matches are the rule's sites, or None if it has none.
-
-    A match is the source tag's single character, so the search skips
-    other positions at C speed.  A lookbehind ending just after it checks
-    the negative offsets, a lookahead the positive ones; unconstrained
-    positions in between are ``.``.  In a corpus string padded by
-    ``width``, an offset beyond ``width`` lies outside every sentence.
-    """
-    before: dict[int, str] = {}
-    after: dict[int, str] = {}
-    for off, tag in rule.ctx:
-        if abs(off) > width:
-            if tag == BOUNDARY:
-                continue
-            return None
-        (before if off < 0 else after)[abs(off)] = re.escape(codes[tag])
-    pattern = re.escape(codes[rule.frm])
-    if before:
-        # The last lookbehind position is the source character itself.
-        behind = "".join(before.get(d, ".") for d in range(max(before), 0, -1))
-        pattern += f"(?<={behind}.)"
-    if after:
-        ahead = "".join(after.get(d, ".") for d in range(1, max(after) + 1))
-        pattern += f"(?={ahead})"
-    return re.compile(pattern, re.S)
+from .corpus import Corpus, Site, baseline_assign
+from .rules import Rule, code_corpus, rewrite, sites_of, tag_codes
+from .training import Model, apply_at_sites
 
 
 def replay(
@@ -69,41 +30,19 @@ def replay(
     (when present) are untouched.
 
     The rules run as compiled regular expressions over the corpus coded
-    one character per tag, sentences separated by enough boundary padding
-    for the widest rule context that can fit in a sentence.
+    one character per tag (``rules.code_corpus``), sentences separated by
+    enough boundary padding for the widest rule context that can fit in a
+    sentence.
     """
     baseline_assign(corpus, model.lexicon)
-    sentences = corpus.sentences
-    codes = _tag_codes(model.tagset())
-    longest = max((len(sent) for sent in sentences), default=0)
+    codes = tag_codes(model.tagset())
+    longest = max((len(sent) for sent in corpus.sentences), default=0)
     width = min(max((rule.span for rule in model.rules), default=0), longest)
-    pad = _PAD * width
-    starts = []
-    pos = width
-    for sent in sentences:
-        starts.append(pos)
-        pos += len(sent) + width
-    text = pad + pad.join(
-        "".join([codes[tok.current] for tok in sent]) for sent in sentences
-    ) + pad
-
+    text, starts = code_corpus(corpus, codes, width)
     for pass_no, rule in enumerate(model.rules, start=1):
-        pattern = _compile(rule, codes, width)
-        hits = [m.start() for m in pattern.finditer(text)] if pattern else []
-        sites = []
-        if hits:
-            to = rule.to
-            pieces = []
-            prev = 0
-            for h in hits:
-                si = bisect_right(starts, h) - 1
-                ti = h - starts[si]
-                sentences[si][ti].current = to
-                sites.append((si, ti))
-                pieces.append(text[prev:h])
-                prev = h + 1
-            pieces.append(text[prev:])
-            text = codes[to].join(pieces)
+        text, hits = rewrite(rule, text, codes, width)
+        sites = sites_of(hits, starts)
+        apply_at_sites(corpus, rule, sites, pass_no, record_deps=False)
         if on_rule is not None:
             on_rule(pass_no, rule, sites)
     return corpus

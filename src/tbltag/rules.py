@@ -10,8 +10,10 @@ truth tag, is a rule that would fix it.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 
 from .corpus import BOUNDARY, Corpus, Site
 
@@ -164,8 +166,8 @@ def position_sets(templates) -> list[tuple[int, ...]]:
     return out
 
 
-def observe(sent, lo: int, hi: int, psets, span: int) -> list[list[tuple]]:
-    """Observation keys of sites lo..hi-1: per site, one per position set.
+def observe(sent, psets, span: int) -> list[list[tuple]]:
+    """Observation keys of a sentence's sites: per site, one per position set.
 
     A site's key under position set ``pi`` is ``(pi, current tag, context
     tags)``, the context read at the set's offsets with BOUNDARY outside
@@ -174,11 +176,11 @@ def observe(sent, lo: int, hi: int, psets, span: int) -> list[list[tuple]]:
     least the largest offset in ``psets``.
     """
     n = len(sent)
-    m = hi - lo
-    tags = [sent[j].current if 0 <= j < n else BOUNDARY for j in range(lo - span, hi + span)]
-    cur = tags[span : span + m]
+    edge = [BOUNDARY] * span
+    tags = edge + [tok.current for tok in sent] + edge
+    cur = tags[span : span + n]
     columns = [
-        zip(repeat(pi), cur, zip(*[tags[span + off : span + off + m] for off in pset]))
+        zip(repeat(pi), cur, zip(*[tags[span + off : span + off + n] for off in pset]))
         for pi, pset in enumerate(psets)
     ]
     return list(map(list, zip(*columns)))
@@ -231,6 +233,93 @@ def apply_rule(rule: Rule, corpus: Corpus) -> list[Site]:
     for si, ti in sites:
         sentences[si][ti].current = to
     return sites
+
+
+# --- the tag-coded corpus string ----------------------------------------------
+
+# The coded corpus string pads sentences with this character; rule contexts
+# code BOUNDARY as it.  Tags are coded from the next code point up.
+PAD = "\0"
+
+
+def tag_codes(tags) -> dict:
+    """One character per distinct tag (None too), skipping the surrogate block."""
+    codes = {BOUNDARY: PAD}
+    for tag in tags:
+        if tag not in codes:
+            i = len(codes)
+            codes[tag] = chr(i if i < 0xD800 else i + 0x800)
+    return codes
+
+
+def code_corpus(corpus: Corpus, codes: dict, width: int, which: str = "current") -> tuple:
+    """The corpus's ``which`` tags as ``(text, starts)``, one character each.
+
+    Each sentence is preceded and the last one followed by ``width`` PAD
+    characters; sentence ``si`` starts at ``text[starts[si]]``.
+    """
+    code = codes.__getitem__
+    tag = attrgetter(which)
+    pad = PAD * width
+    starts = []
+    pos = width
+    for sent in corpus.sentences:
+        starts.append(pos)
+        pos += len(sent) + width
+    text = pad + pad.join(["".join(map(code, map(tag, sent))) for sent in corpus.sentences]) + pad
+    return text, starts
+
+
+def _compile(rule: Rule, codes: dict, width: int) -> re.Pattern | None:
+    """Pattern whose matches are the rule's sites, or None if it has none.
+
+    A match is the source tag's single character, so the search skips
+    other positions at C speed.  A lookbehind ending just after it checks
+    the negative offsets, a lookahead the positive ones; unconstrained
+    positions in between are ``.``.  In a corpus string padded by
+    ``width``, an offset beyond ``width`` lies outside every sentence.
+    """
+    before: dict[int, str] = {}
+    after: dict[int, str] = {}
+    for off, tag in rule.ctx:
+        if abs(off) > width:
+            if tag == BOUNDARY:
+                continue
+            return None
+        (before if off < 0 else after)[abs(off)] = re.escape(codes[tag])
+    pattern = re.escape(codes[rule.frm])
+    if before:
+        # The last lookbehind position is the source character itself.
+        behind = "".join(before.get(d, ".") for d in range(max(before), 0, -1))
+        pattern += f"(?<={behind}.)"
+    if after:
+        ahead = "".join(after.get(d, ".") for d in range(1, max(after) + 1))
+        pattern += f"(?={ahead})"
+    return re.compile(pattern, re.S)
+
+
+def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[int]]:
+    """Apply the rule to a coded corpus string: ``(new text, hit positions)``.
+
+    The hits are the rule's sites as matched before any rewriting, as in
+    ``apply_rule``, in ascending order; each becomes the code of
+    ``rule.to``.  ``text`` is padded by ``width``, as from ``code_corpus``.
+    """
+    pattern = _compile(rule, codes, width)
+    hits: list[int] = []
+    code = codes[rule.to]
+
+    def hit(m: re.Match) -> str:
+        hits.append(m.start())
+        return code
+
+    return (pattern.sub(hit, text) if pattern else text), hits
+
+
+def sites_of(hits: list[int], starts: list[int]) -> list[Site]:
+    """The sites at positions of a coded corpus string with these starts."""
+    sentence = [bisect_right(starts, h) - 1 for h in hits]
+    return [(si, h - starts[si]) for si, h in zip(sentence, hits)]
 
 
 # --- text encodings ---------------------------------------------------------

@@ -1,30 +1,34 @@
 """Incremental trainer: per-observation-key truth counters, kept live.
 
 A rule ``frm -> to`` over the offsets ``pset`` matches a site exactly
-when the site's observation key ``(pset, current tag, context tags)`` is
-the rule's key.  So instead of linking rules to sites, the index groups
-sites by key and counts the truth tags of each group; a rule's effect
-counts are read off its key's counter: ``pos = counts[to]``,
-``neg = counts[frm]`` and ``neut`` the rest of the group.  The candidates
-are the pairs (key, to) with ``to != frm`` and ``counts[to] > 0``: exactly
-the rules that would fix some mistagged site.
+when the site's observation key (``pset``, its current tag, the tags at
+the offsets) is the rule's key.  So the index only counts the truth tags
+of the sites observing each key, and keeps nothing per site; a rule's
+effect counts are read off its key's counter: ``pos = counts[to]``,
+``neg = counts[frm]`` and ``neut`` the rest.  The candidates are the pairs
+(key, to) with ``to != frm`` and ``counts[to] > 0``: exactly the rules that
+would fix some mistagged site.
 
-Applying a rule changes observations only within the largest template
-span of a changed site, so only those sites are re-observed and moved
-between keys, and only the keys they left or joined are rescored, once,
-at the end of the pass.  The net-positive candidates are also kept in a
-list sorted by ``training.rule_order``, so a random pick draws from it
-directly; a candidate enters or leaves it only when its rescored net
-score crosses 1 or it leaves the table.
+Keys are read from the corpus coded one character per tag, and rules
+applied to it, by the ``rules.code_corpus`` and ``rules.rewrite`` that
+``evaluate.replay`` runs.  A hit at ``h`` changes only the keys of the
+positions ``h - o``, for ``o`` in 0 and a position set's offsets; each
+moves one truth count from its old key to its new one, and the keys left
+or joined are rescored once at the end of the pass.  The net-positive
+candidates are also kept in a list sorted by ``training.rule_order``, so a
+random pick draws from it directly; a candidate enters or leaves it only
+when its rescored net score crosses 1 or it leaves the table.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import Counter
+from itertools import repeat
 
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, baseline_assign, error_count
-from .rules import Rule, RuleScore, observe, position_sets
+from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order, select
 
 
@@ -51,65 +55,53 @@ def _order(cand: Candidate) -> tuple:
     return rule_order(cand.rule)
 
 
-class KeyGroup:
-    """The sites observing one key, their truth-tag counts, its candidates."""
-
-    __slots__ = ("key", "sites", "counts", "cands")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.sites: set[Site] = set()
-        self.counts: dict[str | None, int] = {}  # truth -> count, never 0
-        self.cands: dict[str, Candidate] = {}  # to -> candidate
-
-    def add(self, site: Site, truth) -> None:
-        self.sites.add(site)
-        self.counts[truth] = self.counts.get(truth, 0) + 1
-
-    def remove(self, site: Site, truth) -> None:
-        self.sites.remove(site)
-        left = self.counts[truth] - 1
-        if left:
-            self.counts[truth] = left
-        else:
-            del self.counts[truth]
-
-
 class TrainerIndex:
-    """Sites grouped by observation key, and the live candidate table."""
+    """Truth-tag counters per observation key, and the live candidate table."""
 
     __slots__ = (
         "psets",
-        "max_span",
+        "width",
+        "codes",
+        "tags",
+        "text",
+        "truth",
+        "starts",
         "keys",
-        "site_keys",
-        "site_id",
+        "cands",
         "table",
         "eligible",
-        "dirty",
         "links_total",
         "last_unseen_added",
         "last_sites_rechecked",
     )
 
-    def __init__(self, templates):
+    def __init__(self, corpus: Corpus, templates):
         self.psets: list[tuple[int, ...]] = position_sets(templates)
-        self.max_span = max(t.span for t in templates)
-        # (pset index, current tag, context tags) -> its group
-        self.keys: dict[tuple, KeyGroup] = {}
-        # site_keys[si][ti][pi]: the site's key under position set pi
-        self.site_keys: list[list[list[tuple]]] = []
-        self.site_id: list[list[Site]] = []  # one shared tuple per site
+        self.width = width = max(t.span for t in templates)
+        # Every current and truth tag gets a code, a missing truth (None) too.
+        tags = {tok.current for sent in corpus.sentences for tok in sent}
+        tags.update(tok.truth for sent in corpus.sentences for tok in sent)
+        self.codes = codes = tag_codes(sorted(tags - {None}) + [None])
+        self.tags = {code: tag for tag, code in codes.items()}
+        # The current and the truth tags, coded and padded by width, and
+        # where each sentence starts in both.
+        self.text, self.starts = code_corpus(corpus, codes, width)
+        self.truth = code_corpus(corpus, codes, width, "truth")[0]
+        # (pset index, current code, *context codes) -> {truth code: count};
+        # a count is never 0, and a key with no count is deleted when rescored
+        self.keys: dict[tuple, dict[str, int]] = {}
+        # key -> {to code: candidate}, for every key once it is scored
+        self.cands: dict[tuple, dict[str, Candidate]] = {}
         self.table: dict[Rule, Candidate] = {}
         # the candidates with pos - neg >= 1, sorted by rule_order
         self.eligible: list[Candidate] = []
-        self.dirty: set[KeyGroup] = set()  # groups to rescore
         self.links_total = 0  # site-to-key memberships
         self.last_unseen_added = 0  # keys created by the last pass
-        self.last_sites_rechecked = 0
+        self.last_sites_rechecked = 0  # tokens whose keys the last pass re-read
 
     def key_of(self, rule: Rule) -> tuple:
-        return (self.psets.index(rule.positions), rule.frm, tuple(t for _, t in rule.ctx))
+        codes = self.codes
+        return (self.psets.index(rule.positions), codes[rule.frm], *[codes[t] for _, t in rule.ctx])
 
     def pick(self, config: TrainerConfig, rng: random.Random):
         """Pick the next rule as ``training.select`` would over the table.
@@ -131,29 +123,33 @@ class TrainerIndex:
         eligible = self.eligible
         del eligible[bisect_left(eligible, _order(cand), key=_order)]
 
-    def _refresh(self, group: KeyGroup) -> None:
-        """Make the group's candidates, their counts and listing match its counter."""
+    def _refresh(self, key: tuple) -> None:
+        """Make the key's candidates, their counts and listing match its counter."""
         table = self.table
-        counts = group.counts
-        cands = group.cands
-        for to in [to for to in cands if to not in counts]:
-            cand = cands.pop(to)
+        counts = self.keys[key]
+        cands = self.cands.setdefault(key, {})
+        for code in [code for code in cands if code not in counts]:
+            cand = cands.pop(code)
             del table[cand.rule]
             if cand.pos - cand.neg >= 1:
                 self._unlist(cand)
-        if not group.sites:
-            del self.keys[group.key]
+        if not counts:
+            del self.keys[key]
+            del self.cands[key]
             return
-        pi, cur, ctx_tags = group.key
+        cur = key[1]
+        none = self.codes[None]
         neg = counts.get(cur, 0)
-        rest = len(group.sites) - neg
-        for to, pos in counts.items():
-            if to == cur or to is None:
+        rest = sum(counts.values()) - neg
+        for code, pos in counts.items():
+            if code == cur or code == none:
                 continue
-            cand = cands.get(to)
+            cand = cands.get(code)
             if cand is None:
-                cand = Candidate(Rule(cur, to, zip(self.psets[pi], ctx_tags)))
-                cands[to] = table[cand.rule] = cand
+                tags = self.tags
+                ctx = zip(self.psets[key[0]], [tags[c] for c in key[2:]])
+                cand = Candidate(Rule(tags[cur], tags[code], ctx))
+                cands[code] = table[cand.rule] = cand
             was = cand.pos - cand.neg >= 1
             cand.pos = pos
             cand.neg = neg
@@ -168,30 +164,26 @@ class TrainerIndex:
 def init_index(corpus: Corpus, templates) -> TrainerIndex:
     """Build the index from scratch against the corpus's current tags.
 
-    One sweep files every site under its key for each position set; then
-    every group is scored.  The candidates and their counts come out equal
-    to a fresh enumerate_candidates over the same corpus.
+    Per position set, one Counter over columns of the coded strings counts
+    every (key, truth) pair; then every key is scored, so the candidates
+    and their counts equal a fresh enumerate_candidates over the same
+    corpus.
     """
-    index = TrainerIndex(templates)
+    index = TrainerIndex(corpus, templates)
+    width, text = index.width, index.text
+    end = len(text) - width
+    cur = text[width:end]
+    truth = index.truth[width:end]
     keys = index.keys
-    psets = index.psets
-    for si, sent in enumerate(corpus.sentences):
-        ids = [(si, ti) for ti in range(len(sent))]
-        rows = observe(sent, 0, len(sent), psets, index.max_span)
-        for site, tok, row in zip(ids, sent, rows):
-            truth = tok.truth
-            for pi, key in enumerate(row):
-                group = keys.get(key)
-                if group is None:
-                    group = keys[key] = KeyGroup(key)
-                else:
-                    row[pi] = group.key  # share one tuple per key
-                group.add(site, truth)
-        index.site_id.append(ids)
-        index.site_keys.append(rows)
-    for group in keys.values():
-        index._refresh(group)
-    index.links_total = corpus.n_tokens * len(psets)
+    for pi, pset in enumerate(index.psets):
+        columns = [text[width + off : end + off] for off in pset]
+        pairs = Counter(zip(zip(repeat(pi), cur, *columns), truth))
+        for (key, t), n in pairs.items():
+            if key[1] != PAD:
+                keys.setdefault(key, {})[t] = n
+    for key in keys:
+        index._refresh(key)
+    index.links_total = corpus.n_tokens * len(index.psets)
     return index
 
 
@@ -202,138 +194,131 @@ def apply_and_update(
     pass_no: int = 0,
     record_deps: bool = False,
 ) -> list[Site]:
-    """Apply a candidate rule at its key's sites and repair the index.
+    """Apply a candidate rule at its sites and repair the index.
 
-    The sites are rewritten as snapshotted before the pass, so changes
-    never alter the match set mid-pass.  Then every site within the
-    largest template span of a change (same sentence) is re-observed;
-    wherever one of its keys changed, it moves from the old group to the
-    new one, and both groups are rescored once at the end.  Returns the
-    changed sites in corpus order.
+    The sites are matched in the coded string before any is rewritten, so
+    changes never alter the match set mid-pass.  Then each position whose
+    key under some position set reads a rewritten site moves one count of
+    its truth tag from its old key to its new one, and every key left or
+    joined is rescored once at the end.  Returns the changed sites in
+    corpus order.
     """
     if rule not in index.table:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")
-    sites = sorted(index.keys[index.key_of(rule)].sites)
+    old = index.text
+    new, hits = rewrite(rule, old, index.codes, index.width)
+    sites = sites_of(hits, index.starts)
     apply_at_sites(corpus, rule, sites, pass_no, record_deps)
-
-    # The neighborhood: every same-sentence site within the largest span of
-    # a change, as disjoint intervals (sites are sorted).
-    span = index.max_span
-    sentences = corpus.sentences
-    intervals: list[list[int]] = []
-    for si, ti in sites:
-        lo, hi = max(0, ti - span), min(len(sentences[si]), ti + span + 1)
-        last = intervals[-1] if intervals else None
-        if last is not None and last[0] == si and last[2] >= lo:
-            last[2] = hi
-        else:
-            intervals.append([si, lo, hi])
+    index.text = new
 
     keys = index.keys
-    dirty = index.dirty
-    psets = index.psets
-    created = rechecked = 0
-    for si, lo, hi in intervals:
-        sent = sentences[si]
-        ids = index.site_id[si]
-        rows = index.site_keys[si]
-        rechecked += hi - lo
-        for ti, observed in enumerate(observe(sent, lo, hi, psets, span), lo):
-            row = rows[ti]
-            if observed == row:
-                continue
-            site = ids[ti]
-            truth = sent[ti].truth
-            for pi, key in enumerate(observed):
-                old = row[pi]
-                if key == old:
-                    continue
-                group = keys[old]
-                group.remove(site, truth)
-                dirty.add(group)
-                group = keys.get(key)
-                if group is None:
-                    group = keys[key] = KeyGroup(key)
-                    created += 1
-                group.add(site, truth)
-                dirty.add(group)
-                row[pi] = group.key
+    truth = index.truth
+    touched = set()
+    reread = set()
+    created = 0
+    for pi, pset in enumerate(index.psets):
+        offsets = (0, *pset)
+        # Each of these reads a hit at some offset, so its key changed.
+        near = [p for p in {h - off for h in hits for off in offsets} if old[p] != PAD]
+        reread.update(near)
+        for p in near:
+            t = truth[p]
+            was = (pi, *[old[p + off] for off in offsets])
+            counts = keys[was]
+            left = counts[t] - 1
+            if left:
+                counts[t] = left
+            else:
+                del counts[t]
+            now = (pi, *[new[p + off] for off in offsets])
+            counts = keys.get(now)
+            if counts is None:
+                counts = keys[now] = {}
+                created += 1
+            counts[t] = counts.get(t, 0) + 1
+            touched.add(was)
+            touched.add(now)
 
-    for group in dirty:
-        index._refresh(group)
-    dirty.clear()
+    for key in touched:
+        index._refresh(key)
     index.last_unseen_added = created
-    index.last_sites_rechecked = rechecked
+    index.last_sites_rechecked = len(reread)
     return sites
 
 
 def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     """Recount the whole index from the corpus tags and compare.
 
-    Brute force on purpose and independent of the update code: every key
-    group, counter and site_keys row is rebuilt by reading the tags at
-    each position set's offsets; every candidate's counts are recounted
-    by matching its context at each site holding its source tag; and the
-    candidate set must be the rules instantiated at mistagged sites; and
-    the live draw list must be exactly the table's net-positive candidates
-    in rule_order.  Raises AuditError on the first discrepancy.
+    Brute force on purpose and independent of the update code and of the
+    coded strings: every key's truth counter is rebuilt by reading the
+    tokens' tags at each position set's offsets; every candidate's counts
+    are recounted by matching its context at each site holding its source
+    tag; the candidate set must be the rules instantiated at mistagged
+    sites; and the live draw list must be exactly the table's
+    net-positive candidates in rule_order.  The coded strings must decode
+    to the corpus's current and truth tags.  Raises AuditError on the
+    first discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
-    if len(index.site_keys) != len(sentences):
-        raise AuditError("site_keys has the wrong number of sentences")
-    if index.dirty:
-        raise AuditError(f"{len(index.dirty)} key groups left unscored")
+    codes, tags = index.codes, index.tags
+    if len(tags) != len(codes):
+        raise AuditError("two tags share a code")
+    width = index.width
+    uncoded = object()
+    for which, text in (("current", index.text), ("truth", index.truth)):
+        want = [BOUNDARY] * width
+        starts = []
+        for sent in sentences:
+            starts.append(len(want))
+            want += [getattr(tok, which) for tok in sent]
+            want += [BOUNDARY] * width
+        if [tags.get(code, uncoded) for code in text] != want:
+            raise AuditError(f"coded string does not decode to the corpus's {which} tags")
+    if index.starts != starts:
+        raise AuditError("sentence starts disagree with the coded strings")
 
-    groups: dict[tuple, list] = {}  # key -> [sites, truth counts]
+    # Every tag has a code now, so the recount can be keyed as the index is.
+    counters: dict[tuple, dict] = {}
     by_cur: dict[str, list[Site]] = {}
     want_rules = set()
     for si, sent in enumerate(sentences):
         n = len(sent)
-        have_rows = index.site_keys[si]
-        if len(have_rows) != n:
-            raise AuditError(f"site_keys row count wrong in sentence {si}")
         for ti, tok in enumerate(sent):
-            site = (si, ti)
-            by_cur.setdefault(tok.current, []).append(site)
-            row = []
+            by_cur.setdefault(tok.current, []).append((si, ti))
             for pi, pset in enumerate(psets):
-                tags = []
+                tags_at = []
                 for off in pset:
                     j = ti + off
-                    tags.append(sent[j].current if 0 <= j < n else BOUNDARY)
-                key = (pi, tok.current, tuple(tags))
-                row.append(key)
-                want = groups.get(key)
-                if want is None:
-                    want = groups[key] = [set(), {}]
-                want[0].add(site)
-                want[1][tok.truth] = want[1].get(tok.truth, 0) + 1
+                    tags_at.append(sent[j].current if 0 <= j < n else BOUNDARY)
+                key = (pi, codes[tok.current], *[codes[tag] for tag in tags_at])
+                counts = counters.setdefault(key, {})
+                truth = codes[tok.truth]
+                counts[truth] = counts.get(truth, 0) + 1
                 if tok.truth is not None and tok.truth != tok.current:
-                    want_rules.add(Rule(tok.current, tok.truth, zip(pset, tags)))
-            if have_rows[ti] != row:
-                raise AuditError(f"site_keys{list(site)} {have_rows[ti]} != observed {row}")
+                    want_rules.add(Rule(tok.current, tok.truth, zip(pset, tags_at)))
 
-    if set(index.keys) != set(groups):
-        raise AuditError("key groups disagree with the recount")
-    links = 0
-    for key, (sites, counts) in groups.items():
-        group = index.keys[key]
-        if group.key != key or group.sites != sites:
-            raise AuditError(f"{key}: stored sites {sorted(group.sites)} != {sorted(sites)}")
-        if group.counts != counts:
-            raise AuditError(f"{key}: stored truth counts {group.counts} != {counts}")
-        links += len(sites)
+    stored = index.keys
+    if stored != counters:
+        key = next(k for k in stored.keys() | counters.keys() if stored.get(k) != counters.get(k))
+        have, want = (
+            {tags.get(t): n for t, n in d.get(key, {}).items()} for d in (stored, counters)
+        )
+        named = [tags.get(code) for code in key[1:]]
+        raise AuditError(f"{psets[key[0]]} {named}: stored truth counts {have} != {want}")
+    links = sum(sum(counts.values()) for counts in counters.values())
     if links != index.links_total:
         raise AuditError(f"links_total {index.links_total} != recounted {links}")
 
     if set(index.table) != want_rules:
         raise AuditError("candidate table disagrees with the rules fixing mistagged sites")
-    if sum(len(g.cands) for g in index.keys.values()) != len(index.table):
-        raise AuditError("key groups hold candidates the table does not")
+    if sum(len(cands) for cands in index.cands.values()) != len(index.table):
+        raise AuditError("keys hold candidates the table does not")
+    if index.cands.keys() - stored.keys():
+        raise AuditError("candidates are filed under keys no site observes")
     for rule, cand in index.table.items():
-        key = (psets.index(rule.positions), rule.frm, tuple(t for _, t in rule.ctx))
-        if cand.rule != rule or index.keys[key].cands.get(rule.to) is not cand:
+        filed = index.cands.get(index.key_of(rule), {})
+        if cand.rule != rule or filed.get(codes[rule.to]) is not cand:
             raise AuditError(f"{rule.canonical!r}: candidate not filed under its key")
         pos = neg = neut = 0
         for si, ti in by_cur.get(rule.frm, ()):

@@ -31,7 +31,7 @@ def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
     tallies: dict[Rule, list[int]] = {}
     groups: dict[tuple, list[Rule]] = {}
     for sent in corpus.sentences:
-        for tok, row in zip(sent, observe(sent, 0, len(sent), psets, span)):
+        for tok, row in zip(sent, observe(sent, psets, span)):
             truth = tok.truth
             if tok.current == truth or truth is None:
                 continue
@@ -48,7 +48,7 @@ def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
     # Scan 2: tally every candidate's effects in one sweep by matching each
     # site's observed key against the group table.
     for sent in corpus.sentences:
-        for tok, row in zip(sent, observe(sent, 0, len(sent), psets, span)):
+        for tok, row in zip(sent, observe(sent, psets, span)):
             truth = tok.truth
             for key in row:
                 grp = groups.get(key)

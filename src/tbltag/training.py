@@ -210,10 +210,20 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _unreadable(tag: str, what: str):
+def _unreadable(item: str, kind: str, what: str):
     raise ModelFormatError(
-        f"tag {tag!r} would not read back from a model file: a tag may not contain {what}"
+        f"{kind} {item!r} would not read back from a model file: a {kind} may not contain {what}"
     )
+
+
+def _check_item(item: str, kind: str) -> None:
+    """Raise ModelFormatError unless splitting on whitespace, as the model
+    file's tags and lexicon lines are read, gives the item back whole.
+    """
+    if not item:
+        raise ModelFormatError(f"a model file cannot hold an empty {kind}")
+    if item.split() != [item]:
+        _unreadable(item, kind, "whitespace")
 
 
 def check_tagset(tags) -> None:
@@ -225,10 +235,9 @@ def check_tagset(tags) -> None:
     format_model would otherwise refuse only after the whole run.
     """
     for tag in sorted(tags):
-        if tag.split() != [tag]:
-            _unreadable(tag, "whitespace")
+        _check_item(tag, "tag")
         if not encodable_tag(tag):
-            _unreadable(tag, "'>' or a comma followed by an integer and a colon")
+            _unreadable(tag, "tag", "'>' or a comma followed by an integer and a colon")
 
 
 def save_model(model: Model, path: str) -> None:
@@ -244,8 +253,10 @@ def format_model(model: Model) -> str:
     engine that produced the model is deliberately not recorded; both
     engines must produce byte-identical files.  Raises ModelFormatError
     for a rule whose tags the encoding cannot carry (one that would read
-    back as a different rule) and for a tag holding whitespace, which the
-    whitespace-split tags and lexicon lines cannot carry.
+    back as a different rule); for an empty tag or lexicon word, or one
+    holding whitespace, which the whitespace-split tags and lexicon lines
+    cannot carry; and for a lexicon tag that is the reserved BOUNDARY,
+    which tagging would read as the edge of the sentence.
     """
     for rule in model.rules:
         try:
@@ -258,15 +269,18 @@ def format_model(model: Model) -> str:
                 "its tags cannot be stored in a model file"
             )
     tags = model.tagset()
+    if BOUNDARY in tags:
+        raise ModelFormatError(f"tag {BOUNDARY!r} is reserved for sentence boundaries")
     for tag in tags:
-        if tag.split() != [tag]:
-            _unreadable(tag, "whitespace")
+        _check_item(tag, "tag")
+    words = sorted(model.lexicon.counts)
+    for word in words:
+        _check_item(word, "word")
     lines = [f"{MODEL_FORMAT} {MODEL_VERSION}"]
     for key, value in config_pairs(model.config):
         lines.append(f"{key} {value}")
     lines.append(f"default-tag {model.lexicon.default_tag}")
     lines.append(f"tags {len(tags)} {' '.join(tags)}".rstrip())
-    words = sorted(model.lexicon.counts)
     lines.append(f"lexicon {len(words)}")
     for word in words:
         by_tag = model.lexicon.counts[word]
@@ -351,6 +365,10 @@ def parse_model(text: str) -> Model:
             raise ModelFormatError(f"malformed lexicon entry {' '.join(entry)!r}")
         word = entry[0]
         for i in range(1, len(entry), 2):
+            if entry[i] == BOUNDARY:
+                raise ModelFormatError(
+                    f"lexicon entry for {word!r} holds the reserved tag {BOUNDARY!r}"
+                )
             try:
                 lexicon.add(word, entry[i], int(entry[i + 1]))
             except ValueError:

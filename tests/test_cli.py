@@ -146,6 +146,20 @@ def test_train_audit_log(tmp_path, chain):
     assert lines[1].split("\t")[0] == "1"
 
 
+@pytest.mark.parametrize("flag", ["--audit", "--audit-log"])
+def test_exit_1_on_audit_flag_with_naive_engine(tmp_path, chain, capsys, flag):
+    # the naive engine keeps no index, so it would ignore --audit and leave
+    # the audit log with no rows
+    extra = [flag, str(tmp_path / "audit.tsv")] if flag == "--audit-log" else [flag]
+    rc = main(
+        ["train", "--corpus", str(chain), "--default-tag", "Z", "--engine", "naive",
+         "-o", str(tmp_path / "m.model"), *extra]
+    )
+    assert rc == 1
+    assert "incremental engine" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.txt"]
+
+
 def test_train_explicit_output_paths(tmp_path, chain):
     trace = tmp_path / "t.tsv"
     curve = tmp_path / "c.tsv"

@@ -3,6 +3,8 @@
 import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tbltag.corpus import Lexicon, build_lexicon, parse_corpus
 from tbltag.rules import Rule, decode_rule, parse_template_spec
@@ -129,6 +131,58 @@ def test_format_model_rejects_tags_with_whitespace(model):
         format_model(model)
 
 
+@pytest.mark.parametrize(
+    "word, tag, match",
+    [
+        (" a\u00e9", "A", "whitespace"),  # read back as 'a\u00e9'
+        ("a b", "A", "whitespace"),  # read back as a malformed entry
+        ("", "A", "empty word"),
+        ("w", "", "empty tag"),
+        # tagging would code it as the sentence edge, so a rule with the
+        # boundary in its context would fire mid-sentence
+        ("w", "<B>", "reserved"),
+    ],
+)
+def test_format_model_rejects_unreadable_lexicon_items(word, tag, match):
+    model = Model(lex_of({word: tag}, "Z"), [], TrainerConfig())
+    with pytest.raises(ModelFormatError, match=match):
+        format_model(model)
+
+
+# Characters a whitespace split or a rule's text treats specially.
+_ITEM_ALPHABET = ["a", "\u00e9", " ", "\t", "\x1c", "\x85", "\u2028", ">", ",", "1", ":", "<B>"]
+_items = st.lists(st.sampled_from(_ITEM_ALPHABET), max_size=3).map("".join)
+
+
+@given(
+    default=_items,
+    entries=st.lists(st.tuples(_items, _items, st.integers(1, 3)), max_size=4),
+    rules=st.lists(st.tuples(_items, _items, _items), max_size=2),
+)
+@settings(max_examples=300)
+def test_model_file_round_trips_or_is_refused(default, entries, rules):
+    assume(default and default != "<B>")
+    lexicon = Lexicon(default)
+    for word, tag, n in entries:
+        lexicon.add(word, tag, n)
+    built = []
+    for frm, to, ctx in rules:
+        try:
+            built.append(Rule(frm, to, [(-1, ctx)]))
+        except ValueError:
+            pass
+    model = Model(lexicon, built, TrainerConfig())
+    try:
+        text = format_model(model)
+    except ModelFormatError:
+        return
+    back = parse_model(text)
+    assert back.lexicon.default_tag == default
+    assert back.lexicon.counts == lexicon.counts
+    assert back.rules == model.rules
+    assert back.config == model.config
+
+
 def test_save_model_failed_write_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "toy.model"
     path.write_text("old\n")
@@ -206,6 +260,11 @@ def test_parse_model_rejects_malformed_lexicon_entry():
         _parse_edited(lambda ls: ls.__setitem__(10, ". ."))
     with pytest.raises(ModelFormatError):
         _parse_edited(lambda ls: ls.__setitem__(10, ". . notanumber"))
+
+
+def test_parse_model_rejects_reserved_lexicon_tag():
+    with pytest.raises(ModelFormatError, match="reserved"):
+        _parse_edited(lambda ls: ls.__setitem__(10, ". <B> 1"))
 
 
 def test_parse_model_rejects_bad_rule():

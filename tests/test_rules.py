@@ -133,18 +133,15 @@ def test_observe_boundaries():
     c = parse_corpus("a/A b/B c/C\n")
     sent = c.sentences[0]
     psets = [(-1,), (1,), (-5,)]
-    rows = observe(sent, 0, 3, psets, 5)
+    rows = observe(sent, psets, 5)
     assert rows == [
         [(0, "A", (BOUNDARY,)), (1, "A", ("B",)), (2, "A", (BOUNDARY,))],
         [(0, "B", ("A",)), (1, "B", ("C",)), (2, "B", (BOUNDARY,))],
         [(0, "C", ("B",)), (1, "C", (BOUNDARY,)), (2, "C", (BOUNDARY,))],
     ]
-    # a window reads the same keys as the whole sentence does, context
-    # beyond the window included
-    assert observe(sent, 1, 2, psets, 5) == rows[1:2]
-    assert observe(sent, 0, 1, [(2,)], 2) == [[(0, "A", ("C",))]]
-    assert observe(sent, 2, 3, [(-2,)], 2) == [[(0, "C", ("A",))]]
-    assert observe(sent, 2, 2, psets, 5) == []
+    # span exactly the widest offset: the first and last edge cells are read
+    assert [row[0][2] for row in observe(sent, [(2,)], 2)] == [("C",), (BOUNDARY,), (BOUNDARY,)]
+    assert [row[0][2] for row in observe(sent, [(-2,)], 2)] == [(BOUNDARY,), (BOUNDARY,), ("A",)]
 
 
 _OBS_TAG = st.sampled_from(["A", "B", "C"])
@@ -159,16 +156,13 @@ _OFFSET = st.integers(-8, 8).filter(lambda o: o != 0)
         max_size=4,
     ),
     extra=st.integers(0, 3),
-    data=st.data(),
 )
 @settings(max_examples=300)
-def test_observe_matches_per_site_read(tags, psets, extra, data):
+def test_observe_matches_per_site_read(tags, psets, extra):
     # Offsets reach up to 8 past sentences of at most 6 tokens, so many sets
     # span wider than the sentence; span may also exceed the widest offset.
     sent = parse_corpus(" ".join(f"w/{t}" for t in tags) + "\n").sentences[0]
     n = len(sent)
-    lo = data.draw(st.integers(0, n))
-    hi = data.draw(st.integers(lo, n))
     span = max(abs(o) for pset in psets for o in pset) + extra
 
     def tag_at(j):
@@ -176,9 +170,9 @@ def test_observe_matches_per_site_read(tags, psets, extra, data):
 
     want = [
         [(pi, tag_at(ti), tuple(tag_at(ti + off) for off in pset)) for pi, pset in enumerate(psets)]
-        for ti in range(lo, hi)
+        for ti in range(n)
     ]
-    assert observe(sent, lo, hi, psets, span) == want
+    assert observe(sent, psets, span) == want
 
 
 def test_instantiate_at_error_site():
@@ -330,7 +324,7 @@ def test_find_sites_agrees_with_matches(cr):
     expected = [
         (si, ti)
         for si, sent in enumerate(corpus.sentences)
-        for ti, row in enumerate(observe(sent, 0, len(sent), psets, rule.span))
+        for ti, row in enumerate(observe(sent, psets, rule.span))
         if row[0] == key
     ]
     assert find_sites(rule, corpus) == expected

@@ -1,6 +1,7 @@
 """Incremental trainer: live index correctness and engine equivalence."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from tbltag.corpus import baseline_assign, build_lexicon, error_count, parse_corpus
 from tbltag.dependency import dependency_report
-from tbltag.rules import Rule, RuleScore, apply_rule, parse_template_spec
+from tbltag.evaluate import replay
+from tbltag.rules import PAD, Rule, RuleScore, apply_rule, parse_template_spec, tag_codes
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import (
     AuditError,
@@ -45,6 +47,21 @@ def _scores(index) -> dict:
     return {r: RuleScore(c.pos, c.neg, c.neut) for r, c in index.table.items()}
 
 
+def _truths(index, rule) -> dict:
+    """Truth-tag counts of the sites observing the rule's key."""
+    counts = index.keys.get(index.key_of(rule), {})
+    return {index.tags[code]: n for code, n in counts.items()}
+
+
+def _decoded(index) -> dict:
+    """Every key's truth counter, with tags in place of their codes."""
+    tags = index.tags
+    return {
+        (key[0], *[tags[code] for code in key[1:]]): {tags[t]: n for t, n in counts.items()}
+        for key, counts in index.keys.items()
+    }
+
+
 def test_init_index_matches_enumeration_toy():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     index = init_index(c, T1)
@@ -56,16 +73,18 @@ def test_init_index_links():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     index = init_index(c, T1)
     rule = Rule("MD", "NN", [(-1, "DT")])
-    group = index.keys[index.key_of(rule)]
-    assert group.key == (0, "MD", ("DT",))
-    assert group.sites == {(0, 1), (0, 4)}
-    assert group.counts == {"NN": 2}
+    codes = index.codes
+    assert index.key_of(rule) == (0, codes["MD"], codes["DT"])
+    assert _truths(index, rule) == {"NN": 2}
     assert _scores(index) == {rule: RuleScore(2, 0, 0)}
     assert len(index.keys) == 5
     # one site-to-key membership per token and position set
     assert index.links_total == 6
-    assert index.site_keys[0][4] == [(0, "MD", ("DT",))]
-    assert index.site_keys[0][0] == [(0, "DT", ("<B>",))]
+    # the first token reads the boundary pad at offset -1
+    assert index.keys[(0, codes["DT"], PAD)] == {codes["DT"]: 1}
+    assert index.text == PAD + "".join(codes[t] for t in "DT MD VBZ DT MD .".split()) + PAD
+    assert index.truth == PAD + "".join(codes[t] for t in "DT NN VBZ DT NN .".split()) + PAD
+    assert index.starts == [1]
 
 
 @given(seed=st.integers(0, 10**6))
@@ -90,12 +109,13 @@ def test_apply_and_update_toy():
     assert error_count(c) == 0
     # both sites now carry NN: the rule's key has no sites left, so the key
     # and its only candidate are gone, and nothing is left to fix
-    assert (0, "MD", ("DT",)) not in index.keys
+    assert index.key_of(rule) not in index.keys
     assert index.table == {}
-    assert index.keys[(0, "NN", ("DT",))].sites == {(0, 1), (0, 4)}
-    # the two rewritten sites and their right neighbors moved to new keys
+    assert _truths(index, Rule("NN", "MD", [(-1, "DT")])) == {"NN": 2}
+    # the two rewritten sites and their right neighbors moved to new keys;
+    # only those four read a rewritten tag under the offsets 0 and -1
     assert index.last_unseen_added == 3
-    assert index.last_sites_rechecked == 6
+    assert index.last_sites_rechecked == 4
     assert len(index.keys) == 5
     verify_index(index, c)
 
@@ -121,9 +141,34 @@ def test_apply_and_update_discovers_unseen_rules():
     apply_and_update(index, c, r1)
     assert index.last_unseen_added == 0  # both keys were already observed
     assert index.last_sites_rechecked == 2
-    assert index.keys[index.key_of(r2)].sites == {(0, 1), (1, 1)}
+    assert _truths(index, r2) == {"V2": 1, "V9": 1}
     assert _scores(index)[r2] == RuleScore(pos=1, neg=0, neut=1)
     verify_index(index, c)
+
+
+def test_missing_truth_counts_as_neutral():
+    # a token without a truth tag is no rule's target, but is a neutral
+    # match of every rule matching it, in both engines
+    text = "a/DT b/X\na/DT b/X\na/DT b/P\n"
+    lex = lex_of({"a": "DT", "b": "P"}, "Z")
+    c = parse_corpus(text)
+    c.sentences[2][1].truth = None
+    baseline_assign(c, lex)
+    index = init_index(c, T1)
+    rule = Rule("P", "X", [(-1, "DT")])
+    assert _scores(index) == {rule: RuleScore(2, 0, 1)}
+    assert index.codes[None] not in (PAD, *[index.codes[t] for t in ("DT", "P", "X")])
+    verify_index(index, c)
+
+    corpus_n = parse_corpus(text)
+    corpus_n.sentences[2][1].truth = None
+    corpus_i = corpus_n.clone()
+    cfg = TrainerConfig(templates=T1, threshold=1)
+    mn, tn, _ = train_naive(corpus_n, lex, cfg)
+    mi, ti, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True))
+    assert mn.rules == mi.rules == [rule]
+    assert tn == ti
+    assert corpus_n == corpus_i
 
 
 def test_chained_rules_learned_in_order():
@@ -150,7 +195,7 @@ def test_chaining_pass_by_pass():
     chained = Rule("Q", "Y", [(-1, "X")])
     assert _scores(index) == {chained: RuleScore(1, 0, 0)}
     assert index.key_of(stale) not in index.keys
-    assert index.keys[index.key_of(chained)].sites == {(0, 2)}
+    assert _truths(index, chained) == {"Y": 1}
     verify_index(index, c)
 
     apply_and_update(index, c, chained)
@@ -172,11 +217,12 @@ def test_index_vs_fresh_rebuild_after_pass():
             break
         apply_and_update(index, c, picked[0])
         fresh = init_index(c, T3)
-        assert index.keys.keys() == fresh.keys.keys()
-        for key, group in fresh.keys.items():
-            assert index.keys[key].sites == group.sites
-            assert index.keys[key].counts == group.counts
-        assert index.site_keys == fresh.site_keys
+        assert _decoded(index) == _decoded(fresh)
+        for attr in ("text", "truth"):
+            assert [index.tags[code] for code in getattr(index, attr)] == [
+                fresh.tags[code] for code in getattr(fresh, attr)
+            ]
+        assert index.starts == fresh.starts
         assert _scores(index) == _scores(fresh)
         verify_index(index, c)
 
@@ -205,16 +251,16 @@ def test_verify_index_catches_missing_candidate():
         verify_index(index, c)
 
 
-def test_verify_index_catches_missing_link():
+def test_verify_index_catches_bucket_drift():
     index, c = _fresh_index()
-    index.keys[index.key_of(TOY_RULE)].sites.discard((0, 1))
+    index.keys[index.key_of(TOY_RULE)][index.codes["NN"]] += 1
     with pytest.raises(AuditError):
         verify_index(index, c)
 
 
-def test_verify_index_catches_bucket_drift():
+def test_verify_index_catches_candidates_of_a_dead_key():
     index, c = _fresh_index()
-    index.keys[index.key_of(TOY_RULE)].counts["NN"] += 1
+    index.cands[(0, PAD, PAD)] = {}
     with pytest.raises(AuditError):
         verify_index(index, c)
 
@@ -226,11 +272,15 @@ def test_verify_index_catches_link_total_drift():
         verify_index(index, c)
 
 
-def test_verify_index_catches_site_keys_drift():
-    index, c = _fresh_index()
-    index.site_keys[0][1][0] = (0, "MD", ("VBZ",))
-    with pytest.raises(AuditError):
-        verify_index(index, c)
+def test_verify_index_catches_coded_string_drift():
+    # site (0, 1) coded as VBZ in the current, then in the truth string
+    for attr in ("text", "truth"):
+        index, c = _fresh_index()
+        text = getattr(index, attr)
+        p = index.starts[0] + 1
+        setattr(index, attr, text[:p] + index.codes["VBZ"] + text[p + 1 :])
+        with pytest.raises(AuditError, match="coded"):
+            verify_index(index, c)
 
 
 def _listed_index():
@@ -358,16 +408,38 @@ def test_engine_equivalence(seed):
     assert trace_tsv(tn) == trace_tsv(ti)
 
 
-def test_engine_equivalence_with_deps():
-    corpus_n = _small_corpus(13, n_tokens=200)
-    corpus_i = corpus_n.clone()
-    lex = build_lexicon(corpus_n, "T00")
-    cfg = TrainerConfig(templates=T3, threshold=1, record_deps=True)
+def _many_tags_input():
+    """A 130-tag corpus, and a lexicon from another draw lacking some of its tags.
 
-    mn, _, _ = train_naive(corpus_n, lex, cfg)
-    mi, _, _ = train_incremental(corpus_i, lex, cfg)
-    assert mn.rules == mi.rules
-    assert dependency_report(corpus_n) == dependency_report(corpus_i)
+    Tags are coded from chr(1) up, so with this many of them the codes
+    include characters a regular expression treats specially.
+    """
+    spec = ChainSpec(
+        n_tags=130, words_per_tag=2, ambiguous_words=60, ambiguous_rate=0.5, structure_seed=5
+    )
+    corpus = parse_corpus(markov_corpus(spec, draw_seed=1, n_tokens=1000))
+    lex = build_lexicon(parse_corpus(markov_corpus(spec, draw_seed=2, n_tokens=500)), "T00")
+    truths = {tok.truth for sent in corpus.sentences for tok in sent}
+    assert len(truths) > 120 and truths - lex.tags()
+    return corpus, lex
+
+
+def test_engine_equivalence_with_deps():
+    small = _small_corpus(13, n_tokens=200)
+    for corpus_n, lex in [(small, build_lexicon(small, "T00")), _many_tags_input()]:
+        corpus_i = corpus_n.clone()
+        cfg = TrainerConfig(templates=T3, threshold=1, record_deps=True)
+
+        mn, _, _ = train_naive(corpus_n, lex, cfg)
+        mi, _, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True))
+        assert mn.rules == mi.rules
+        assert dependency_report(corpus_n) == dependency_report(corpus_i)
+        replayed = replay(mi, corpus_i.clone())
+        assert replayed == corpus_i
+
+    codes = tag_codes(mi.tagset())
+    used = {codes[t] for rule in mi.rules for t in (rule.frm, rule.to, *dict(rule.ctx).values())}
+    assert set("\n.[\\^|") <= used
 
 
 def test_engine_equivalence_random_long():
