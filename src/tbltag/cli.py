@@ -10,18 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 
-from .corpus import (
-    Corpus,
-    ParseError,
-    accuracy,
-    build_lexicon,
-    error_count,
-    parse_corpus,
-    serialize_corpus,
-)
+from .corpus import ParseError, accuracy_of, build_lexicon, parse_corpus
 from .dependency import RecordingDisabledError, dependency_report, record_pass
-from .evaluate import Curve, evaluate_curve, replay, tag
+from .evaluate import Curve, evaluate_curve, replay, tag_stream
 from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_WINDOW,
@@ -36,6 +29,7 @@ from .training import (
     ModelFormatError,
     Strategy,
     TrainerConfig,
+    atomic_writer,
     check_tagset,
     load_model,
     save_model,
@@ -221,45 +215,55 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _tag_timed(model: Model, corpus: Corpus) -> None:
-    """Tag the corpus and write a one-line speed summary to stderr."""
+def _tag_timed(model: Model, path: str, what: str, output: str | None, tagged: bool,
+               on_new_tag=None) -> tuple[int, int]:
+    """Stream the file at path through ``tag_stream`` and time the loop.
+
+    The tagged text goes to the file ``output``, or to stdout for "-";
+    with no ``output`` nothing is written.  Writes a one-line speed
+    summary to stderr and returns ``(tokens, errors)``.
+    """
     start = time.perf_counter()
-    tag(model, corpus)
+    try:
+        src = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot read {what}: {exc}") from None
+    if output is None or output == "-":
+        sink = nullcontext(sys.stdout if output else None)
+    else:
+        sink = atomic_writer(output)
+    try:
+        with src, sink as out:
+            tokens, errors = tag_stream(model, src, out, tagged, on_new_tag)
+    except OSError as exc:
+        raise _UsageError(f"cannot tag {path}: {exc}") from None
     seconds = time.perf_counter() - start
-    rate = corpus.n_tokens / seconds if seconds > 0 else 0.0
+    rate = tokens / seconds if seconds > 0 else 0.0
     sys.stderr.write(
-        f"tagged {corpus.n_tokens} tokens with {len(model.rules)} rules "
+        f"tagged {tokens} tokens with {len(model.rules)} rules "
         f"in {seconds:.3f} s ({rate:.0f} tokens/s)\n"
     )
+    return tokens, errors
+
+
+def _warn_new_tag(tag: str) -> None:
+    sys.stderr.write(f"warning: tag {tag!r} not in the model's tagset\n")
 
 
 def _cmd_tag(args) -> int:
     model = _load_model(args.model)
-    corpus = parse_corpus(_read_text(args.input, "input corpus"), tagged=not args.raw)
-    if not args.raw:
-        known = set(model.tagset())
-        seen = set()
-        for sent in corpus.sentences:
-            for tok in sent:
-                if tok.truth not in known and tok.truth not in seen:
-                    seen.add(tok.truth)
-                    sys.stderr.write(
-                        f"warning: tag {tok.truth!r} not in the model's tagset\n"
-                    )
-    _tag_timed(model, corpus)
-    _write_text(args.output, serialize_corpus(corpus, "current"))
+    _tag_timed(model, args.input, "input corpus", args.output or "-", not args.raw, _warn_new_tag)
     return 0
 
 
 def _cmd_eval(args) -> int:
     model = _load_model(args.model)
-    corpus = parse_corpus(_read_text(args.corpus, "corpus"))
-    _tag_timed(model, corpus)
+    tokens, errors = _tag_timed(model, args.corpus, "corpus", None, True)
     pairs = {"model": args.model, "corpus": args.corpus}
     body = (
-        f"tokens\t{corpus.n_tokens}\n"
-        f"errors\t{error_count(corpus)}\n"
-        f"accuracy\t{accuracy(corpus)!r}\n"
+        f"tokens\t{tokens}\n"
+        f"errors\t{errors}\n"
+        f"accuracy\t{accuracy_of(tokens, errors)!r}\n"
     )
     _write_text(args.output, _header("eval", pairs) + body)
     return 0

@@ -69,40 +69,64 @@ class Corpus:
         return f"Corpus({len(self.sentences)} sentences, {self.n_tokens} tokens)"
 
 
-def parse_corpus(text: str, tagged: bool = True) -> Corpus:
-    """Parse one-sentence-per-line text of whitespace-separated items.
+def parse_line(line: str, lineno: int, tagged: bool = True) -> tuple[list[str], list[str] | None]:
+    """The words of one line's whitespace-separated items, and their tags.
 
     Tagged items are ``word/TAG`` where the tag is everything after the
     last slash, so words may contain slashes.  With ``tagged=False`` items
-    are bare words and truth is left unset.  Blank lines are skipped.
+    are bare words and the tags are None.  ``lineno`` is the 1-based line
+    number a ParseError reports.
     """
+    items = line.split()
+    if not tagged:
+        return items, None
+    words = []
+    tags = []
+    for item in items:
+        word, _, tag = item.rpartition("/")
+        if not word or not tag or tag == BOUNDARY:
+            _refuse_item(line, lineno, len(words))
+        words.append(word)
+        tags.append(tag)
+    return words, tags
+
+
+def _refuse_item(line: str, lineno: int, k: int):
+    """Raise the ParseError for the line's ``k``-th item (from 0)."""
+    for m in _ITEM_RE.finditer(line):
+        if k == 0:
+            break
+        k -= 1
+    item = m.group()
+    col = m.start() + 1
+    cut = item.rfind("/")
+    if cut < 0:
+        raise ParseError(f"item {item!r} has no '/TAG' part", lineno, col)
+    if cut == 0:
+        raise ParseError(f"item {item!r} has an empty word", lineno, col)
+    if cut == len(item) - 1:
+        raise ParseError(f"item {item!r} has an empty tag", lineno, col)
+    raise ParseError(f"tag {BOUNDARY!r} is reserved for sentence boundaries", lineno, col)
+
+
+def parse_corpus(text: str, tagged: bool = True) -> Corpus:
+    """Parse one-sentence-per-line text of whitespace-separated items.
+
+    Lines are split by ``str.splitlines`` and their items parsed by
+    ``parse_line``.  Blank lines are skipped.
+    """
+    intern = sys.intern
     sentences = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = []
-        for m in _ITEM_RE.finditer(line):
-            item = m.group()
-            col = m.start() + 1
-            if not tagged:
-                word = sys.intern(item)
-                tokens.append(Token(word, None, None))
-                continue
-            cut = item.rfind("/")
-            if cut < 0:
-                raise ParseError(f"item {item!r} has no '/TAG' part", lineno, col)
-            word, tag = item[:cut], item[cut + 1 :]
-            if not word:
-                raise ParseError(f"item {item!r} has an empty word", lineno, col)
-            if not tag:
-                raise ParseError(f"item {item!r} has an empty tag", lineno, col)
-            if tag == BOUNDARY:
-                raise ParseError(
-                    f"tag {BOUNDARY!r} is reserved for sentence boundaries", lineno, col
-                )
-            word = sys.intern(word)
-            tag = sys.intern(tag)
-            tokens.append(Token(word, tag, tag))
-        if tokens:
-            sentences.append(tokens)
+        words, tags = parse_line(line, lineno, tagged)
+        if not words:
+            continue
+        if tags is None:
+            sentences.append([Token(intern(word), None, None) for word in words])
+        else:
+            sentences.append(
+                [Token(intern(word), tag, tag) for word, tag in zip(words, map(intern, tags))]
+            )
     return Corpus(sentences)
 
 
@@ -204,11 +228,14 @@ def error_count(corpus: Corpus) -> int:
 
 
 def accuracy(corpus: Corpus) -> float:
-    """Fraction of tokens with current == truth; 1.0 for an empty corpus.
+    """Fraction of tokens with current == truth; 1.0 for an empty corpus."""
+    return accuracy_of(corpus.n_tokens, error_count(corpus))
+
+
+def accuracy_of(tokens: int, errors: int) -> float:
+    """``errors`` of ``tokens`` as an accuracy; 1.0 for no tokens.
 
     Plain IEEE double division, so 2 correct of 3 compares equal to the
     Python expression ``2 / 3``.
     """
-    if corpus.n_tokens == 0:
-        return 1.0
-    return (corpus.n_tokens - error_count(corpus)) / corpus.n_tokens
+    return (tokens - errors) / tokens if tokens else 1.0

@@ -1,18 +1,28 @@
 """Applying trained models and measuring accuracy curves.
 
-Replay runs each rule as a compiled pattern over the corpus coded one
-character per tag, with the helpers the incremental trainer applies rules
-with (``rules.code_corpus`` and ``rules.rewrite``).
+Replay runs the model's rules, compiled once (``rules.compile_rules``), as
+patterns over the text coded one character per tag, through the one
+rule-replay loop ``rules.run_rules``.  ``replay`` codes a parsed Corpus
+and writes each rule's sites back to its tokens, for the curve and the
+dependency report; ``tag_stream`` codes the words of a text a chunk at a
+time and builds no tokens at all.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from io import TextIOBase
+from itertools import repeat
+from operator import ne
 
-from .corpus import Corpus, Site, baseline_assign
-from .rules import Rule, code_corpus, rewrite, sites_of, tag_codes
+from .corpus import Corpus, Site, baseline_assign, parse_line
+from .rules import PAD, Rule, code_corpus, compile_rules, run_rules, sites_of, tag_codes
 from .training import Model, apply_at_sites
+
+# Characters read from the input per chunk, rounded up to a whole line, so
+# memory stays bounded by the chunk, not the input.
+CHUNK_CHARS = 1 << 16
 
 
 def replay(
@@ -39,12 +49,15 @@ def replay(
     longest = max((len(sent) for sent in corpus.sentences), default=0)
     width = min(max((rule.span for rule in model.rules), default=0), longest)
     text, starts = code_corpus(corpus, codes, width)
-    for pass_no, rule in enumerate(model.rules, start=1):
-        text, hits = rewrite(rule, text, codes, width)
+    rules = model.rules
+
+    def fire(n: int, hits: list[int]) -> None:
         sites = sites_of(hits, starts)
-        apply_at_sites(corpus, rule, sites, pass_no, record_deps=False)
+        apply_at_sites(corpus, rules[n], sites, n + 1, record_deps=False)
         if on_rule is not None:
-            on_rule(pass_no, rule, sites)
+            on_rule(n + 1, rules[n], sites)
+
+    run_rules(compile_rules(rules, codes, width), text, fire)
     return corpus
 
 
@@ -56,6 +69,85 @@ def tag(model: Model, corpus: Corpus) -> Corpus:
     own training corpus reproduces the trainer's final tags exactly.
     """
     return replay(model, corpus)
+
+
+def tag_stream(
+    model: Model,
+    src: TextIOBase,
+    out: TextIOBase | None = None,
+    tagged: bool = False,
+    on_new_tag: Callable[[str], object] | None = None,
+    chunk_chars: int = CHUNK_CHARS,
+) -> tuple[int, int]:
+    """Tag one-sentence-per-line text from ``src`` a chunk at a time.
+
+    Writes to ``out``, when given, exactly ``serialize_corpus(tag(model,
+    parse_corpus(text, tagged)), "current")`` for the whole text, and
+    returns ``(tokens, errors)``: the tokens read and, for tagged input,
+    how many of them end with a tag other than their own (``error_count``
+    of that corpus).  Lines are split as ``parse_corpus`` splits them and
+    a malformed item raises the same ParseError, with the line number
+    counted from the start of the text; chunks already tagged have been
+    written by then.  With tagged input, ``on_new_tag(tag)`` is called
+    once for each tag outside the model's tagset, in first-seen order.
+
+    Each word is coded through a word -> code table built once from
+    ``Lexicon.most_frequent``, and each chunk's coded string is padded
+    only as wide as its longest sentence needs; the compiled rule list is
+    kept per width.
+    """
+    codes = tag_codes(model.tagset())
+    tag_of = {code: tag for tag, code in codes.items()}
+    most_frequent = model.lexicon.most_frequent
+    word_code = {word: codes[most_frequent(word)] for word in model.lexicon.counts}
+    default = codes[model.default_tag]
+    span = max((rule.span for rule in model.rules), default=0)
+    compiled: dict[int, list] = {}
+    seen: set[str] = set()
+    tokens = errors = lineno = 0
+    # readlines cuts only at "\n" (after the universal newline translation
+    # of a file opened in text mode), so each chunk ends at a line break of
+    # the whole text, and splitlines() then breaks it where parse_corpus
+    # would break the whole text.
+    while chunk := src.readlines(chunk_chars):
+        sents = []
+        for lineno, line in enumerate("".join(chunk).splitlines(), start=lineno + 1):
+            words, tags = parse_line(line, lineno, tagged)
+            if words:
+                sents.append((words, tags))
+        if not sents:
+            continue
+        width = min(span, max(len(words) for words, _ in sents))
+        rules = compiled.get(width)
+        if rules is None:
+            rules = compiled[width] = compile_rules(model.rules, codes, width)
+        pad = PAD * width
+        coded = [
+            "".join(map(word_code.get, words, repeat(default))) for words, _ in sents
+        ]
+        text = run_rules(rules, pad + pad.join(coded) + pad)
+        tokens += sum(map(len, coded))
+        if tagged:
+            truth = pad + pad.join(
+                "".join(map(codes.get, tags, repeat(PAD))) for _, tags in sents
+            ) + pad
+            errors += sum(map(ne, text, truth))
+            if on_new_tag is not None:
+                for _, tags in sents:
+                    for tag in tags:
+                        if tag not in codes and tag not in seen:
+                            seen.add(tag)
+                            on_new_tag(tag)
+        if out is not None:
+            pos = width
+            rows = []
+            for words, _ in sents:
+                end = pos + len(words)
+                current = map(tag_of.__getitem__, text[pos:end])
+                rows.append(" ".join(map("/".join, zip(words, current))))
+                pos = end + width
+            out.write("\n".join(rows) + "\n")
+    return tokens, errors
 
 
 @dataclass(slots=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -298,6 +299,27 @@ def _compile(rule: Rule, codes: dict, width: int) -> re.Pattern | None:
     return re.compile(pattern, re.S)
 
 
+def compile_rules(rules, codes: dict, width: int) -> list[tuple[re.Pattern | None, str]]:
+    """Each rule as ``(pattern, target code)`` for a string padded by ``width``.
+
+    The list depends only on the rules, the codes and the width, so one
+    compiled list serves every coded string of that width.
+    """
+    return [(_compile(rule, codes, width), codes[rule.to]) for rule in rules]
+
+
+def _sub(pattern: re.Pattern | None, code: str, text: str) -> tuple[str, list[int]]:
+    hits: list[int] = []
+    if pattern is None:
+        return text, hits
+
+    def hit(m: re.Match) -> str:
+        hits.append(m.start())
+        return code
+
+    return pattern.sub(hit, text), hits
+
+
 def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[int]]:
     """Apply the rule to a coded corpus string: ``(new text, hit positions)``.
 
@@ -305,15 +327,26 @@ def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[i
     ``apply_rule``, in ascending order; each becomes the code of
     ``rule.to``.  ``text`` is padded by ``width``, as from ``code_corpus``.
     """
-    pattern = _compile(rule, codes, width)
-    hits: list[int] = []
-    code = codes[rule.to]
+    return _sub(_compile(rule, codes, width), codes[rule.to], text)
 
-    def hit(m: re.Match) -> str:
-        hits.append(m.start())
-        return code
 
-    return (pattern.sub(hit, text) if pattern else text), hits
+def run_rules(
+    compiled: list[tuple[re.Pattern | None, str]],
+    text: str,
+    on_hits: Callable[[int, list[int]], object] | None = None,
+) -> str:
+    """Apply compiled rules in order to a coded string; return the result.
+
+    Each rule rewrites its hits as ``rewrite`` does.  After rule ``n``
+    (from 0) has rewritten them, ``on_hits(n, hits)`` is called when given.
+    This is the one rule-replay loop: ``evaluate.replay`` and the streaming
+    tagger both run it.
+    """
+    for n, (pattern, code) in enumerate(compiled):
+        text, hits = _sub(pattern, code, text)
+        if on_hits is not None:
+            on_hits(n, hits)
+    return text
 
 
 def sites_of(hits: list[int], starts: list[int]) -> list[Site]:

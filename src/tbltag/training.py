@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -192,22 +193,30 @@ def config_pairs(config: TrainerConfig) -> list[tuple[str, str]]:
     ]
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to path through a temp file in the same directory.
+@contextmanager
+def atomic_writer(path: str):
+    """A text file handle whose contents replace path only on success.
 
-    The temp file replaces path only once it is complete, so no reader
-    ever sees a half-written file and a failed write leaves the old one.
+    It writes a temp file in the same directory, which replaces path once
+    the block exits normally; on an exception the temp file is removed
+    and path is left as it was.  So no reader ever sees a half-written file.
     """
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path through ``atomic_writer``."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def _unreadable(item: str, kind: str, what: str):
@@ -358,7 +367,11 @@ def parse_model(text: str) -> Model:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "lexicon":
         raise ModelFormatError(f"expected 'lexicon N', got {line!r}")
-    lexicon = Lexicon(default_tag)
+    _check_item(default_tag, "tag")
+    try:
+        lexicon = Lexicon(default_tag)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad default tag: {exc}") from None
     for _ in range(_int(parts[1], "lexicon size")):
         entry = _take(lines, "lexicon entry").split()
         if len(entry) < 3 or len(entry) % 2 == 0:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from tbltag.cli import main
+from tbltag.corpus import ParseError, parse_corpus
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -217,16 +218,49 @@ def test_tag_raw_input(tmp_path, chain, capsys):
     assert out == "a/DT b/X c/Y\nnovel/Z\n"
 
 
+# Long enough that tagging reads it in more than one chunk.
+LONG = "f1/Z b/P f2/Z\n" * 10_000
+
+
 def test_tag_warns_on_unknown_tag(tmp_path, chain, capsys):
     model = _train(tmp_path, chain)
     weird = tmp_path / "weird.txt"
-    weird.write_text("a/WEIRD b/P\n")
+    weird.write_text("a/WEIRD b/P\n" + LONG + "c/ODD a/WEIRD\nb/NEW b/ODD\n")
     capsys.readouterr()
     rc = main(["tag", "--model", str(model), "--in", str(weird), "-o", str(tmp_path / "o.txt")])
     assert rc == 0
-    err = capsys.readouterr().err
-    assert err.count("WEIRD") == 1
-    assert "not in the model's tagset" in err
+    err = capsys.readouterr().err.splitlines()
+    assert err[:-1] == [
+        f"warning: tag {tag!r} not in the model's tagset" for tag in ("WEIRD", "ODD", "NEW")
+    ]
+    assert err[-1].startswith("tagged 30006 tokens ")
+
+
+def test_malformed_item_in_a_later_chunk(tmp_path, chain, capsys):
+    model = _train(tmp_path, chain)
+    text = LONG + "a/DT c\n"
+    with pytest.raises(ParseError) as parsed:
+        parse_corpus(text)
+    assert str(parsed.value).startswith("line 10001, column 6: ")
+    corpus = tmp_path / "bad.txt"
+    corpus.write_text(text)
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"old\n")
+    capsys.readouterr()
+    rc = main(["tag", "--model", str(model), "--in", str(corpus), "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {parsed.value}\n"
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["chain.txt", "m.model", "m.model.trace.tsv", "m.model.curve.tsv", "bad.txt", "out.txt"]
+    )
+    # on stdout the chunks before the malformed line are already written
+    assert main(["tag", "--model", str(model), "--in", str(corpus)]) == 2
+    written, err = capsys.readouterr()
+    assert written and LONG.startswith(written) and written.endswith("\n")
+    assert err == f"error: {parsed.value}\n"
+    assert main(["eval", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr() == ("", f"error: {parsed.value}\n")
 
 
 def test_eval_output(tmp_path, chain, capsys):
@@ -513,6 +547,22 @@ def test_exit_2_on_corrupt_model(tmp_path, chain, capsys):
     rc = main(["eval", "--model", str(model), "--corpus", str(chain)])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "default, message",
+    [("<B>", "bad default tag: default_tag may not be the reserved '<B>'"),
+     ("Z Z", "tag 'Z Z' would not read back from a model file")],
+)
+def test_exit_2_on_unusable_default_tag(tmp_path, chain, capsys, default, message):
+    model = _train(tmp_path, chain)
+    model.write_text(model.read_text().replace("default-tag Z", f"default-tag {default}"))
+    capsys.readouterr()
+    for argv in (["tag", "--in", str(chain)], ["eval", "--corpus", str(chain)]):
+        assert main([*argv, "--model", str(model)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 def test_exit_1_on_missing_model(tmp_path, chain, capsys):

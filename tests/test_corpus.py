@@ -1,5 +1,7 @@
 """Corpus parsing, lexicons, baseline tagging, accuracy."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,18 +76,19 @@ def test_parse_missing_tag_position(text, line, column):
 
 
 def test_parse_empty_word():
-    with pytest.raises(ParseError):
-        parse_corpus("/NN\n")
+    with pytest.raises(ParseError, match=r"^line 1, column 5: item '/NN' has an empty word$"):
+        parse_corpus("a/A /NN\n")
 
 
 def test_parse_empty_tag():
-    with pytest.raises(ParseError):
-        parse_corpus("dog/\n")
+    with pytest.raises(ParseError, match=r"^line 2, column 1: item 'dog//' has an empty tag$"):
+        parse_corpus("a/A\ndog// b/B\n")
 
 
 def test_parse_reserved_boundary_tag():
-    with pytest.raises(ParseError):
-        parse_corpus(f"dog/{BOUNDARY}\n")
+    message = f"line 1, column 3: tag {BOUNDARY!r} is reserved for sentence boundaries"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_corpus(f"  dog/{BOUNDARY}\n")
 
 
 def test_parse_empty_text():

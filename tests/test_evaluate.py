@@ -1,5 +1,6 @@
 """Model application and accuracy curves."""
 
+import io
 import random
 
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 from tbltag.corpus import (
     BOUNDARY,
     Corpus,
+    ParseError,
     Token,
     accuracy,
+    accuracy_of,
     baseline_assign,
     build_lexicon,
+    error_count,
     parse_corpus,
     serialize_corpus,
 )
-from tbltag.evaluate import Curve, evaluate_curve, replay, tag
+from tbltag.evaluate import CHUNK_CHARS, Curve, evaluate_curve, replay, tag, tag_stream
 from tbltag.rules import Rule, apply_rule, decode_rule, encode_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
@@ -158,6 +162,76 @@ def test_tag_unknown_words_get_default():
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
     out = tag(model, parse_corpus("frobnicate\n", tagged=False))
     assert out.sentences[0][0].current == "NN"
+
+
+# Line breaks str.splitlines honours but iterating over a file's lines
+# would not, and whitespace str.split honours inside a line.
+_BREAKS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0c", "\x1c", "\n\n", "\n \n"]
+_GAPS = [" ", "  ", "\t", "\x1f", "\u3000"]
+_BAD_ITEMS = ["x", "/x", "x/", f"x/{BOUNDARY}"]
+
+
+@st.composite
+def _stream_case(draw):
+    """A model, a text of its sentences, whether it is tagged, a chunk size.
+
+    Some words are unknown to the lexicon, some tags to the model, and a
+    tagged text may hold one malformed item.
+    """
+    model, sentences = draw(_replay_case())
+    tagged = draw(st.booleans())
+    lines = []
+    for sent in sentences:
+        items = []
+        for word, tag_ in sent:
+            if draw(st.integers(0, 5)) == 0:
+                word = f"new{len(items)}"
+            if draw(st.integers(0, 5)) == 0:
+                tag_ = f"NEW{len(items) % 3}"
+            items.append(f"{word}/{tag_}" if tagged else word)
+        lines.append(draw(st.sampled_from(["", " "])) + draw(st.sampled_from(_GAPS)).join(items))
+    if tagged and draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(_BAD_ITEMS))
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "w0/T0 "])) + bad)
+    breaks = [draw(st.sampled_from(_BREAKS)) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    # 1 cuts after every "\n"
+    chunk_chars = draw(st.sampled_from([1, 2, 7, CHUNK_CHARS]))
+    return model, text, tagged, chunk_chars
+
+
+@given(case=_stream_case())
+@settings(max_examples=300)
+def test_tag_stream_matches_tag(case):
+    model, text, tagged, chunk_chars = case
+    out = io.StringIO()
+    new_tags = []
+
+    def stream():
+        return tag_stream(model, io.StringIO(text), out, tagged, new_tags.append, chunk_chars)
+
+    try:
+        corpus = parse_corpus(text, tagged)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            stream()
+        assert str(got.value) == str(exc)
+        return
+    tokens, errors = stream()
+    tag(model, corpus)
+    assert out.getvalue() == serialize_corpus(corpus, "current")
+    assert tokens == corpus.n_tokens
+    assert errors == error_count(corpus)
+    assert accuracy_of(tokens, errors) == accuracy(corpus)
+    known = set(model.tagset())
+    expected_new = []
+    for sent in corpus.sentences:
+        for tok in sent:
+            if tagged and tok.truth not in known and tok.truth not in expected_new:
+                expected_new.append(tok.truth)
+    assert new_tags == expected_new
 
 
 def test_evaluate_curve_matches_trainer_curve():
