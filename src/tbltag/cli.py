@@ -114,12 +114,19 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [cleaned[0], *_read_config_file(path), *cleaned[1:]]
 
 
+def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> _DataError:
+    byte = exc.object[exc.start]
+    return _DataError(f"{what} {path} is not valid UTF-8: byte 0x{byte:02x}, {exc.reason}")
+
+
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(what, path, exc) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -144,6 +151,8 @@ def _load_model(path: str) -> Model:
         return load_model(path)
     except OSError as exc:
         raise _UsageError(f"cannot read model: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("model", path, exc) from None
 
 
 def _cmd_train(args) -> int:
@@ -237,6 +246,8 @@ def _tag_timed(model: Model, path: str, what: str, output: str | None, tagged: b
             tokens, errors = tag_stream(model, src, out, tagged, on_new_tag)
     except OSError as exc:
         raise _UsageError(f"cannot tag {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(what, path, exc) from None
     seconds = time.perf_counter() - start
     rate = tokens / seconds if seconds > 0 else 0.0
     sys.stderr.write(

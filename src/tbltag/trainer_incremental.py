@@ -27,7 +27,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from itertools import repeat
 
-from .corpus import BOUNDARY, Corpus, Lexicon, Site, baseline_assign, error_count
+from .corpus import BOUNDARY, Corpus, Lexicon, Site, accuracy_of, baseline_assign, error_count
 from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order, select
 
@@ -384,7 +384,7 @@ def train_incremental(
 
     learned: list[Rule] = []
     trace: list[TraceRecord] = []
-    acc = 1.0 if n == 0 else (n - errors) / n
+    acc = accuracy_of(n, errors)
     curve: list[tuple[int, float]] = [(0, acc)]
     while config.max_passes is None or len(learned) < config.max_passes:
         picked = index.pick(config, rng)
@@ -396,7 +396,7 @@ def train_incremental(
         # Matches were classified before the rewrite, so the error count
         # moves by exactly the net score.
         errors -= sc.score
-        acc = 1.0 if n == 0 else (n - errors) / n
+        acc = accuracy_of(n, errors)
         learned.append(rule)
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, acc))
         curve.append((pass_no, acc))

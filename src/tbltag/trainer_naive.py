@@ -1,16 +1,17 @@
 """Reference trainer: re-derive and re-score every candidate each pass.
 
 Slow but simple, this is the semantic baseline the incremental trainer
-must match exactly.  Each pass enumerates the rules that would fix some
-currently mistagged site, scores them all over the whole corpus, applies
-the selected one, and starts over.
+must match exactly.  Each pass reads every site's observation keys with
+one ``observe`` scan of the corpus, counts the truth tags under each key,
+scores every rule those counts admit, applies the selected one, and
+starts over.
 """
 
 from __future__ import annotations
 
 import random
 
-from .corpus import Corpus, Lexicon, baseline_assign, error_count
+from .corpus import Corpus, Lexicon, accuracy, baseline_assign
 from .rules import Rule, RuleScore, find_sites, observe, position_sets
 from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
 
@@ -18,73 +19,53 @@ from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
 def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
     """All rules instantiable at currently mistagged sites, fully scored.
 
-    Scores equal score_rule for every returned rule; candidates generated
-    at several sites are merged into one entry.  Every candidate has
-    pos >= 1 because its generating site is a positive match.  Each scan
-    reads the keys with one ``observe`` call per sentence; keeping them
-    between the scans would hold every site's keys at once.
+    One ``observe`` scan counts the truth tags of the sites under each
+    observation key ``(pi, current tag, context tags)``.  A rule over
+    position set ``pi`` matches exactly the sites of its own key, so its
+    effects are read off that key's counts: ``pos`` counts its target,
+    ``neg`` its source, ``neut`` the rest.  Each truth tag under a key,
+    other than the current tag and a missing truth, counts mistagged sites
+    that the rule to it would fix; those rules are the candidates, each
+    with ``pos >= 1``.  Scores equal score_rule for every returned rule.
     """
     psets = position_sets(templates)
     span = max(t.span for t in templates)
 
-    # Scan 1: instantiate at error sites, dedup by rule value.
-    tallies: dict[Rule, list[int]] = {}
-    groups: dict[tuple, list[Rule]] = {}
-    for sent in corpus.sentences:
-        for tok, row in zip(sent, observe(sent, psets, span)):
-            truth = tok.truth
-            if tok.current == truth or truth is None:
-                continue
-            for key in row:
-                pi, cur, ctx_tags = key
-                rule = Rule(cur, truth, zip(psets[pi], ctx_tags))
-                if rule not in tallies:
-                    tallies[rule] = [0, 0, 0]
-                    groups.setdefault(key, []).append(rule)
-
-    if not tallies:
-        return {}
-
-    # Scan 2: tally every candidate's effects in one sweep by matching each
-    # site's observed key against the group table.
+    counts: dict[tuple, dict] = {}  # key -> {truth tag: sites}
     for sent in corpus.sentences:
         for tok, row in zip(sent, observe(sent, psets, span)):
             truth = tok.truth
             for key in row:
-                grp = groups.get(key)
-                if not grp:
-                    continue
-                cur = key[1]
-                for rule in grp:
-                    t = tallies[rule]
-                    if truth == rule.to:
-                        t[0] += 1
-                    elif truth == cur:
-                        t[1] += 1
-                    else:
-                        t[2] += 1
+                n = counts.setdefault(key, {})
+                n[truth] = n.get(truth, 0) + 1
 
-    return {rule: RuleScore(*t) for rule, t in tallies.items()}
+    out = {}
+    for (pi, cur, ctx_tags), n in counts.items():
+        total = sum(n.values())
+        neg = n.get(cur, 0)
+        for to, pos in n.items():
+            if to != cur and to is not None:
+                rule = Rule(cur, to, zip(psets[pi], ctx_tags))
+                out[rule] = RuleScore(pos, neg, total - pos - neg)
+    return out
 
 
 def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None):
     """Train on a gold corpus; returns (model, trace, curve).
 
-    The corpus is left baseline-tagged then rewritten by the learned rules
+    Each pass scores every candidate with ``enumerate_candidates`` and
+    applies the ``select``-ed rule at its ``find_sites`` matches.  The
+    corpus is left baseline-tagged then rewritten by the learned rules
     in order; the curve starts at pass 0 with the baseline accuracy.
     """
     if config is None:
         config = TrainerConfig()
     baseline_assign(corpus, lexicon)
-    n = corpus.n_tokens
     rng = random.Random(config.rng_seed)
-
-    def acc() -> float:
-        return 1.0 if n == 0 else (n - error_count(corpus)) / n
 
     learned: list[Rule] = []
     trace: list[TraceRecord] = []
-    curve: list[tuple[int, float]] = [(0, acc())]
+    curve: list[tuple[int, float]] = [(0, accuracy(corpus))]
     while config.max_passes is None or len(learned) < config.max_passes:
         candidates = enumerate_candidates(corpus, config.templates)
         picked = select(candidates.items(), config, rng)
@@ -95,7 +76,7 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
         sites = find_sites(rule, corpus)
         apply_at_sites(corpus, rule, sites, pass_no, config.record_deps)
         learned.append(rule)
-        a = acc()
+        a = accuracy(corpus)
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, a))
         curve.append((pass_no, a))
     return Model(lexicon, learned, config), trace, curve

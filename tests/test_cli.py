@@ -565,6 +565,38 @@ def test_exit_2_on_unusable_default_tag(tmp_path, chain, capsys, default, messag
         assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["tag", "--model", "m.model", "--in", "bad.txt", "-o", "out.txt"], "input corpus bad.txt"),
+        (["tag", "--model", "m.model", "--in", "late.txt", "-o", "out.txt"], "input corpus late.txt"),
+        (["tag", "--raw", "--model", "m.model", "--in", "bad.txt"], "input corpus bad.txt"),
+        (["eval", "--model", "m.model", "--corpus", "bad.txt", "-o", "out.txt"], "corpus bad.txt"),
+        (["train", "--corpus", "bad.txt", "--default-tag", "Z", "-o", "out.txt"], "corpus bad.txt"),
+        (["curve", "--model", "m.model", "--train", "chain.txt", "--test", "bad.txt"],
+         "test corpus bad.txt"),
+        (["tag", "--model", "bad.model", "--in", "chain.txt", "-o", "out.txt"], "model bad.model"),
+    ],
+    ids=["tag", "tag-later-chunk", "tag-raw-stdout", "eval", "train", "curve", "model"],
+)
+def test_exit_2_on_input_that_is_not_utf8(tmp_path, chain, capsys, monkeypatch, argv, what):
+    model = _train(tmp_path, chain)
+    (tmp_path / "bad.txt").write_bytes(b"a/DT b/P\n\xff/X\n")
+    # the bad byte comes after the first chunk has been tagged and written
+    (tmp_path / "late.txt").write_bytes(LONG.encode() + b"b/P\xff\n")
+    (tmp_path / "bad.model").write_bytes(b"\xff" + model.read_bytes())
+    (tmp_path / "out.txt").write_bytes(b"old\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {what} is not valid UTF-8: byte 0xff, invalid start byte\n"
+    assert (tmp_path / "out.txt").read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_exit_1_on_missing_model(tmp_path, chain, capsys):
     rc = main(["eval", "--model", str(tmp_path / "no.model"), "--corpus", str(chain)])
     assert rc == 1

@@ -7,13 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbltag.corpus import (
+    BOUNDARY,
     accuracy,
     baseline_assign,
     build_lexicon,
     error_count,
     parse_corpus,
 )
-from tbltag.rules import Rule, RuleScore, apply_rule, parse_template_spec, score_rule
+from tbltag.rules import (
+    DEFAULT_TEMPLATES,
+    Rule,
+    RuleScore,
+    apply_rule,
+    parse_template_spec,
+    score_rule,
+)
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, select
@@ -57,9 +65,14 @@ def test_enumerate_candidates_all_have_positive_pos():
     assert all(sc.pos >= 1 for sc in cands.values())
 
 
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=20)
-def test_enumerate_scores_match_score_rule(seed):
+@given(
+    seed=st.integers(0, 10**6),
+    templates=st.sampled_from(
+        [DEFAULT_TEMPLATES, parse_template_spec("-1; +1; -1,+1"), parse_template_spec("-3,+3; -1")]
+    ),
+)
+@settings(max_examples=30)
+def test_enumerate_scores_match_score_rule(seed, templates):
     rng = random.Random(seed)
     spec = ChainSpec(
         n_tags=rng.randint(4, 8),
@@ -69,9 +82,27 @@ def test_enumerate_scores_match_score_rule(seed):
     )
     text = markov_corpus(spec, draw_seed=rng.randrange(2**20), n_tokens=150)
     c = parse_corpus(text)
-    baseline_assign(c, build_lexicon(c, "T00"))
-    templates = parse_template_spec("-1; +1; -1,+1")
+    lex = build_lexicon(c, "T00")
+    # a token without a truth tag is never a rule's origin or target
+    for sent in c.sentences:
+        if rng.random() < 0.2:
+            sent[rng.randrange(len(sent))].truth = None
+    baseline_assign(c, lex)
     cands = enumerate_candidates(c, templates)
+
+    # the candidates are exactly the rules instantiated at mistagged sites
+    wanted = set()
+    for sent in c.sentences:
+        for ti, tok in enumerate(sent):
+            if tok.truth is None or tok.current == tok.truth:
+                continue
+            for t in templates:
+                ctx = [
+                    (off, sent[ti + off].current if 0 <= ti + off < len(sent) else BOUNDARY)
+                    for off in t.positions
+                ]
+                wanted.add(Rule(tok.current, tok.truth, ctx))
+    assert set(cands) == wanted
     for rule, sc in cands.items():
         assert sc == score_rule(rule, c)
 
