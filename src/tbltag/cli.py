@@ -59,13 +59,8 @@ _BOOL_OPTIONS = {"deps", "raw", "audit", "errored-only", "no-pass-in-key"}
 
 def _read_config_file(path: str) -> list[str]:
     """Turn key=value lines into an argv fragment the flags can override."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from None
     argv = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -162,6 +157,7 @@ def _cmd_train(args) -> int:
     corpus = parse_corpus(text)
     if corpus.n_tokens == 0:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
+    test = parse_corpus(_read_text(args.test_corpus, "test corpus")) if args.test_corpus else None
     lexicon = build_lexicon(corpus, args.default_tag)
     check_tagset(lexicon.tags())
     templates = parse_template_spec(args.templates, window=args.window)
@@ -196,14 +192,16 @@ def _cmd_train(args) -> int:
     if args.test_corpus:
         effective["test-corpus"] = args.test_corpus
 
-    save_model(model, args.model)
+    try:
+        save_model(model, args.model)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.model}: {exc}") from None
 
     trace_path = args.trace or args.model + ".trace.tsv"
     _write_text(trace_path, _header("train", effective) + trace_tsv(trace))
 
     curve_path = args.curve or args.model + ".curve.tsv"
     if args.test_corpus:
-        test = parse_corpus(_read_text(args.test_corpus, "test corpus"))
         curve_obj = evaluate_curve(model, corpus.clone(), test)
     else:
         curve_obj = Curve([(p, a, None) for p, a in curve])

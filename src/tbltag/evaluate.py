@@ -53,7 +53,7 @@ def replay(
 
     def fire(n: int, hits: list[int]) -> None:
         sites = sites_of(hits, starts)
-        apply_at_sites(corpus, rules[n], sites, n + 1, record_deps=False)
+        apply_at_sites(corpus, rules[n], sites)
         if on_rule is not None:
             on_rule(n + 1, rules[n], sites)
 

@@ -15,9 +15,9 @@ applied to it, by the ``rules.code_corpus`` and ``rules.rewrite`` that
 positions ``h - o``, for ``o`` in 0 and a position set's offsets; each
 moves one truth count from its old key to its new one, and the keys left
 or joined are rescored once at the end of the pass.  The net-positive
-candidates are also kept in a list sorted by ``training.rule_order``, so a
-random pick draws from it directly; a candidate enters or leaves it only
-when its rescored net score crosses 1 or it leaves the table.
+candidates are also kept in a list sorted by ``training.rule_order``, and
+both strategies pick from it directly; a candidate enters or leaves it
+only when its rescored net score crosses 1 or it leaves the table.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from collections import Counter
 from itertools import repeat
 
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, accuracy_of, baseline_assign, error_count
+from .dependency import record_pass
 from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
-from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order, select
+from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
 
 
 # Columns of the per-pass lines train_incremental appends to its audit_log.
@@ -104,19 +105,24 @@ class TrainerIndex:
         return (self.psets.index(rule.positions), codes[rule.frm], *[codes[t] for _, t in rule.ctx])
 
     def pick(self, config: TrainerConfig, rng: random.Random):
-        """Pick the next rule as ``training.select`` would over the table.
+        """Pick the next rule from the live list, as select would from the table.
 
-        Greedy calls select.  Random draws from the live list with the same
-        single ``randrange`` that select makes over its sorted list, and
-        like it draws nothing when no candidate is net-positive, so the rng
-        stream is the same.
+        Greedy takes the highest net score on the list, or None below the
+        threshold; the threshold is at least 1, so the winner is always on
+        the list, and ``max`` keeps the first of equal scores, the smallest
+        in rule_order, as select does.  Random draws with the same single
+        ``randrange`` that select makes over its sorted list.  Neither
+        draws from an empty list, so the rng stream is the same.
         """
-        if config.strategy is not Strategy.RANDOM:
-            return select(self.table.items(), config, rng)
         eligible = self.eligible
         if not eligible:
             return None
-        cand = eligible[rng.randrange(len(eligible))]
+        if config.strategy is Strategy.GREEDY:
+            cand = max(eligible, key=lambda cand: cand.pos - cand.neg)
+            if cand.pos - cand.neg < config.threshold:
+                return None
+        else:
+            cand = eligible[rng.randrange(len(eligible))]
         return cand.rule, RuleScore(cand.pos, cand.neg, cand.neut)
 
     def _unlist(self, cand: Candidate) -> None:
@@ -187,13 +193,7 @@ def init_index(corpus: Corpus, templates) -> TrainerIndex:
     return index
 
 
-def apply_and_update(
-    index: TrainerIndex,
-    corpus: Corpus,
-    rule: Rule,
-    pass_no: int = 0,
-    record_deps: bool = False,
-) -> list[Site]:
+def apply_and_update(index: TrainerIndex, corpus: Corpus, rule: Rule) -> list[Site]:
     """Apply a candidate rule at its sites and repair the index.
 
     The sites are matched in the coded string before any is rewritten, so
@@ -208,7 +208,7 @@ def apply_and_update(
     old = index.text
     new, hits = rewrite(rule, old, index.codes, index.width)
     sites = sites_of(hits, index.starts)
-    apply_at_sites(corpus, rule, sites, pass_no, record_deps)
+    apply_at_sites(corpus, rule, sites)
     index.text = new
 
     keys = index.keys
@@ -392,7 +392,9 @@ def train_incremental(
             break
         rule, sc = picked
         pass_no = len(learned) + 1
-        apply_and_update(index, corpus, rule, pass_no, config.record_deps)
+        sites = apply_and_update(index, corpus, rule)
+        if config.record_deps:
+            record_pass(corpus, sites, rule, pass_no)
         # Matches were classified before the rewrite, so the error count
         # moves by exactly the net score.
         errors -= sc.score

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from .corpus import Corpus, Lexicon, accuracy, baseline_assign
+from .dependency import record_pass
 from .rules import Rule, RuleScore, find_sites, observe, position_sets
 from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
 
@@ -74,7 +75,9 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
         rule, sc = picked
         pass_no = len(learned) + 1
         sites = find_sites(rule, corpus)
-        apply_at_sites(corpus, rule, sites, pass_no, config.record_deps)
+        apply_at_sites(corpus, rule, sites)
+        if config.record_deps:
+            record_pass(corpus, sites, rule, pass_no)
         learned.append(rule)
         a = accuracy(corpus)
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, a))

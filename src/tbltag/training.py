@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import dependency
 from .corpus import BOUNDARY, Corpus, Lexicon, Site
 from .rules import (
     DEFAULT_TEMPLATES,
@@ -124,28 +123,20 @@ def select(scored, config: TrainerConfig, rng: random.Random):
     ignoring the threshold; returns None, without drawing, when no rule is
     net-positive.
 
-    This is the oracle order: the naive trainer calls it every pass, and
-    the incremental trainer's live list of net-positive candidates
-    reproduces its random draw without the per-pass sort.
+    This is the reference trainer's selector, and the tests' oracle for
+    the incremental trainer's picks from its live list.
     """
     if config.strategy is Strategy.GREEDY:
-        best_rule = None
-        best_sc = None
-        best_score = None
-        for rule, sc in scored:
-            s = sc.pos - sc.neg
-            if best_score is None or s > best_score:
-                best_rule, best_sc, best_score = rule, sc, s
-            elif s == best_score:
-                # Build the full order key only for equal canonicals.
-                canon, best_canon = rule.canonical, best_rule.canonical
-                if canon < best_canon or (
-                    canon == best_canon and rule_order(rule) < rule_order(best_rule)
-                ):
-                    best_rule, best_sc = rule, sc
-        if best_rule is None or best_score < config.threshold:
+        scored = list(scored)
+        # threshold >= 1, so an empty table stops too
+        best = max((sc.pos - sc.neg for _, sc in scored), default=0)
+        if best < config.threshold:
             return None
-        return best_rule, RuleScore(best_sc.pos, best_sc.neg, best_sc.neut)
+        rule, sc = min(
+            ((r, sc) for r, sc in scored if sc.pos - sc.neg == best),
+            key=lambda pair: rule_order(pair[0]),
+        )
+        return rule, RuleScore(sc.pos, sc.neg, sc.neut)
     eligible = [(r, sc) for r, sc in scored if sc.pos - sc.neg >= 1]
     if not eligible:
         return None
@@ -154,10 +145,8 @@ def select(scored, config: TrainerConfig, rng: random.Random):
     return rule, RuleScore(sc.pos, sc.neg, sc.neut)
 
 
-def apply_at_sites(corpus: Corpus, rule: Rule, sites: list[Site], pass_no: int, record_deps: bool) -> None:
-    """Rewrite the given sites, recording dependency nodes first."""
-    if record_deps:
-        dependency.record_pass(corpus, sites, rule, pass_no)
+def apply_at_sites(corpus: Corpus, rule: Rule, sites: list[Site]) -> None:
+    """Rewrite the current tag at each given site to the rule's target."""
     to = rule.to
     sentences = corpus.sentences
     for si, ti in sites:

@@ -541,6 +541,21 @@ def test_exit_2_on_default_tag_with_whitespace(tmp_path, chain, capsys, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.txt"]
 
 
+def test_exit_2_on_malformed_test_corpus_before_training(tmp_path, chain, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    (tmp_path / "test.txt").write_text("a/DT b/P\nword_without_tag\n")
+    rc = main(
+        ["train", "--corpus", str(chain), "--default-tag", "Z",
+         "--test-corpus", str(tmp_path / "test.txt"), "-o", str(tmp_path / "m.model")]
+    )
+    assert rc == 2
+    assert "line 2, column 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.txt", "test.txt"]
+
+
 def test_exit_2_on_corrupt_model(tmp_path, chain, capsys):
     model = _train(tmp_path, chain)
     model.write_text(model.read_text().replace("tblmodel 1", "tblmodel 99"))
@@ -573,11 +588,16 @@ def test_exit_2_on_unusable_default_tag(tmp_path, chain, capsys, default, messag
         (["tag", "--raw", "--model", "m.model", "--in", "bad.txt"], "input corpus bad.txt"),
         (["eval", "--model", "m.model", "--corpus", "bad.txt", "-o", "out.txt"], "corpus bad.txt"),
         (["train", "--corpus", "bad.txt", "--default-tag", "Z", "-o", "out.txt"], "corpus bad.txt"),
+        (["train", "--corpus", "chain.txt", "--default-tag", "Z", "--test-corpus", "bad.txt",
+          "-o", "out.txt"], "test corpus bad.txt"),
+        (["train", "--config", "bad.txt", "--corpus", "chain.txt", "--default-tag", "Z",
+          "-o", "out.txt"], "config file bad.txt"),
         (["curve", "--model", "m.model", "--train", "chain.txt", "--test", "bad.txt"],
          "test corpus bad.txt"),
         (["tag", "--model", "bad.model", "--in", "chain.txt", "-o", "out.txt"], "model bad.model"),
     ],
-    ids=["tag", "tag-later-chunk", "tag-raw-stdout", "eval", "train", "curve", "model"],
+    ids=["tag", "tag-later-chunk", "tag-raw-stdout", "eval", "train", "train-test-corpus",
+         "train-config", "curve", "model"],
 )
 def test_exit_2_on_input_that_is_not_utf8(tmp_path, chain, capsys, monkeypatch, argv, what):
     model = _train(tmp_path, chain)
@@ -595,6 +615,18 @@ def test_exit_2_on_input_that_is_not_utf8(tmp_path, chain, capsys, monkeypatch, 
     assert err == f"error: {what} is not valid UTF-8: byte 0xff, invalid start byte\n"
     assert (tmp_path / "out.txt").read_bytes() == b"old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("target", ["missing/m.model", "adir"], ids=["no-such-dir", "a-dir"])
+def test_exit_1_on_unwritable_model_path(tmp_path, chain, capsys, target):
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    model = tmp_path / target
+    rc = main(["train", "--corpus", str(chain), "--default-tag", "Z", "-o", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {model}: ")
+    # no temp file is left behind either
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_exit_1_on_missing_model(tmp_path, chain, capsys):

@@ -493,14 +493,18 @@ def test_select_orders_rules_sharing_a_canonical_string():
         assert select(scored, cfg, random.Random(0))[0] is first
 
 
-# --- the random draw, pass by pass against the oracle --------------------------------
+# --- the live pick, pass by pass against the oracle ----------------------------------
 
 
-def _draw_pass_by_pass(corpus, cfg, audit: bool) -> int:
-    """Run random passes, checking each live draw against select; returns passes."""
+def _pick_pass_by_pass(corpus, cfg, audit: bool):
+    """Run passes, checking each live pick against select over the table.
+
+    Returns the final index, the number of passes, and how many of them
+    picked among several rules at the highest net score.
+    """
     index = init_index(corpus, cfg.templates)
     rng = random.Random(cfg.rng_seed)
-    passes = 0
+    passes = ties = 0
     while True:
         before = rng.getstate()
         oracle_rng = random.Random()
@@ -509,36 +513,76 @@ def _draw_pass_by_pass(corpus, cfg, audit: bool) -> int:
         got = index.pick(cfg, rng)
         assert got == want
         assert rng.getstate() == oracle_rng.getstate()
-        if got is None:
-            # nothing net-positive is left, and stopping draws nothing
+        if cfg.strategy is Strategy.GREEDY:
             assert rng.getstate() == before
-            assert not index.eligible
-            assert all(c.pos - c.neg < 1 for c in index.table.values())
+        if got is None:
+            # stopping draws nothing, and leaves no rule the strategy takes
+            assert rng.getstate() == before
+            floor = cfg.threshold if cfg.strategy is Strategy.GREEDY else 1
+            assert all(c.pos - c.neg < floor for c in index.table.values())
             verify_index(index, corpus)
-            return passes
+            return index, passes, ties
         assert got[0] is want[0]
+        best = got[1].score
+        ties += sum(c.pos - c.neg == best for c in index.table.values()) > 1
         passes += 1
-        apply_and_update(index, corpus, got[0], passes, cfg.record_deps)
+        apply_and_update(index, corpus, got[0])
         if audit:
             verify_index(index, corpus)
 
 
-def test_live_draw_matches_select_every_pass():
+def _ambiguous_corpus():
     spec = ChainSpec(
         n_tags=20, words_per_tag=6, ambiguous_words=40, ambiguous_rate=0.5, structure_seed=11
     )
     corpus = parse_corpus(markov_corpus(spec, draw_seed=13, n_tokens=3000))
     baseline_assign(corpus, build_lexicon(corpus, "T00"))
-    cfg = TrainerConfig(strategy=Strategy.RANDOM, rng_seed=3, record_deps=True)
-    assert _draw_pass_by_pass(corpus, cfg, audit=False) > 100
+    return corpus
+
+
+def test_live_draw_matches_select_every_pass():
+    cfg = TrainerConfig(strategy=Strategy.RANDOM, rng_seed=3)
+    index, passes, _ = _pick_pass_by_pass(_ambiguous_corpus(), cfg, audit=False)
+    assert passes > 100
+    assert not index.eligible
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_live_greedy_pick_matches_select_every_pass(threshold):
+    cfg = TrainerConfig(threshold=threshold)
+    index, passes, ties = _pick_pass_by_pass(_ambiguous_corpus(), cfg, audit=False)
+    assert passes > 20
+    assert ties > 10
+    # above threshold 1 the run stops with net-positive rules left on the list
+    assert bool(index.eligible) == (threshold > 1)
 
 
 @pytest.mark.parametrize("rng_seed", range(20))
 def test_live_draw_matches_select_on_shared_canonicals(rng_seed):
     corpus = parse_corpus(SHARED_CANONICAL_TEXT)
     baseline_assign(corpus, build_lexicon(corpus, "A"))
-    cfg = TrainerConfig(strategy=Strategy.RANDOM, rng_seed=rng_seed, record_deps=True)
-    assert _draw_pass_by_pass(corpus, cfg, audit=True) > 5
+    cfg = TrainerConfig(strategy=Strategy.RANDOM, rng_seed=rng_seed)
+    _, passes, _ = _pick_pass_by_pass(corpus, cfg, audit=True)
+    assert passes > 5
+
+
+def test_live_greedy_pick_matches_select_on_shared_canonicals():
+    corpus = parse_corpus(SHARED_CANONICAL_TEXT)
+    baseline_assign(corpus, build_lexicon(corpus, "A"))
+    _, passes, ties = _pick_pass_by_pass(corpus, TrainerConfig(threshold=1), audit=True)
+    assert passes > 5
+    assert ties > 5
+
+
+def test_live_greedy_pick_breaks_a_tie_between_rules_sharing_a_canonical_string():
+    # both rules fix one token and read "A>B>C @ -1:X"; rule_order puts source A first
+    corpus = parse_corpus("x/X y/B>C\nw/W y/A\nw/W y/A\nx/X z/C\nw/W z/A>B\nw/W z/A>B\n")
+    baseline_assign(corpus, build_lexicon(corpus, "W"))
+    cfg = TrainerConfig(templates=T1, threshold=1)
+    first = init_index(corpus, T1).pick(cfg, random.Random(0))
+    assert first == (Rule("A", "B>C", [(-1, "X")]), RuleScore(1, 0, 0))
+    _, passes, ties = _pick_pass_by_pass(corpus, cfg, audit=True)
+    assert (passes, ties) == (2, 1)
 
 
 # --- adversarial corpora the Markov generator never makes ---------------------------
