@@ -31,6 +31,7 @@ from .training import (
     TrainerConfig,
     atomic_writer,
     check_tagset,
+    check_writable,
     load_model,
     save_model,
     trace_tsv,
@@ -124,6 +125,11 @@ def _read_text(path: str, what: str) -> str:
         raise _not_utf8(what, path, exc) from None
 
 
+def _cannot_write(path: str, exc: OSError) -> _UsageError:
+    # The exception's own text may name the temp file rather than path.
+    return _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -131,7 +137,7 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         write_text_atomic(path, text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from None
+        raise _cannot_write(path, exc) from None
 
 
 def _header(cmd: str, pairs: dict) -> str:
@@ -170,6 +176,23 @@ def _cmd_train(args) -> int:
         record_deps=args.deps,
         audit=args.audit,
     )
+    trace_path = args.trace or args.model + ".trace.tsv"
+    curve_path = args.curve or args.model + ".curve.tsv"
+    deps_path = args.deps_out or args.model + ".deps.txt"
+    # Try every output file before the first pass: a path that cannot be
+    # written stops the run with nothing written.  "-" is stdout, except
+    # for the model.
+    outputs = [trace_path, curve_path]
+    if args.deps:
+        outputs.append(deps_path)
+    if args.audit_log:
+        outputs.append(args.audit_log)
+    for path in [args.model, *[path for path in outputs if path != "-"]]:
+        try:
+            check_writable(path)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
+
     audit_log: list[str] | None = [] if args.audit_log else None
     if args.engine == "naive":
         model, trace, curve = train_naive(corpus, lexicon, config)
@@ -195,12 +218,10 @@ def _cmd_train(args) -> int:
     try:
         save_model(model, args.model)
     except OSError as exc:
-        raise _UsageError(f"cannot write {args.model}: {exc}") from None
+        raise _cannot_write(args.model, exc) from None
 
-    trace_path = args.trace or args.model + ".trace.tsv"
     _write_text(trace_path, _header("train", effective) + trace_tsv(trace))
 
-    curve_path = args.curve or args.model + ".curve.tsv"
     if args.test_corpus:
         curve_obj = evaluate_curve(model, corpus.clone(), test)
     else:
@@ -209,7 +230,7 @@ def _cmd_train(args) -> int:
 
     if args.deps:
         report = dependency_report(corpus, model)
-        _write_text(args.deps_out or args.model + ".deps.txt", _header("train", effective) + report)
+        _write_text(deps_path, _header("train", effective) + report)
 
     if args.audit_log and audit_log is not None:
         log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])

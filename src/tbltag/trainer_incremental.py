@@ -11,13 +11,23 @@ would fix some mistagged site.
 
 Keys are read from the corpus coded one character per tag, and rules
 applied to it, by the ``rules.code_corpus`` and ``rules.rewrite`` that
-``evaluate.replay`` runs.  A hit at ``h`` changes only the keys of the
-positions ``h - o``, for ``o`` in 0 and a position set's offsets; each
-moves one truth count from its old key to its new one, and the keys left
-or joined are rescored once at the end of the pass.  The net-positive
-candidates are also kept in a list sorted by ``training.rule_order``, and
-both strategies pick from it directly; a candidate enters or leaves it
-only when its rescored net score crosses 1 or it leaves the table.
+``evaluate.replay`` runs.  The counting follows a plan made once from the
+templates.  A position set that no other set contains is counted: its
+(key, truth) pairs are counted in bulk from columns of the coded strings.
+A set that another contains is projected: its key is read off the
+containing set's key, so its counts are sums of that set's.  The default
+templates count 3 of their 7 sets and project 4 (``-1`` and ``-2`` from
+``-2,-1``, ``+1`` and ``+2`` from ``+1,+2``).
+
+A hit at ``h`` changes only the keys of the positions ``h - o``, for
+``o`` in 0 and a set's offsets.  Per counted set, a pass counts these
+positions' pairs in the old string and in the new one; the difference is
+the net move of each key's counts, and its nonzero part, projected, is
+the move of the contained sets' keys.  Only keys whose counts moved are
+rescored, once per pass.  The net-positive candidates are also kept in a
+list sorted by ``training.rule_order``, and both strategies pick from it
+directly; a candidate enters or leaves it only when its rescored net
+score crosses 1 or it leaves the table.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from itertools import repeat
+from operator import attrgetter, itemgetter
 
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, accuracy_of, baseline_assign, error_count
 from .dependency import record_pass
@@ -44,16 +55,38 @@ class AuditError(AssertionError):
 class Candidate:
     """A live rule and its effect counts as of the end of the last pass."""
 
-    __slots__ = ("rule", "pos", "neg", "neut")
+    __slots__ = ("rule", "pos", "neg", "neut", "order")
 
     def __init__(self, rule: Rule):
         self.rule = rule
         self.pos = self.neg = self.neut = 0
+        self.order = None  # rule_order(rule), set when first listed
 
 
-def _order(cand: Candidate) -> tuple:
-    # Built on demand: only net-positive candidates ever need it.
-    return rule_order(cand.rule)
+_order = attrgetter("order")
+
+
+def _plan(psets: list[tuple[int, ...]]) -> list[tuple]:
+    """How each position set's keys are counted: ``[(pi, offsets, projections)]``.
+
+    A set that no other set contains is counted, at ``offsets``: 0, then
+    its own; the codes there make its keys ``(pi, *codes)``.  Every other
+    set is projected from the first counted set that contains it: that
+    set's ``projections`` hold ``(si, pick)``, and ``(si, *pick(key))`` is
+    the contained set's key.
+    """
+    plan = {
+        pi: ((0, *pset), [])
+        for pi, pset in enumerate(psets)
+        if not any(set(pset) < set(other) for other in psets)
+    }
+    for si, pset in enumerate(psets):
+        if si not in plan:
+            offsets, projections = next(
+                entry for pi, entry in plan.items() if set(pset) < set(psets[pi])
+            )
+            projections.append((si, itemgetter(1, *[1 + offsets.index(o) for o in pset])))
+    return [(pi, offsets, projections) for pi, (offsets, projections) in plan.items()]
 
 
 class TrainerIndex:
@@ -61,6 +94,7 @@ class TrainerIndex:
 
     __slots__ = (
         "psets",
+        "plan",
         "width",
         "codes",
         "tags",
@@ -78,6 +112,7 @@ class TrainerIndex:
 
     def __init__(self, corpus: Corpus, templates):
         self.psets: list[tuple[int, ...]] = position_sets(templates)
+        self.plan = _plan(self.psets)
         self.width = width = max(t.span for t in templates)
         # Every current and truth tag gets a code, a missing truth (None) too.
         tags = {tok.current for sent in corpus.sentences for tok in sent}
@@ -125,70 +160,117 @@ class TrainerIndex:
             cand = eligible[rng.randrange(len(eligible))]
         return cand.rule, RuleScore(cand.pos, cand.neg, cand.neut)
 
-    def _unlist(self, cand: Candidate) -> None:
-        eligible = self.eligible
-        del eligible[bisect_left(eligible, _order(cand), key=_order)]
+    def _move(self, moved: dict, touched: set) -> int:
+        """Add each nonzero ``(key, truth code)`` count of moved to its key.
 
-    def _refresh(self, key: tuple) -> None:
-        """Make the key's candidates, their counts and listing match its counter."""
-        table = self.table
-        counts = self.keys[key]
-        cands = self.cands.setdefault(key, {})
-        for code in [code for code in cands if code not in counts]:
-            cand = cands.pop(code)
-            del table[cand.rule]
-            if cand.pos - cand.neg >= 1:
-                self._unlist(cand)
-        if not counts:
-            del self.keys[key]
-            del self.cands[key]
-            return
-        cur = key[1]
-        none = self.codes[None]
-        neg = counts.get(cur, 0)
-        rest = sum(counts.values()) - neg
-        for code, pos in counts.items():
-            if code == cur or code == none:
+        Returns how many keys it created; every key it changes goes into
+        touched.
+        """
+        keys = self.keys
+        created = 0
+        for (key, t), n in moved.items():
+            if not n:
                 continue
-            cand = cands.get(code)
-            if cand is None:
-                tags = self.tags
-                ctx = zip(self.psets[key[0]], [tags[c] for c in key[2:]])
-                cand = Candidate(Rule(tags[cur], tags[code], ctx))
-                cands[code] = table[cand.rule] = cand
-            was = cand.pos - cand.neg >= 1
-            cand.pos = pos
-            cand.neg = neg
-            cand.neut = rest - pos
-            if pos - neg >= 1:
-                if not was:
-                    insort(self.eligible, cand, key=_order)
-            elif was:
-                self._unlist(cand)
+            counts = keys.get(key)
+            if counts is None:
+                counts = keys[key] = {}
+                created += 1
+            n += counts.get(t, 0)
+            if n:
+                counts[t] = n
+            else:
+                del counts[t]
+            touched.add(key)
+        return created
+
+    def _rescore(self, keys) -> None:
+        """Make each key's candidates, their counts and listing match its counter.
+
+        A key left with no count is deleted, its candidates with it.
+        """
+        counters, all_cands = self.keys, self.cands
+        table, eligible = self.table, self.eligible
+        tags, psets = self.tags, self.psets
+        none = self.codes[None]
+        for key in keys:
+            counts = counters[key]
+            cands = all_cands.get(key)
+            if cands is None:
+                cands = all_cands[key] = {}
+            elif cands:
+                for code in [code for code in cands if code not in counts]:
+                    cand = cands.pop(code)
+                    del table[cand.rule]
+                    if cand.pos - cand.neg >= 1:
+                        del eligible[bisect_left(eligible, cand.order, key=_order)]
+            if not counts:
+                del counters[key]
+                del all_cands[key]
+                continue
+            cur = key[1]
+            neg = counts.get(cur, 0)
+            rest = sum(counts.values()) - neg
+            for code, pos in counts.items():
+                if code == cur or code == none:
+                    continue
+                cand = cands.get(code)
+                if cand is None:
+                    ctx = zip(psets[key[0]], [tags[c] for c in key[2:]])
+                    cand = Candidate(Rule(tags[cur], tags[code], ctx))
+                    cands[code] = table[cand.rule] = cand
+                was = cand.pos - cand.neg >= 1
+                cand.pos = pos
+                cand.neg = neg
+                cand.neut = rest - pos
+                if (pos - neg >= 1) != was:
+                    if was:
+                        del eligible[bisect_left(eligible, cand.order, key=_order)]
+                    else:
+                        if cand.order is None:
+                            cand.order = rule_order(cand.rule)
+                        insort(eligible, cand, key=_order)
+
+
+def _pairs(pi: int, columns, truths) -> Counter:
+    """``(key, truth code)`` counts of counted set ``pi``'s positions, from
+    their codes at each of the set's plan offsets and their truth codes.
+    """
+    return Counter(zip(zip(repeat(pi), *columns), truths))
+
+
+def _project(moved, projections, into: dict) -> None:
+    """Add each nonzero count of moved, projected, to the keys of the contained sets."""
+    if not projections:
+        return
+    for (key, t), n in moved.items():
+        if n:
+            for si, pick in projections:
+                pair = (si, *pick(key)), t
+                into[pair] = into.get(pair, 0) + n
 
 
 def init_index(corpus: Corpus, templates) -> TrainerIndex:
     """Build the index from scratch against the corpus's current tags.
 
-    Per position set, one Counter over columns of the coded strings counts
-    every (key, truth) pair; then every key is scored, so the candidates
-    and their counts equal a fresh enumerate_candidates over the same
-    corpus.
+    Per counted position set, one Counter over columns of the coded
+    strings counts every (key, truth) pair, and the pairs, projected,
+    count the keys of the sets it contains.  Then every key is scored, so
+    the candidates and their counts equal a fresh enumerate_candidates
+    over the same corpus.
     """
     index = TrainerIndex(corpus, templates)
     width, text = index.width, index.text
     end = len(text) - width
-    cur = text[width:end]
     truth = index.truth[width:end]
-    keys = index.keys
-    for pi, pset in enumerate(index.psets):
-        columns = [text[width + off : end + off] for off in pset]
-        pairs = Counter(zip(zip(repeat(pi), cur, *columns), truth))
-        for (key, t), n in pairs.items():
-            if key[1] != PAD:
-                keys.setdefault(key, {})[t] = n
-    for key in keys:
-        index._refresh(key)
+    projected = {}
+    for pi, offsets, projections in index.plan:
+        pairs = _pairs(pi, [text[width + off : end + off] for off in offsets], truth)
+        for pair in [pair for pair in pairs if pair[0][1] == PAD]:
+            del pairs[pair]  # the padding between sentences
+        index._move(pairs, set())
+        _project(pairs, projections, projected)
+    index._move(projected, set())
+    index._rescore(index.keys)
     index.links_total = corpus.n_tokens * len(index.psets)
     return index
 
@@ -197,11 +279,14 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus, rule: Rule) -> list[Si
     """Apply a candidate rule at its sites and repair the index.
 
     The sites are matched in the coded string before any is rewritten, so
-    changes never alter the match set mid-pass.  Then each position whose
-    key under some position set reads a rewritten site moves one count of
-    its truth tag from its old key to its new one, and every key left or
-    joined is rescored once at the end.  Returns the changed sites in
-    corpus order.
+    changes never alter the match set mid-pass.  A hit at ``h`` changes
+    the key of each position ``h - o``, for ``o`` in 0 and a position set's
+    offsets.  For each counted set, these positions' codes are gathered
+    from the old and the new string at once, and their (key, truth) pairs
+    counted: the new counts less the old are the net moves of the set's
+    keys.  The sets it contains read no position it does not, so its
+    nonzero moves, projected, are theirs.  Only the keys whose counts
+    moved are rescored.  Returns the changed sites in corpus order.
     """
     if rule not in index.table:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")
@@ -211,36 +296,28 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus, rule: Rule) -> list[Si
     apply_at_sites(corpus, rule, sites)
     index.text = new
 
-    keys = index.keys
     truth = index.truth
     touched = set()
     reread = set()
+    projected = {}
     created = 0
-    for pi, pset in enumerate(index.psets):
-        offsets = (0, *pset)
-        # Each of these reads a hit at some offset, so its key changed.
+    for pi, offsets, projections in index.plan:
         near = [p for p in {h - off for h in hits for off in offsets} if old[p] != PAD]
         reread.update(near)
-        for p in near:
-            t = truth[p]
-            was = (pi, *[old[p + off] for off in offsets])
-            counts = keys[was]
-            left = counts[t] - 1
-            if left:
-                counts[t] = left
-            else:
-                del counts[t]
-            now = (pi, *[new[p + off] for off in offsets])
-            counts = keys.get(now)
-            if counts is None:
-                counts = keys[now] = {}
-                created += 1
-            counts[t] = counts.get(t, 0) + 1
-            touched.add(was)
-            touched.add(now)
+        n = len(near)
+        # offsets has two or more entries, so get returns a tuple: a run
+        # of n codes per offset, offset 0 (the positions themselves) first
+        get = itemgetter(*[p + off for off in offsets for p in near])
+        truths = get(truth)[:n]
+        was, now = get(old), get(new)
+        runs = range(0, len(was), n)
+        moved = _pairs(pi, [now[i : i + n] for i in runs], truths)
+        moved.subtract(_pairs(pi, [was[i : i + n] for i in runs], truths))
+        created += index._move(moved, touched)
+        _project(moved, projections, projected)
+    created += index._move(projected, touched)
 
-    for key in touched:
-        index._refresh(key)
+    index._rescore(touched)
     index.last_unseen_added = created
     index.last_sites_rechecked = len(reread)
     return sites

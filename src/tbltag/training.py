@@ -8,6 +8,7 @@ either engine.
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 import sys
@@ -182,6 +183,30 @@ def config_pairs(config: TrainerConfig) -> list[tuple[str, str]]:
     ]
 
 
+def _temp_file(path: str) -> tuple[int, str]:
+    """Create the temp file atomic_writer writes for path: ``(fd, temp path)``.
+
+    A path that is a directory is refused here, naming it, rather than by
+    the os.replace after the whole write.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+
+
+def check_writable(path: str) -> None:
+    """Raise OSError now if atomic_writer could not write path.
+
+    It makes and removes the temp file atomic_writer would write, so a
+    long run can find out before it starts that it could not save.
+    """
+    fd, tmp = _temp_file(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 @contextmanager
 def atomic_writer(path: str):
     """A text file handle whose contents replace path only on success.
@@ -190,9 +215,7 @@ def atomic_writer(path: str):
     the block exits normally; on an exception the temp file is removed
     and path is left as it was.  So no reader ever sees a half-written file.
     """
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd, tmp = _temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

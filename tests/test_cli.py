@@ -629,6 +629,29 @@ def test_exit_1_on_unwritable_model_path(tmp_path, chain, capsys, target):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "adir"], ids=["no-such-dir", "a-dir"])
+@pytest.mark.parametrize("flag", ["--trace", "--curve", "--deps-out", "--audit-log"])
+def test_exit_1_before_training_on_unwritable_output(
+    tmp_path, chain, capsys, monkeypatch, flag, target
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / target
+    rc = main(["train", "--corpus", str(chain), "--default-tag", "Z", "--deps",
+               flag, str(out), "-o", str(tmp_path / "m.model")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    # one line naming the target, not its temp file
+    assert err.startswith(f"cannot write {out}: ")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    # nothing written: no model, no other output, no temp file
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_exit_1_on_missing_model(tmp_path, chain, capsys):
     rc = main(["eval", "--model", str(tmp_path / "no.model"), "--corpus", str(chain)])
     assert rc == 1

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbltag.corpus import baseline_assign, build_lexicon, error_count, parse_corpus
+from tbltag.corpus import BOUNDARY, baseline_assign, build_lexicon, error_count, parse_corpus
 from tbltag.dependency import dependency_report
 from tbltag.evaluate import replay
-from tbltag.rules import PAD, Rule, RuleScore, apply_rule, parse_template_spec, tag_codes
+from tbltag.rules import (
+    DEFAULT_TEMPLATES,
+    PAD,
+    Rule,
+    RuleScore,
+    apply_rule,
+    parse_template_spec,
+    position_sets,
+    tag_codes,
+)
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import (
     AuditError,
@@ -590,6 +599,14 @@ def test_live_greedy_pick_breaks_a_tie_between_rules_sharing_a_canonical_string(
 # Spans up to 3, so most sentences are shorter than some template.
 T_WIDE = parse_template_spec("-1; +1; -3; +2,+3; -2,-1")
 
+# The cases of the index's plan: a set contained in two others, no set
+# containing another, and T_WIDE's mix of counted and projected sets.
+ADVERSARIAL_TEMPLATES = (
+    parse_template_spec("-1; -2,-1; -1,+1"),
+    parse_template_spec("-3; +2"),
+    T_WIDE,
+)
+
 
 @st.composite
 def _adversarial_corpus(draw) -> str:
@@ -613,16 +630,17 @@ def _adversarial_corpus(draw) -> str:
 
 @given(
     text=_adversarial_corpus(),
+    templates=st.sampled_from(ADVERSARIAL_TEMPLATES),
     strategy=st.sampled_from([Strategy.GREEDY, Strategy.RANDOM]),
     threshold=st.integers(1, 2),
     rng_seed=st.integers(0, 99),
 )
 @settings(max_examples=150)
-def test_engine_equivalence_adversarial(text, strategy, threshold, rng_seed):
+def test_engine_equivalence_adversarial(text, templates, strategy, threshold, rng_seed):
     corpus_n = parse_corpus(text)
     corpus_i = corpus_n.clone()
     lex = build_lexicon(corpus_n, "A")
-    base = dict(templates=T_WIDE, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
+    base = dict(templates=templates, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
     cfg_n = TrainerConfig(**base, record_deps=True)
     cfg_i = TrainerConfig(**base, record_deps=True, audit=True)
 
@@ -634,3 +652,48 @@ def test_engine_equivalence_adversarial(text, strategy, threshold, rng_seed):
     assert cvn == cvi
     assert corpus_n == corpus_i
     assert dependency_report(corpus_n) == dependency_report(corpus_i)
+
+
+def _observed_keys(corpus, psets) -> set:
+    """Every site's observation key, read tag by tag from the corpus."""
+    keys = set()
+    for sent in corpus.sentences:
+        n = len(sent)
+        for ti, tok in enumerate(sent):
+            for pi, pset in enumerate(psets):
+                ctx = [sent[ti + off].current if 0 <= ti + off < n else BOUNDARY for off in pset]
+                keys.add((pi, tok.current, *ctx))
+    return keys
+
+
+def _reread(corpus, sites, psets) -> int:
+    """Tokens with a changed site at offset 0 or at an offset of some set."""
+    changed = set(sites)
+    offsets = {0}.union(*psets)
+    return sum(
+        any((si, ti + off) in changed for off in offsets)
+        for si, sent in enumerate(corpus.sentences)
+        for ti in range(len(sent))
+    )
+
+
+@given(
+    text=_adversarial_corpus(),
+    templates=st.sampled_from(ADVERSARIAL_TEMPLATES + (DEFAULT_TEMPLATES,)),
+    strategy=st.sampled_from([Strategy.GREEDY, Strategy.RANDOM]),
+    rng_seed=st.integers(0, 99),
+)
+@settings(max_examples=150)
+def test_pass_counters_match_a_recount(text, templates, strategy, rng_seed):
+    # new_keys and sites_rechecked of the audit log, recounted by brute force
+    corpus = parse_corpus(text)
+    baseline_assign(corpus, build_lexicon(corpus, "A"))
+    cfg = TrainerConfig(templates=templates, threshold=1, strategy=strategy, rng_seed=rng_seed)
+    psets = position_sets(templates)
+    index = init_index(corpus, templates)
+    rng = random.Random(rng_seed)
+    while (picked := index.pick(cfg, rng)) is not None:
+        before = _observed_keys(corpus, psets)
+        sites = apply_and_update(index, corpus, picked[0])
+        assert index.last_unseen_added == len(_observed_keys(corpus, psets) - before)
+        assert index.last_sites_rechecked == _reread(corpus, sites, psets)
