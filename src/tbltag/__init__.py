@@ -30,7 +30,7 @@ from .dependency import (
     record_pass,
     render_tree,
 )
-from .evaluate import Curve, evaluate_curve, replay, tag, tag_stream
+from .evaluate import Curve, Tally, evaluate_curve, replay, tag, tag_stream
 from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_TEMPLATES,

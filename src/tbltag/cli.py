@@ -8,13 +8,15 @@ rule text that does not parse).
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 import time
 from contextlib import nullcontext
 
-from .corpus import ParseError, accuracy_of, build_lexicon, parse_corpus
+from .corpus import ParseError, accuracy_of, build_lexicon, parse_corpus, parse_line
 from .dependency import RecordingDisabledError, dependency_report, record_pass
-from .evaluate import Curve, evaluate_curve, replay, tag_stream
+from .evaluate import Curve, Tally, replay, tag_stream
 from .rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_WINDOW,
@@ -85,7 +87,10 @@ def _read_config_file(path: str) -> list[str]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file options right after the subcommand name."""
+    """Splice config-file options right after the subcommand name.
+
+    The path itself goes last, so that ``args.config`` names the file.
+    """
     path = None
     cleaned = []
     i = 0
@@ -107,7 +112,7 @@ def _inject_config(argv: list[str]) -> list[str]:
         return argv
     if not cleaned:
         raise _UsageError("--config requires a subcommand")
-    return [cleaned[0], *_read_config_file(path), *cleaned[1:]]
+    return [cleaned[0], *_read_config_file(path), *cleaned[1:], f"--config={path}"]
 
 
 def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> _DataError:
@@ -140,6 +145,49 @@ def _write_text(path: str | None, text: str) -> None:
         raise _cannot_write(path, exc) from None
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.normcase(os.path.realpath(a)) == os.path.normcase(os.path.realpath(b))
+
+
+# The files the commands read, by argument name.
+_INPUTS = {"corpus": "corpus", "test_corpus": "test corpus", "input": "input corpus",
+           "train": "train corpus", "test": "test corpus", "config": "config file"}
+
+
+def _resolve_outputs(args) -> None:
+    """Resolve the command's output paths and try each before any work.
+
+    An output that is one of the command's inputs or an earlier output
+    stops the command, as does one that cannot be written, so a failed
+    run writes nothing.  "-" is stdout, except for the model train writes.
+    """
+    inputs = [(what, getattr(args, name, None)) for name, what in _INPUTS.items()]
+    if args.command == "train":
+        args.trace = args.trace or args.model + ".trace.tsv"
+        args.curve = args.curve or args.model + ".curve.tsv"
+        args.deps_out = (args.deps_out or args.model + ".deps.txt") if args.deps else None
+        outputs = {"model": args.model, "trace": args.trace, "curve": args.curve,
+                   "deps report": args.deps_out, "audit log": args.audit_log}
+    else:
+        inputs.append(("model", args.model))
+        outputs = {"output": args.output}
+    earlier = []
+    for what, path in outputs.items():
+        if path is None or (path == "-" and what != "model"):
+            continue
+        for other, other_path in earlier + inputs:
+            if other_path is not None and _same_file(path, other_path):
+                raise _UsageError(f"{what} {path} would overwrite the {other} {other_path}")
+        try:
+            check_writable(path)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
+        earlier.append((what, path))
+
+
 def _header(cmd: str, pairs: dict) -> str:
     lines = [f"# tbltag {cmd}"]
     for key in sorted(pairs):
@@ -163,7 +211,11 @@ def _cmd_train(args) -> int:
     corpus = parse_corpus(text)
     if corpus.n_tokens == 0:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
-    test = parse_corpus(_read_text(args.test_corpus, "test corpus")) if args.test_corpus else None
+    # The test corpus is checked now and tagged after training, kept as
+    # text rather than as a Corpus.
+    test_text = _read_text(args.test_corpus, "test corpus") if args.test_corpus else ""
+    for lineno, line in enumerate(test_text.splitlines(), start=1):
+        parse_line(line, lineno)
     lexicon = build_lexicon(corpus, args.default_tag)
     check_tagset(lexicon.tags())
     templates = parse_template_spec(args.templates, window=args.window)
@@ -176,22 +228,6 @@ def _cmd_train(args) -> int:
         record_deps=args.deps,
         audit=args.audit,
     )
-    trace_path = args.trace or args.model + ".trace.tsv"
-    curve_path = args.curve or args.model + ".curve.tsv"
-    deps_path = args.deps_out or args.model + ".deps.txt"
-    # Try every output file before the first pass: a path that cannot be
-    # written stops the run with nothing written.  "-" is stdout, except
-    # for the model.
-    outputs = [trace_path, curve_path]
-    if args.deps:
-        outputs.append(deps_path)
-    if args.audit_log:
-        outputs.append(args.audit_log)
-    for path in [args.model, *[path for path in outputs if path != "-"]]:
-        try:
-            check_writable(path)
-        except OSError as exc:
-            raise _cannot_write(path, exc) from None
 
     audit_log: list[str] | None = [] if args.audit_log else None
     if args.engine == "naive":
@@ -220,17 +256,17 @@ def _cmd_train(args) -> int:
     except OSError as exc:
         raise _cannot_write(args.model, exc) from None
 
-    _write_text(trace_path, _header("train", effective) + trace_tsv(trace))
+    _write_text(args.trace, _header("train", effective) + trace_tsv(trace))
 
+    test_acc = None
     if args.test_corpus:
-        curve_obj = evaluate_curve(model, corpus.clone(), test)
-    else:
-        curve_obj = Curve([(p, a, None) for p, a in curve])
-    _write_text(curve_path, _header("train", effective) + curve_obj.to_tsv())
+        test_acc = tag_stream(model, io.StringIO(test_text), tagged=True).accuracies()
+    curve_obj = Curve.of([a for _, a in curve], test_acc)
+    _write_text(args.curve, _header("train", effective) + curve_obj.to_tsv())
 
     if args.deps:
         report = dependency_report(corpus, model)
-        _write_text(deps_path, _header("train", effective) + report)
+        _write_text(args.deps_out, _header("train", effective) + report)
 
     if args.audit_log and audit_log is not None:
         log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])
@@ -243,15 +279,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _tag_timed(model: Model, path: str, what: str, output: str | None, tagged: bool,
-               on_new_tag=None) -> tuple[int, int]:
-    """Stream the file at path through ``tag_stream`` and time the loop.
+def _tag_file(model: Model, path: str, what: str, output: str | None = None,
+              tagged: bool = True, on_new_tag=None) -> Tally:
+    """Stream the file at path through ``tag_stream`` and return its tally.
 
     The tagged text goes to the file ``output``, or to stdout for "-";
-    with no ``output`` nothing is written.  Writes a one-line speed
-    summary to stderr and returns ``(tokens, errors)``.
+    with no ``output`` nothing is written.
     """
-    start = time.perf_counter()
     try:
         src = open(path, encoding="utf-8")
     except OSError as exc:
@@ -262,18 +296,25 @@ def _tag_timed(model: Model, path: str, what: str, output: str | None, tagged: b
         sink = atomic_writer(output)
     try:
         with src, sink as out:
-            tokens, errors = tag_stream(model, src, out, tagged, on_new_tag)
+            return tag_stream(model, src, out, tagged, on_new_tag)
     except OSError as exc:
         raise _UsageError(f"cannot tag {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(what, path, exc) from None
+
+
+def _tag_timed(model: Model, path: str, what: str, output: str | None = None,
+               tagged: bool = True, on_new_tag=None) -> Tally:
+    """``_tag_file``, writing a one-line speed summary to stderr."""
+    start = time.perf_counter()
+    tally = _tag_file(model, path, what, output, tagged, on_new_tag)
     seconds = time.perf_counter() - start
-    rate = tokens / seconds if seconds > 0 else 0.0
+    rate = tally.tokens / seconds if seconds > 0 else 0.0
     sys.stderr.write(
-        f"tagged {tokens} tokens with {len(model.rules)} rules "
+        f"tagged {tally.tokens} tokens with {len(model.rules)} rules "
         f"in {seconds:.3f} s ({rate:.0f} tokens/s)\n"
     )
-    return tokens, errors
+    return tally
 
 
 def _warn_new_tag(tag: str) -> None:
@@ -288,12 +329,12 @@ def _cmd_tag(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = _load_model(args.model)
-    tokens, errors = _tag_timed(model, args.corpus, "corpus", None, True)
+    tally = _tag_timed(model, args.corpus, "corpus")
     pairs = {"model": args.model, "corpus": args.corpus}
     body = (
-        f"tokens\t{tokens}\n"
-        f"errors\t{errors}\n"
-        f"accuracy\t{accuracy_of(tokens, errors)!r}\n"
+        f"tokens\t{tally.tokens}\n"
+        f"errors\t{tally.errors}\n"
+        f"accuracy\t{accuracy_of(tally.tokens, tally.errors)!r}\n"
     )
     _write_text(args.output, _header("eval", pairs) + body)
     return 0
@@ -301,9 +342,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_curve(args) -> int:
     model = _load_model(args.model)
-    train = parse_corpus(_read_text(args.train, "train corpus"))
-    test = parse_corpus(_read_text(args.test, "test corpus")) if args.test else None
-    curve = evaluate_curve(model, train, test, errored_only=args.errored_only)
+    # One file at a time, so an error names the file it is in.
+    train = _tag_file(model, args.train, "train corpus").accuracies(args.errored_only)
+    test = None
+    if args.test:
+        test = _tag_file(model, args.test, "test corpus").accuracies(args.errored_only)
     pairs = {
         "model": args.model,
         "train": args.train,
@@ -311,7 +354,7 @@ def _cmd_curve(args) -> int:
     }
     if args.test:
         pairs["test"] = args.test
-    _write_text(args.output, _header("curve", pairs) + curve.to_tsv())
+    _write_text(args.output, _header("curve", pairs) + Curve.of(train, test).to_tsv())
     return 0
 
 
@@ -424,6 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _inject_config(list(argv))
         args = parser.parse_args(argv)
+        _resolve_outputs(args)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")

@@ -3,9 +3,9 @@
 Replay runs the model's rules, compiled once (``rules.compile_rules``), as
 patterns over the text coded one character per tag, through the one
 rule-replay loop ``rules.run_rules``.  ``replay`` codes a parsed Corpus
-and writes each rule's sites back to its tokens, for the curve and the
+and writes each rule's sites back to its tokens, for ``tag`` and the
 dependency report; ``tag_stream`` codes the words of a text a chunk at a
-time and builds no tokens at all.
+time, builds no tokens at all, and counts the errors left after each rule.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from io import TextIOBase
-from itertools import repeat
-from operator import ne
+from itertools import accumulate, count, repeat
+from operator import ne, sub
 
-from .corpus import Corpus, Site, baseline_assign, parse_line
+from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_line
 from .rules import PAD, Rule, code_corpus, compile_rules, run_rules, sites_of, tag_codes
 from .training import Model, apply_at_sites
 
@@ -71,6 +71,31 @@ def tag(model: Model, corpus: Corpus) -> Corpus:
     return replay(model, corpus)
 
 
+@dataclass(slots=True)
+class Tally:
+    """What ``tag_stream`` counted over a whole text.
+
+    ``errors`` are those left after the last rule.  For tagged text, rule
+    ``n`` (from 0) lowered the errors over all tokens by ``fixed[n]``, and
+    over only the tokens the baseline got wrong by ``repaired[n]``.
+    """
+
+    tokens: int
+    errors: int
+    fixed: list[int]
+    repaired: list[int]
+
+    def accuracies(self, errored_only: bool = False) -> list[float]:
+        """Accuracy at the baseline and after each rule, from whole-text counts.
+
+        With ``errored_only`` it is measured over only the tokens the
+        baseline got wrong, isolating how much of them the rules repair.
+        """
+        baseline = self.errors + sum(self.fixed)
+        total, steps = (baseline, self.repaired) if errored_only else (self.tokens, self.fixed)
+        return [accuracy_of(total, wrong) for wrong in accumulate(steps, sub, initial=baseline)]
+
+
 def tag_stream(
     model: Model,
     src: TextIOBase,
@@ -78,23 +103,25 @@ def tag_stream(
     tagged: bool = False,
     on_new_tag: Callable[[str], object] | None = None,
     chunk_chars: int = CHUNK_CHARS,
-) -> tuple[int, int]:
+) -> Tally:
     """Tag one-sentence-per-line text from ``src`` a chunk at a time.
 
     Writes to ``out``, when given, exactly ``serialize_corpus(tag(model,
     parse_corpus(text, tagged)), "current")`` for the whole text, and
-    returns ``(tokens, errors)``: the tokens read and, for tagged input,
+    returns the ``Tally`` of it: the tokens read and, for tagged input,
     how many of them end with a tag other than their own (``error_count``
-    of that corpus).  Lines are split as ``parse_corpus`` splits them and
-    a malformed item raises the same ParseError, with the line number
-    counted from the start of the text; chunks already tagged have been
-    written by then.  With tagged input, ``on_new_tag(tag)`` is called
-    once for each tag outside the model's tagset, in first-seen order.
+    of that corpus) and how many errors each rule removed.  Lines are split
+    as ``parse_corpus`` splits them and a malformed item raises the same
+    ParseError, with the line number counted from the start of the text;
+    chunks already tagged have been written by then.  With tagged input,
+    ``on_new_tag(tag)`` is called once for each tag outside the model's
+    tagset, in first-seen order.
 
     Each word is coded through a word -> code table built once from
     ``Lexicon.most_frequent``, and each chunk's coded string is padded
     only as wide as its longest sentence needs; the compiled rule list is
-    kept per width.
+    kept per width.  A truth tag outside the tagset is coded as padding,
+    which no rule's tags match.
     """
     codes = tag_codes(model.tagset())
     tag_of = {code: tag for tag, code in codes.items()}
@@ -102,6 +129,9 @@ def tag_stream(
     word_code = {word: codes[most_frequent(word)] for word in model.lexicon.counts}
     default = codes[model.default_tag]
     span = max((rule.span for rule in model.rules), default=0)
+    ends = [(codes[rule.frm], codes[rule.to]) for rule in model.rules]
+    fixed = [0] * len(ends)
+    repaired = [0] * len(ends)
     compiled: dict[int, list] = {}
     seen: set[str] = set()
     tokens = errors = lineno = 0
@@ -125,12 +155,22 @@ def tag_stream(
         coded = [
             "".join(map(word_code.get, words, repeat(default))) for words, _ in sents
         ]
-        text = run_rules(rules, pad + pad.join(coded) + pad)
+        base = pad + pad.join(coded) + pad
         tokens += sum(map(len, coded))
         if tagged:
             truth = pad + pad.join(
                 "".join(map(codes.get, tags, repeat(PAD))) for _, tags in sents
             ) + pad
+
+            def count_hits(n: int, hits: list[int]) -> None:
+                frm, to = ends[n]
+                for h in hits:
+                    step = (truth[h] == to) - (truth[h] == frm)
+                    fixed[n] += step
+                    if base[h] != truth[h]:
+                        repaired[n] += step
+
+            text = run_rules(rules, base, count_hits)
             errors += sum(map(ne, text, truth))
             if on_new_tag is not None:
                 for _, tags in sents:
@@ -138,6 +178,8 @@ def tag_stream(
                         if tag not in codes and tag not in seen:
                             seen.add(tag)
                             on_new_tag(tag)
+        else:
+            text = run_rules(rules, base)
         if out is not None:
             pos = width
             rows = []
@@ -147,7 +189,7 @@ def tag_stream(
                 rows.append(" ".join(map("/".join, zip(words, current))))
                 pos = end + width
             out.write("\n".join(rows) + "\n")
-    return tokens, errors
+    return Tally(tokens, errors, fixed, repaired)
 
 
 @dataclass(slots=True)
@@ -155,6 +197,11 @@ class Curve:
     """Accuracy after each pass; pass 0 is the baseline."""
 
     points: list[tuple[int, float, float | None]]
+
+    @classmethod
+    def of(cls, train: list[float], test: list[float] | None = None) -> Curve:
+        """The curve of per-pass accuracy columns, passes numbered from 0."""
+        return cls(list(zip(count(), train, repeat(None) if test is None else test)))
 
     def final(self) -> tuple[int, float, float | None]:
         return self.points[-1]
@@ -171,66 +218,17 @@ class Curve:
         return "\n".join(lines) + "\n"
 
 
-def _accuracies(model: Model, corpus: Corpus, errored_only: bool) -> list[float]:
-    """Accuracy of the corpus at the baseline and after each rule.
-
-    The baseline is counted once; after that each rule moves the count of
-    correct tokens by its own sites alone, each of which went from
-    ``rule.frm`` to ``rule.to``.  A token without a truth tag counts as
-    correct, as in ``corpus.accuracy``; rewriting it moves no count, since
-    None equals neither tag.
-    """
-    baseline_assign(corpus, model.lexicon)
-    sentences = corpus.sentences
-    wrong = {
-        (si, ti)
-        for si, sent in enumerate(sentences)
-        for ti, tok in enumerate(sent)
-        if tok.truth is not None and tok.current != tok.truth
-    }
-    if errored_only:
-        mask = wrong
-        total = len(wrong)
-        correct = 0
-    else:
-        mask = None
-        total = corpus.n_tokens
-        correct = total - len(wrong)
-
-    def measure() -> float:
-        return correct / total if total else 1.0
-
-    def count(pass_no: int, rule: Rule, sites: list[Site]) -> None:
-        nonlocal correct
-        frm, to = rule.frm, rule.to
-        for si, ti in sites:
-            if mask is None or (si, ti) in mask:
-                truth = sentences[si][ti].truth
-                correct += (truth == to) - (truth == frm)
-        points.append(measure())
-
-    points = [measure()]
-    replay(model, corpus, on_rule=count)
-    return points
-
-
 def evaluate_curve(
     model: Model,
-    train_corpus: Corpus,
-    test_corpus: Corpus | None = None,
+    train: TextIOBase,
+    test: TextIOBase | None = None,
     errored_only: bool = False,
 ) -> Curve:
-    """Accuracy after every rule in one sweep over each corpus.
+    """Accuracy after every rule, each gold text streamed once through ``tag_stream``.
 
-    The rules are applied once in sequence, measuring after each, rather
-    than replaying the whole prefix per point.  Mutates the corpora it is
-    given.  With ``errored_only`` accuracy is measured over only the
-    tokens the baseline got wrong, isolating how much of the originally
-    wrong material the rules repair.
+    ``errored_only`` is as in ``Tally.accuracies``.
     """
-    train = _accuracies(model, train_corpus, errored_only)
-    if test_corpus is None:
-        test = [None] * len(train)
-    else:
-        test = _accuracies(model, test_corpus, errored_only)
-    return Curve(list(zip(range(len(train)), train, test)))
+    train_acc = tag_stream(model, train, tagged=True).accuracies(errored_only)
+    if test is None:
+        return Curve.of(train_acc)
+    return Curve.of(train_acc, tag_stream(model, test, tagged=True).accuracies(errored_only))

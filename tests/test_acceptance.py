@@ -20,6 +20,7 @@ helper code:
    bijection over 10,000 fuzzed rules
 """
 
+import io
 import random
 import time
 
@@ -248,12 +249,13 @@ MIXED = parse_template_spec("-1; -2; -2,-1; +1; +2; +1,+2; -1,+1; -5,+5")
 
 
 def _overtraining_margin(templates, spec, train_seed, test_seed):
-    train = parse_corpus(markov_corpus(spec, train_seed, 800))
-    test = parse_corpus(markov_corpus(spec, test_seed, 4000))
+    train_text = markov_corpus(spec, train_seed, 800)
+    test_text = markov_corpus(spec, test_seed, 4000)
+    train = parse_corpus(train_text)
     lexicon = build_lexicon(train, "T00")
     cfg = TrainerConfig(templates=templates, threshold=1)
     model, _, train_curve = train_incremental(train, lexicon, cfg)
-    curve = evaluate_curve(model, train.clone(), test)
+    curve = evaluate_curve(model, io.StringIO(train_text), io.StringIO(test_text))
     test_accs = [t for _, _, t in curve.points]
     train_accs = [a for _, a in train_curve]
     monotone = all(b >= a for a, b in zip(train_accs, train_accs[1:]))

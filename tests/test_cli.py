@@ -8,6 +8,7 @@ import pytest
 
 from tbltag.cli import main
 from tbltag.corpus import ParseError, parse_corpus
+from tbltag.synth import ChainSpec, markov_corpus
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -135,6 +136,28 @@ def test_train_test_corpus_curve_column(tmp_path, chain):
     last = lines[-1].split("\t")
     assert float(last[1]) == 1.0
     assert float(last[2]) == 1.0
+
+
+def test_train_test_corpus_curve_equals_curve_command(tmp_path, capsys):
+    # the training run's curve file against the streamed `tbltag curve`:
+    # same body, and its train column is the trainer's own curve
+    spec = ChainSpec(structure_seed=7)
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    train.write_text(markov_corpus(spec, draw_seed=1, n_tokens=3000))
+    test.write_text(markov_corpus(spec, draw_seed=2, n_tokens=3000))
+    argv = ["train", "--corpus", str(train), "--default-tag", "T00"]
+    assert main([*argv, "--test-corpus", str(test), "-o", str(tmp_path / "t.model")]) == 0
+    assert main([*argv, "-o", str(tmp_path / "p.model")]) == 0
+    capsys.readouterr()
+    assert main(["curve", "--model", str(tmp_path / "t.model"),
+                 "--train", str(train), "--test", str(test)]) == 0
+    streamed = _body(capsys.readouterr().out)
+    trained = _body((tmp_path / "t.model.curve.tsv").read_text())
+    assert trained == streamed
+    rows = [line.split("\t") for line in trained.splitlines()]
+    assert rows[0] == ["pass", "train_acc", "test_acc"] and len(rows) > 10
+    plain = _body((tmp_path / "p.model.curve.tsv").read_text())
+    assert [row[:2] for row in rows] == [line.split("\t") for line in plain.splitlines()]
 
 
 def test_train_audit_log(tmp_path, chain):
@@ -650,6 +673,81 @@ def test_exit_1_before_training_on_unwritable_output(
     assert err.count("\n") == 1 and ".tmp" not in err
     # nothing written: no model, no other output, no temp file
     assert sorted(tmp_path.rglob("*")) == before
+
+
+_TRAIN = ["train", "--corpus", "chain.txt", "--default-tag", "Z", "-o", "new.model"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_TRAIN, "--trace", "chain.txt"],
+        [*_TRAIN, "--curve", "new.model"],
+        [*_TRAIN, "--audit-log", "new.model"],
+        [*_TRAIN, "--deps", "--deps-out", "new.model.trace.tsv"],
+        [*_TRAIN, "--trace", "x.tsv", "--curve", "sub/../x.tsv"],
+        [*_TRAIN, "--test-corpus", "test.txt", "--curve", "test.txt"],
+        [*_TRAIN, "--config", "cfg.txt", "--trace", "cfg.txt"],
+        [*_TRAIN[:-1], "link.txt"],
+        ["tag", "--model", "m.model", "--in", "chain.txt", "-o", "chain.txt"],
+        ["tag", "--model", "m.model", "--in", "chain.txt", "-o", "m.model"],
+        ["eval", "--model", "m.model", "--corpus", "chain.txt", "-o", "./chain.txt"],
+        ["eval", "--config", "cfg.txt", "--model", "m.model", "--corpus", "chain.txt",
+         "-o", "cfg.txt"],
+        ["curve", "--model", "m.model", "--train", "chain.txt", "--test", "test.txt",
+         "-o", "test.txt"],
+        ["curve", "--model", "m.model", "--train", "chain.txt", "-o", "m.model"],
+        ["deps", "--model", "m.model", "--corpus", "chain.txt", "-o", "link.txt"],
+    ],
+    ids=["train-trace-corpus", "train-curve-model", "train-audit-model", "train-deps-trace",
+         "train-trace-curve", "train-curve-test", "train-trace-config", "train-model-corpus",
+         "tag-output-input", "tag-output-model", "eval-output-corpus", "eval-output-config",
+         "curve-output-test", "curve-output-model", "deps-output-corpus"],
+)
+def test_exit_1_when_an_output_would_overwrite_a_file_of_the_run(
+    tmp_path, chain, capsys, monkeypatch, argv
+):
+    _train(tmp_path, chain, "--deps")
+    (tmp_path / "test.txt").write_text(CHAIN)
+    (tmp_path / "cfg.txt").write_text("# defaults\n")
+    (tmp_path / "link.txt").symlink_to(chain)
+    (tmp_path / "sub").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and " would overwrite the " in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("tag", "--in"), ("eval", "--corpus"), ("curve", "--train"), ("deps", "--corpus")],
+)
+def test_exit_1_before_reading_on_unwritable_output(
+    tmp_path, chain, capsys, monkeypatch, command, flag
+):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the model was read")
+
+    model = _train(tmp_path, chain, "--deps")
+    monkeypatch.setattr("tbltag.cli._load_model", no_reading)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "missing" / "out.txt"
+    capsys.readouterr()
+    argv = [command, flag, str(chain), "--model", str(model), "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_outputs_on_stdout_do_not_clash(tmp_path, chain, capsys):
+    rc = main(["train", "--corpus", str(chain), "--default-tag", "Z", "--templates", "-1",
+               "--trace", "-", "--curve", "-", "-o", str(tmp_path / "m.model")])
+    assert rc == 0
+    assert capsys.readouterr().out.count("# tbltag train\n") == 2
 
 
 def test_exit_1_on_missing_model(tmp_path, chain, capsys):

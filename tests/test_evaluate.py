@@ -43,8 +43,8 @@ def _trained(seed: int = 5, n_tokens: int = 200):
     test_text = markov_corpus(spec, draw_seed=rng.randrange(2**20), n_tokens=n_tokens)
     corpus = parse_corpus(train_text)
     lex = build_lexicon(corpus, "T00")
-    model, trace, curve = train_naive(corpus, lex, TrainerConfig(templates=T2, threshold=1))
-    return model, corpus, parse_corpus(test_text), trace, curve
+    model, _, curve = train_naive(corpus, lex, TrainerConfig(templates=T2, threshold=1))
+    return model, corpus, train_text, test_text, curve
 
 
 def test_tag_replays_training_exactly():
@@ -219,12 +219,12 @@ def test_tag_stream_matches_tag(case):
             stream()
         assert str(got.value) == str(exc)
         return
-    tokens, errors = stream()
+    tally = stream()
     tag(model, corpus)
     assert out.getvalue() == serialize_corpus(corpus, "current")
-    assert tokens == corpus.n_tokens
-    assert errors == error_count(corpus)
-    assert accuracy_of(tokens, errors) == accuracy(corpus)
+    assert tally.tokens == corpus.n_tokens
+    assert tally.errors == error_count(corpus)
+    assert accuracy_of(tally.tokens, tally.errors) == accuracy(corpus)
     known = set(model.tagset())
     expected_new = []
     for sent in corpus.sentences:
@@ -232,11 +232,15 @@ def test_tag_stream_matches_tag(case):
             if tagged and tok.truth not in known and tok.truth not in expected_new:
                 expected_new.append(tok.truth)
     assert new_tags == expected_new
+    if tagged:
+        # the per-rule counts, tags outside the tagset and chunking included
+        for errored_only in (False, True):
+            assert tally.accuracies(errored_only) == _recounted_curve(model, corpus, errored_only)
 
 
 def test_evaluate_curve_matches_trainer_curve():
-    model, corpus, _, _, train_curve = _trained()
-    replay = evaluate_curve(model, corpus.clone())
+    model, corpus, train_text, _, train_curve = _trained()
+    replay = evaluate_curve(model, io.StringIO(train_text))
     assert [(p, a) for p, a, _ in replay.points] == train_curve
     assert all(t is None for _, _, t in replay.points)
     assert replay.final()[1] == accuracy(corpus)
@@ -245,13 +249,13 @@ def test_evaluate_curve_matches_trainer_curve():
 def test_evaluate_curve_toy():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    curve = evaluate_curve(model, corpus.clone())
+    curve = evaluate_curve(model, io.StringIO(TOY_TEXT))
     assert curve.points == [(0, 2 / 3, None), (1, 1.0, None)]
 
 
 def test_evaluate_curve_with_test_corpus():
-    model, corpus, test, _, _ = _trained()
-    curve = evaluate_curve(model, corpus.clone(), test.clone())
+    model, _, train_text, test_text, _ = _trained()
+    curve = evaluate_curve(model, io.StringIO(train_text), io.StringIO(test_text))
     assert len(curve.points) == len(model.rules) + 1
     for _, train_acc, test_acc in curve.points:
         assert test_acc is not None
@@ -265,7 +269,7 @@ def test_evaluate_curve_with_test_corpus():
 def test_evaluate_curve_errored_only():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    curve = evaluate_curve(model, corpus.clone(), errored_only=True)
+    curve = evaluate_curve(model, io.StringIO(TOY_TEXT), errored_only=True)
     # the two baseline errors go from all-wrong to all-right
     assert curve.points == [(0, 0.0, None), (1, 1.0, None)]
 
@@ -274,7 +278,7 @@ def test_evaluate_curve_errored_only_empty_mask():
     text = "a/A b/B\n"
     corpus = parse_corpus(text)
     model, _, _ = train_naive(corpus, build_lexicon(corpus, "A"))
-    curve = evaluate_curve(model, corpus.clone(), errored_only=True)
+    curve = evaluate_curve(model, io.StringIO(text), errored_only=True)
     assert curve.points == [(0, 1.0, None)]
 
 
@@ -300,15 +304,19 @@ def _recounted_curve(model, corpus, errored_only):
 
 @pytest.mark.parametrize("errored_only", [False, True])
 def test_evaluate_curve_counts_match_recount(errored_only):
-    model, corpus, test, _, _ = _trained(seed=17, n_tokens=2000)
-    # tokens without a truth tag count as correct and are never in the mask
-    for sent in test.sentences[::3]:
-        sent[0].truth = None
-    curve = evaluate_curve(model, corpus.clone(), test.clone(), errored_only=errored_only)
+    model, _, train_text, test_text, _ = _trained(seed=17, n_tokens=2000)
     assert len(model.rules) > 10
+    curve = evaluate_curve(
+        model, io.StringIO(train_text), io.StringIO(test_text), errored_only=errored_only
+    )
     assert [p for p, _, _ in curve.points] == list(range(len(model.rules) + 1))
-    assert [a for _, a, _ in curve.points] == _recounted_curve(model, corpus, errored_only)
-    assert [t for _, _, t in curve.points] == _recounted_curve(model, test, errored_only)
+    for column, text in enumerate([train_text, test_text], start=1):
+        recounted = _recounted_curve(model, parse_corpus(text), errored_only)
+        assert [point[column] for point in curve.points] == recounted
+        # the per-rule counts add up the same across any chunk boundaries
+        for chunk_chars in (1, 7, 64, CHUNK_CHARS):
+            tally = tag_stream(model, io.StringIO(text), tagged=True, chunk_chars=chunk_chars)
+            assert tally.accuracies(errored_only) == recounted
 
 
 def test_curve_tsv_train_only():
