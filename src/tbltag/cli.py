@@ -90,12 +90,17 @@ def _inject_config(argv: list[str]) -> list[str]:
     """Splice config-file options right after the subcommand name.
 
     The path itself goes last, so that ``args.config`` names the file.
+    argparse would take an abbreviation such as ``--conf`` for
+    ``--config`` but leave the file unread, so one is refused.
     """
     path = None
     cleaned = []
     i = 0
     while i < len(argv):
         arg = argv[i]
+        flag = arg.partition("=")[0]
+        if 2 < len(flag) < len("--config") and "--config".startswith(flag):
+            raise _UsageError(f"{flag}: write --config in full")
         if arg == "--config":
             if i + 1 >= len(argv):
                 raise _UsageError("--config needs a file argument")

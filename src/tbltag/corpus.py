@@ -166,8 +166,23 @@ class Lexicon:
         self._best: dict[str, str] = {}
 
     def add(self, word: str, tag: str, n: int = 1) -> None:
-        by_tag = self.counts.setdefault(word, {})
-        by_tag[tag] = by_tag.get(tag, 0) + n
+        """Count ``n`` more uses of ``word`` with ``tag``.
+
+        Raises ValueError for an empty word or tag, one holding whitespace,
+        or the tag BOUNDARY: no corpus line or model file could carry it.
+        Each is checked only when first seen, as a word or as its tag.
+        """
+        by_tag = self.counts.get(word)
+        if by_tag is None:
+            _check_item(word, "word")
+            by_tag = self.counts[word] = {}
+        old = by_tag.get(tag)
+        if old is None:
+            _check_item(tag, "tag")
+            if tag == BOUNDARY:
+                raise ValueError(f"tag {BOUNDARY!r} is reserved for sentence boundaries")
+            old = 0
+        by_tag[tag] = old + n
         self._best.pop(word, None)
 
     def most_frequent(self, word: str) -> str:
@@ -187,6 +202,11 @@ class Lexicon:
         for by_tag in self.counts.values():
             out.update(by_tag)
         return out
+
+
+def _check_item(item: str, kind: str) -> None:
+    if item.split() != [item]:
+        raise ValueError(f"a lexicon {kind} must be non-empty and free of whitespace: {item!r}")
 
 
 def build_lexicon(corpus: Corpus, default_tag: str) -> Lexicon:

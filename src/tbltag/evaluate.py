@@ -1,8 +1,8 @@
 """Applying trained models and measuring accuracy curves.
 
 Replay runs the model's rules, compiled once (``rules.compile_rules``), as
-patterns over the text coded one character per tag, through the one
-rule-replay loop ``rules.run_rules``.  ``replay`` codes a parsed Corpus
+literal windows or patterns over the text coded one character per tag,
+through the one rule-replay loop ``rules.run_rules``.  ``replay`` codes a parsed Corpus
 and writes each rule's sites back to its tokens, for ``tag`` and the
 dependency report; ``tag_stream`` codes the words of a text a chunk at a
 time, builds no tokens at all, and counts the errors left after each rule.
@@ -39,8 +39,8 @@ def replay(
     returns the given corpus; current tags are overwritten, truth tags
     (when present) are untouched.
 
-    The rules run as compiled regular expressions over the corpus coded
-    one character per tag (``rules.code_corpus``), sentences separated by
+    The rules run as compiled matchers (``rules.compile_rules``) over the
+    corpus coded one character per tag (``rules.code_corpus``), sentences separated by
     enough boundary padding for the widest rule context that can fit in a
     sentence.
     """

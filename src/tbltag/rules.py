@@ -5,6 +5,13 @@ at fixed relative offsets match the rule's context.  Rules are generated
 by instantiating templates (sets of nonzero offsets) at mistagged sites:
 a site's observation key under a template's offsets, together with its
 truth tag, is a rule that would fix it.
+
+``find_sites`` and ``apply_rule`` match rules token by token; they are the
+oracle.  The fast path codes the corpus as one character per tag
+(``code_corpus``) and matches each rule in that string: as a literal
+window found with ``str.find`` when its offsets and 0 form an unbroken
+run, as a look-around regular expression when the run has a gap.
+``rewrite`` applies one rule, ``run_rules`` a compiled list of them.
 """
 
 from __future__ import annotations
@@ -271,36 +278,48 @@ def code_corpus(corpus: Corpus, codes: dict, width: int, which: str = "current")
     return text, starts
 
 
-def _compile(rule: Rule, codes: dict, width: int) -> re.Pattern | None:
-    """Pattern whose matches are the rule's sites, or None if it has none.
+# What ``_compile`` makes of a rule: a ``(window, at)`` literal, a pattern, or None.
+Matcher = tuple[str, int] | re.Pattern | None
 
-    A match is the source tag's single character, so the search skips
-    other positions at C speed.  A lookbehind ending just after it checks
-    the negative offsets, a lookahead the positive ones; unconstrained
-    positions in between are ``.``.  In a corpus string padded by
-    ``width``, an offset beyond ``width`` lies outside every sentence.
+
+def _compile(rule: Rule, codes: dict, width: int) -> Matcher:
+    """The rule's matcher in a string padded by ``width``.
+
+    In such a string an offset beyond ``width`` lies outside every
+    sentence: a BOUNDARY constraint there always holds and is dropped, a
+    tag there never does and the rule has no sites (None).  When the
+    remaining offsets and 0 form one unbroken run, its sites are where the
+    run's codes occur as a literal ``window``, the site ``at`` characters
+    into it.  Otherwise the pattern is the source tag's single character,
+    so the search skips other positions at C speed; a lookbehind ending
+    just after it checks the negative offsets, a lookahead the positive
+    ones, and unconstrained positions in between are ``.``.
     """
-    before: dict[int, str] = {}
-    after: dict[int, str] = {}
+    ctx = {0: codes[rule.frm]}
     for off, tag in rule.ctx:
         if abs(off) > width:
             if tag == BOUNDARY:
                 continue
             return None
-        (before if off < 0 else after)[abs(off)] = re.escape(codes[tag])
-    pattern = re.escape(codes[rule.frm])
-    if before:
-        # The last lookbehind position is the source character itself.
-        behind = "".join(before.get(d, ".") for d in range(max(before), 0, -1))
-        pattern += f"(?<={behind}.)"
-    if after:
-        ahead = "".join(after.get(d, ".") for d in range(1, max(after) + 1))
-        pattern += f"(?={ahead})"
+        ctx[off] = codes[tag]
+    lo, hi = min(ctx), max(ctx)
+    if len(ctx) == hi - lo + 1:
+        return "".join(ctx[off] for off in range(lo, hi + 1)), -lo
+
+    def cell(off: int) -> str:
+        return re.escape(ctx[off]) if off in ctx else "."
+
+    pattern = cell(0)
+    if lo < 0:
+        # The lookbehind ends just after the source character itself.
+        pattern += f"(?<={''.join(map(cell, range(lo, 1)))})"
+    if hi > 0:
+        pattern += f"(?={''.join(map(cell, range(1, hi + 1)))})"
     return re.compile(pattern, re.S)
 
 
-def compile_rules(rules, codes: dict, width: int) -> list[tuple[re.Pattern | None, str]]:
-    """Each rule as ``(pattern, target code)`` for a string padded by ``width``.
+def compile_rules(rules, codes: dict, width: int) -> list[tuple[Matcher, str]]:
+    """Each rule as ``(matcher, target code)`` for a string padded by ``width``.
 
     The list depends only on the rules, the codes and the width, so one
     compiled list serves every coded string of that width.
@@ -308,16 +327,28 @@ def compile_rules(rules, codes: dict, width: int) -> list[tuple[re.Pattern | Non
     return [(_compile(rule, codes, width), codes[rule.to]) for rule in rules]
 
 
-def _sub(pattern: re.Pattern | None, code: str, text: str) -> tuple[str, list[int]]:
-    hits: list[int] = []
-    if pattern is None:
+def _sub(matcher: Matcher, code: str, text: str) -> tuple[str, list[int]]:
+    """Every site of ``matcher`` in ``text``, ascending, rewritten to ``code``.
+
+    A window's hits may overlap, so each search starts one past the last.
+    """
+    if matcher is None:
+        return text, []
+    if isinstance(matcher, re.Pattern):
+        hits = [m.start() for m in matcher.finditer(text)]
+    else:
+        window, at = matcher
+        find = text.find
+        hits = []
+        p = find(window)
+        while p >= 0:
+            hits.append(p + at)
+            p = find(window, p + 1)
+    if not hits:
         return text, hits
-
-    def hit(m: re.Match) -> str:
-        hits.append(m.start())
-        return code
-
-    return pattern.sub(hit, text), hits
+    cuts = [0, *[h + 1 for h in hits]]
+    ends = [*hits, len(text)]
+    return code.join([text[a:b] for a, b in zip(cuts, ends)]), hits
 
 
 def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[int]]:
@@ -331,7 +362,7 @@ def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[i
 
 
 def run_rules(
-    compiled: list[tuple[re.Pattern | None, str]],
+    compiled: list[tuple[Matcher, str]],
     text: str,
     on_hits: Callable[[int, list[int]], object] | None = None,
 ) -> str:
@@ -342,8 +373,8 @@ def run_rules(
     This is the one rule-replay loop: ``evaluate.replay`` and the streaming
     tagger both run it.
     """
-    for n, (pattern, code) in enumerate(compiled):
-        text, hits = _sub(pattern, code, text)
+    for n, (matcher, code) in enumerate(compiled):
+        text, hits = _sub(matcher, code, text)
         if on_hits is not None:
             on_hits(n, hits)
     return text

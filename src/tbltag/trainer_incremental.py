@@ -10,8 +10,9 @@ effect counts are read off its key's counter: ``pos = counts[to]``,
 would fix some mistagged site.
 
 Keys are read from the corpus coded one character per tag, and rules
-applied to it, by the ``rules.code_corpus`` and ``rules.rewrite`` that
-``evaluate.replay`` runs.  The counting follows a plan made once from the
+applied to it by ``rules.rewrite``, the step of the replay loop that
+``evaluate.replay`` runs: a literal window search for a rule whose offsets
+and 0 form an unbroken run, a look-around pattern for one with a gap.  The counting follows a plan made once from the
 templates.  A position set that no other set contains is counted: its
 (key, truth) pairs are counted in bulk from columns of the coded strings.
 A set that another contains is projected: its key is read off the

@@ -428,6 +428,28 @@ def test_config_file_malformed(tmp_path, chain, content, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    [["--conf", "{cfg}"], ["--conf={cfg}"], ["--con", "{cfg}"]],
+    ids=["conf", "conf=", "con"],
+)
+def test_config_flag_abbreviation_refused(tmp_path, chain, spelling, capsys):
+    # argparse would take these for --config and leave the file unread
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("templates=-1\nthreshold=1\n")
+    model = tmp_path / "m.model"
+    rc = main(
+        [
+            "train", *[s.format(cfg=cfg) for s in spelling],
+            "--corpus", str(chain), "--default-tag", "Z",
+            "-o", str(model),
+        ]
+    )
+    assert rc == 1
+    assert "--config" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_config_file_missing(tmp_path, chain):
     rc = main(
         [

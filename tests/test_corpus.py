@@ -189,6 +189,22 @@ def test_lexicon_rejects_bad_default():
         Lexicon(BOUNDARY)
 
 
+@pytest.mark.parametrize(
+    "word, tag",
+    [("", "NN"), ("a b", "NN"), ("a\tb", "NN"), ("　", "NN"), ("w", ""), ("w", "N N"),
+     ("w", "NN\n"), ("w", BOUNDARY)],
+)
+def test_lexicon_add_refuses_unwritable_items(word, tag):
+    lex = Lexicon("X")
+    lex.add("w", "NN")
+    with pytest.raises(ValueError):
+        lex.add(word, tag)
+    assert lex.counts == {"w": {"NN": 1}}
+    # the word BOUNDARY is a word like any other
+    lex.add(BOUNDARY, "NN")
+    assert lex.most_frequent(BOUNDARY) == "NN"
+
+
 def test_lexicon_tags():
     lex = lex_of({"a": "A", "b": "B"}, "D")
     assert lex.tags() == {"A", "B", "D"}

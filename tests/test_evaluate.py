@@ -109,8 +109,23 @@ def _replay_case(draw):
     for _ in range(draw(st.integers(0, 8))):
         frm = draw(st.sampled_from(rule_tags))
         to = draw(st.sampled_from([t for t in rule_tags if t != frm]))
-        offsets = draw(st.lists(offset, min_size=1, max_size=3, unique=True))
-        ctx = [(o, draw(st.sampled_from(rule_tags + [BOUNDARY]))) for o in offsets]
+        shape = draw(st.sampled_from(["any", "run", "gap", "periodic"]))
+        if shape == "any":
+            offsets = draw(st.lists(offset, min_size=1, max_size=3, unique=True))
+        else:
+            # a run of offsets that with 0 is unbroken, matched as a literal
+            # window; "gap" adds one offset past a hole, matched by a pattern
+            lo = draw(st.integers(-3, 0))
+            hi = draw(st.integers(0 if lo else 1, 3))
+            offsets = [o for o in range(lo, hi + 1) if o]
+            if shape == "gap":
+                offsets.append(draw(st.sampled_from([lo - 2, lo - 3, hi + 2, hi + 3])))
+        if shape == "periodic":
+            # every context tag is the source tag, so a run of it in a
+            # sentence gives hits whose windows overlap
+            ctx = [(o, frm) for o in offsets]
+        else:
+            ctx = [(o, draw(st.sampled_from(rule_tags + [BOUNDARY]))) for o in offsets]
         rules.append(decode_rule(encode_rule(Rule(frm, to, ctx))))
     return Model(lexicon, rules), sentences
 

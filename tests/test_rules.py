@@ -13,6 +13,7 @@ from tbltag.rules import (
     RuleScore,
     Template,
     apply_rule,
+    code_corpus,
     decode_rule,
     display_rule,
     encode_rule,
@@ -22,7 +23,10 @@ from tbltag.rules import (
     position_sets,
     render_slots,
     render_template_spec,
+    rewrite,
     score_rule,
+    sites_of,
+    tag_codes,
 )
 from tbltag.trainer_naive import enumerate_candidates
 
@@ -298,11 +302,16 @@ def corpus_and_rule(draw):
         )
     text = "".join(" ".join(f"{w}/{t}" for w, t in row) + "\n" for row in rows)
     corpus = parse_corpus(text)
+    # one current tag makes runs of it, where a window's hits overlap
+    current = _TAGS[: draw(st.integers(1, len(_TAGS)))]
     for sent in corpus.sentences:
         for tok in sent:
-            tok.current = draw(st.sampled_from(_TAGS))
+            tok.current = draw(st.sampled_from(current))
+    # runs with 0 that are unbroken (-1; -2,-1; -1,+1) or have a gap (-2;
+    # +2; -2,+1), and 9, beyond every sentence
     positions = tuple(sorted(
-        draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2, unique=True))
+        draw(st.lists(st.sampled_from([-9, -3, -2, -1, 1, 2, 3, 9]),
+                      min_size=1, max_size=3, unique=True))
     ))
     errs = [s for s in _sites(corpus) if _token(corpus, s).current != _token(corpus, s).truth]
     if errs:
@@ -312,6 +321,12 @@ def corpus_and_rule(draw):
     else:
         ctx = [(p, draw(st.sampled_from(_TAGS + [BOUNDARY]))) for p in positions]
         rule = Rule("T0", "T1", ctx)
+    if draw(st.booleans()):
+        # one context tag redrawn, so a far offset may hold a tag as well
+        i = draw(st.integers(0, len(positions) - 1))
+        ctx = dict(rule.ctx)
+        ctx[positions[i]] = draw(st.sampled_from(_TAGS + [BOUNDARY]))
+        rule = Rule(rule.frm, rule.to, ctx.items())
     return corpus, rule
 
 
@@ -359,6 +374,21 @@ def test_apply_touches_only_matched_sites(cr):
             assert _token(corpus, site).current == rule.to
         else:
             assert _token(corpus, site).current == frozen[site]
+
+
+@given(corpus_and_rule(), st.integers(0, 2))
+@settings(max_examples=300)
+def test_rewrite_agrees_with_apply_rule(cr, extra):
+    # the coded string's matcher, a literal window or a pattern, against
+    # the oracle; padding wider than needed must not change the result
+    corpus, rule = cr
+    codes = tag_codes(_TAGS)
+    longest = max(len(sent) for sent in corpus.sentences)
+    width = min(rule.span, longest) + extra
+    text, starts = code_corpus(corpus, codes, width)
+    got, hits = rewrite(rule, text, codes, width)
+    assert sites_of(hits, starts) == apply_rule(rule, corpus)
+    assert (got, starts) == code_corpus(corpus, codes, width)
 
 
 @given(corpus_and_rule())
