@@ -221,6 +221,8 @@ def _cmd_train(args) -> int:
     test_text = _read_text(args.test_corpus, "test corpus") if args.test_corpus else ""
     for lineno, line in enumerate(test_text.splitlines(), start=1):
         parse_line(line, lineno)
+    # A default tag no model file can carry exits 2, before Lexicon refuses it.
+    check_tagset([args.default_tag])
     lexicon = build_lexicon(corpus, args.default_tag)
     check_tagset(lexicon.tags())
     templates = parse_template_spec(args.templates, window=args.window)
@@ -419,7 +421,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--test-corpus", help="held-out corpus for the curve's test column")
     p.add_argument("--deps", action="store_true", help="record rule dependency structures")
     p.add_argument("--audit", action="store_true",
-                   help="recount the incremental index every pass (slow)")
+                   help="recount the incremental index every pass, in time linear in the corpus")
     p.add_argument("--audit-log", metavar="FILE", help="per-pass index statistics")
     p.add_argument("-o", "--model", required=True, help="model file to write")
     p.add_argument("--trace", metavar="FILE", help="default MODEL.trace.tsv")

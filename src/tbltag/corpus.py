@@ -49,12 +49,6 @@ class Corpus:
         self.sentences = sentences
         self.n_tokens = sum(len(s) for s in sentences)
 
-    def clone(self) -> "Corpus":
-        """Fresh copy with current reset to truth and dep links cleared."""
-        return Corpus(
-            [[Token(t.word, t.truth, t.truth) for t in sent] for sent in self.sentences]
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
@@ -153,12 +147,12 @@ class Lexicon:
     """Word -> tag frequency table with a default for unknown words.
 
     ``most_frequent`` breaks count ties by the lexicographically smallest
-    tag symbol so baseline tagging is deterministic.
+    tag symbol so baseline tagging is deterministic.  The default tag must
+    pass the check ``add`` makes of a tag.
     """
 
     def __init__(self, default_tag: str, counts: dict[str, dict[str, int]] | None = None):
-        if not default_tag:
-            raise ValueError("default_tag must be non-empty")
+        _check_item(default_tag, "tag")
         if default_tag == BOUNDARY:
             raise ValueError(f"default_tag may not be the reserved {BOUNDARY!r}")
         self.default_tag = sys.intern(default_tag)

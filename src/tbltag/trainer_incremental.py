@@ -42,6 +42,7 @@ from operator import attrgetter, itemgetter
 from .corpus import BOUNDARY, Corpus, Lexicon, Site, accuracy_of, baseline_assign, error_count
 from .dependency import record_pass
 from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
+from .trainer_naive import count_keys, score_keys
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
 
 
@@ -325,17 +326,18 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus, rule: Rule) -> list[Si
 
 
 def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
-    """Recount the whole index from the corpus tags and compare.
+    """Compare the whole index with the reference trainer's recount.
 
-    Brute force on purpose and independent of the update code and of the
-    coded strings: every key's truth counter is rebuilt by reading the
-    tokens' tags at each position set's offsets; every candidate's counts
-    are recounted by matching its context at each site holding its source
-    tag; the candidate set must be the rules instantiated at mistagged
-    sites; and the live draw list must be exactly the table's
-    net-positive candidates in rule_order.  The coded strings must decode
-    to the corpus's current and truth tags.  Raises AuditError on the
-    first discrepancy.
+    Independent of the update code and of the coded strings: these must
+    decode to the corpus's current and truth tags; the key counters,
+    decoded, must equal ``trainer_naive.count_keys``, and ``links_total``
+    their sum; the table must hold exactly the rules ``score_keys`` admits,
+    with its scores, each filed under its key; and the draw list must be
+    exactly the table's net-positive candidates in rule_order.  A site
+    matches a rule exactly when its key is the rule's, so the recount's
+    scores are those of matching every rule at every site, at a cost
+    linear in tokens times position sets.  Raises AuditError on the first
+    discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
@@ -356,71 +358,38 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     if index.starts != starts:
         raise AuditError("sentence starts disagree with the coded strings")
 
-    # Every tag has a code now, so the recount can be keyed as the index is.
-    counters: dict[tuple, dict] = {}
-    by_cur: dict[str, list[Site]] = {}
-    want_rules = set()
-    for si, sent in enumerate(sentences):
-        n = len(sent)
-        for ti, tok in enumerate(sent):
-            by_cur.setdefault(tok.current, []).append((si, ti))
-            for pi, pset in enumerate(psets):
-                tags_at = []
-                for off in pset:
-                    j = ti + off
-                    tags_at.append(sent[j].current if 0 <= j < n else BOUNDARY)
-                key = (pi, codes[tok.current], *[codes[tag] for tag in tags_at])
-                counts = counters.setdefault(key, {})
-                truth = codes[tok.truth]
-                counts[truth] = counts.get(truth, 0) + 1
-                if tok.truth is not None and tok.truth != tok.current:
-                    want_rules.add(Rule(tok.current, tok.truth, zip(pset, tags_at)))
-
-    stored = index.keys
+    counters = count_keys(corpus, psets, width)
+    stored = {}
+    for (pi, *key), counts in index.keys.items():
+        cur, *ctx = [tags.get(code, uncoded) for code in key]
+        stored[pi, cur, tuple(ctx)] = {tags.get(t, uncoded): n for t, n in counts.items()}
     if stored != counters:
         key = next(k for k in stored.keys() | counters.keys() if stored.get(k) != counters.get(k))
-        have, want = (
-            {tags.get(t): n for t, n in d.get(key, {}).items()} for d in (stored, counters)
-        )
-        named = [tags.get(code) for code in key[1:]]
-        raise AuditError(f"{psets[key[0]]} {named}: stored truth counts {have} != {want}")
+        have, want = stored.get(key, {}), counters.get(key, {})
+        raise AuditError(f"{psets[key[0]]} {key[1:]}: stored truth counts {have} != {want}")
     links = sum(sum(counts.values()) for counts in counters.values())
     if links != index.links_total:
         raise AuditError(f"links_total {index.links_total} != recounted {links}")
 
-    if set(index.table) != want_rules:
+    scored = score_keys(counters, psets)
+    if index.table.keys() != scored.keys():
         raise AuditError("candidate table disagrees with the rules fixing mistagged sites")
     if sum(len(cands) for cands in index.cands.values()) != len(index.table):
         raise AuditError("keys hold candidates the table does not")
-    if index.cands.keys() - stored.keys():
+    if index.cands.keys() - index.keys.keys():
         raise AuditError("candidates are filed under keys no site observes")
     for rule, cand in index.table.items():
         filed = index.cands.get(index.key_of(rule), {})
         if cand.rule != rule or filed.get(codes[rule.to]) is not cand:
             raise AuditError(f"{rule.canonical!r}: candidate not filed under its key")
-        pos = neg = neut = 0
-        for si, ti in by_cur.get(rule.frm, ()):
-            sent = sentences[si]
-            n = len(sent)
-            for off, tag in rule.ctx:
-                j = ti + off
-                if (sent[j].current if 0 <= j < n else BOUNDARY) != tag:
-                    break
-            else:
-                truth = sent[ti].truth
-                if truth == rule.to:
-                    pos += 1
-                elif truth == rule.frm:
-                    neg += 1
-                else:
-                    neut += 1
-        if (pos, neg, neut) != (cand.pos, cand.neg, cand.neut):
+        sc = scored[rule]
+        if (sc.pos, sc.neg, sc.neut) != (cand.pos, cand.neg, cand.neut):
             raise AuditError(
                 f"{rule.canonical!r}: stored score ({cand.pos},{cand.neg},{cand.neut})"
-                f" != recounted ({pos},{neg},{neut})"
+                f" != recounted ({sc.pos},{sc.neg},{sc.neut})"
             )
 
-    # The scores were just recounted, so the wanted list rests on them.
+    # The scores were just checked against the recount, so the wanted list rests on them.
     want_listed = sorted(
         (cand for cand in index.table.values() if cand.pos - cand.neg >= 1),
         key=lambda cand: rule_order(cand.rule),

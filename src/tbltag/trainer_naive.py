@@ -2,9 +2,11 @@
 
 Slow but simple, this is the semantic baseline the incremental trainer
 must match exactly.  Each pass reads every site's observation keys with
-one ``observe`` scan of the corpus, counts the truth tags under each key,
-scores every rule those counts admit, applies the selected one, and
-starts over.
+one ``observe`` scan of the corpus, counts the truth tags under each key
+(``count_keys``), scores every rule those counts admit (``score_keys``),
+applies the selected one, and starts over.  The same recount is the
+incremental trainer's audit: ``verify_index`` compares the live index
+with ``count_keys`` and ``score_keys`` over the corpus it was kept for.
 """
 
 from __future__ import annotations
@@ -17,29 +19,30 @@ from .rules import Rule, RuleScore, find_sites, observe, position_sets
 from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
 
 
-def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
-    """All rules instantiable at currently mistagged sites, fully scored.
+def count_keys(corpus: Corpus, psets, span: int) -> dict[tuple, dict]:
+    """``{observation key: {truth tag: sites}}``, one ``observe`` scan.
 
-    One ``observe`` scan counts the truth tags of the sites under each
-    observation key ``(pi, current tag, context tags)``.  A rule over
-    position set ``pi`` matches exactly the sites of its own key, so its
-    effects are read off that key's counts: ``pos`` counts its target,
-    ``neg`` its source, ``neut`` the rest.  Each truth tag under a key,
-    other than the current tag and a missing truth, counts mistagged sites
-    that the rule to it would fix; those rules are the candidates, each
-    with ``pos >= 1``.  Scores equal score_rule for every returned rule.
+    A key is ``(pi, current tag, context tags)``; each site counts once
+    per position set.
     """
-    psets = position_sets(templates)
-    span = max(t.span for t in templates)
-
-    counts: dict[tuple, dict] = {}  # key -> {truth tag: sites}
+    counts: dict[tuple, dict] = {}
     for sent in corpus.sentences:
         for tok, row in zip(sent, observe(sent, psets, span)):
             truth = tok.truth
             for key in row:
                 n = counts.setdefault(key, {})
                 n[truth] = n.get(truth, 0) + 1
+    return counts
 
+
+def score_keys(counts: dict[tuple, dict], psets) -> dict[Rule, RuleScore]:
+    """Every rule the key counts admit, scored from its own key's counts.
+
+    A rule over position set ``pi`` matches exactly the sites of its own
+    key, so ``pos`` counts its target, ``neg`` its source, ``neut`` the
+    rest.  Each truth tag under a key, other than the current tag and a
+    missing truth, makes the rule to it a candidate, with ``pos >= 1``.
+    """
     out = {}
     for (pi, cur, ctx_tags), n in counts.items():
         total = sum(n.values())
@@ -49,6 +52,12 @@ def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
                 rule = Rule(cur, to, zip(psets[pi], ctx_tags))
                 out[rule] = RuleScore(pos, neg, total - pos - neg)
     return out
+
+
+def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
+    """All rules instantiable at currently mistagged sites, scored as by score_rule."""
+    psets = position_sets(templates)
+    return score_keys(count_keys(corpus, psets, max(t.span for t in templates)), psets)
 
 
 def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None):

@@ -374,6 +374,7 @@ def parse_model(text: str) -> Model:
         raise ModelFormatError(f"expected 'tags N ...', got {line!r}")
     if len(parts) - 2 != _int(parts[1], "tag count"):
         raise ModelFormatError(f"tags line announces {parts[1]} tags, has {len(parts) - 2}")
+    listed = parts[2:]
 
     line = _take(lines, "lexicon line")
     parts = line.split()
@@ -388,18 +389,18 @@ def parse_model(text: str) -> Model:
         entry = _take(lines, "lexicon entry").split()
         if len(entry) < 3 or len(entry) % 2 == 0:
             raise ModelFormatError(f"malformed lexicon entry {' '.join(entry)!r}")
-        word = entry[0]
-        for i in range(1, len(entry), 2):
-            if entry[i] == BOUNDARY:
-                raise ModelFormatError(
-                    f"lexicon entry for {word!r} holds the reserved tag {BOUNDARY!r}"
-                )
-            try:
-                lexicon.add(word, entry[i], int(entry[i + 1]))
-            except ValueError:
-                raise ModelFormatError(
-                    f"bad count in lexicon entry for {word!r}"
-                ) from None
+        word, tags = entry[0], entry[1::2]
+        if word in lexicon.counts:
+            raise ModelFormatError(f"two lexicon entries for {word!r}")
+        if len(set(tags)) != len(tags):
+            raise ModelFormatError(f"lexicon entry for {word!r} lists a tag twice")
+        if BOUNDARY in tags:
+            raise ModelFormatError(f"lexicon entry for {word!r} holds the reserved {BOUNDARY!r}")
+        for tag, count in zip(tags, entry[2::2]):
+            n = _int(count, f"count in lexicon entry for {word!r}")
+            if n < 1:
+                raise ModelFormatError(f"lexicon entry for {word!r} counts {tag!r} {n} times")
+            lexicon.add(word, tag, n)
 
     line = _take(lines, "rules line")
     parts = line.split()
@@ -414,4 +415,10 @@ def parse_model(text: str) -> Model:
             raise ModelFormatError(str(exc)) from None
     if any(line.strip() for line in lines):
         raise ModelFormatError("trailing content after the rules section")
-    return Model(lexicon, rules, config)
+    model = Model(lexicon, rules, config)
+    tagset = model.tagset()
+    if listed != tagset:
+        raise ModelFormatError(
+            f"tags line lists {' '.join(listed)!r}, the model's tags are {' '.join(tagset)!r}"
+        )
+    return model

@@ -1,10 +1,15 @@
 """Shared builders for the test suite."""
 
-from tbltag.corpus import Corpus, Lexicon, baseline_assign, parse_corpus
+from tbltag.corpus import Corpus, Lexicon, Token, baseline_assign, parse_corpus
 
 
 def corpus_of(text: str) -> Corpus:
     return parse_corpus(text)
+
+
+def clone(corpus: Corpus) -> Corpus:
+    """Fresh copy with current reset to truth and dep links cleared."""
+    return Corpus([[Token(t.word, t.truth, t.truth) for t in sent] for sent in corpus.sentences])
 
 
 def lex_of(mapping: dict[str, str], default: str) -> Lexicon:

@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from helpers import lex_of
+from helpers import clone, lex_of
 from tbltag.corpus import (
     baseline_assign,
     build_lexicon,
@@ -85,7 +85,7 @@ def suite1():
         text, params = random_family_corpus(seed)
         cfg = _suite_config(seed)
         corpus_n = parse_corpus(text)
-        corpus_i = corpus_n.clone()
+        corpus_i = clone(corpus_n)
         lexicon = build_lexicon(corpus_n, "T00")
         model_n, trace_n, curve_n = train_naive(corpus_n, lexicon, cfg)
         model_i, trace_i, curve_i = train_incremental(corpus_i, lexicon, cfg)
@@ -218,11 +218,11 @@ def test_criterion_5_incremental_speedup():
     cfg = TrainerConfig()  # the 7 default templates, threshold 2
 
     started = time.perf_counter()
-    model_i, trace_i, curve_i = train_incremental(corpus.clone(), lexicon, cfg)
+    model_i, trace_i, curve_i = train_incremental(clone(corpus), lexicon, cfg)
     t_inc = time.perf_counter() - started
 
     started = time.perf_counter()
-    model_n, trace_n, curve_n = train_naive(corpus.clone(), lexicon, cfg)
+    model_n, trace_n, curve_n = train_naive(clone(corpus), lexicon, cfg)
     t_nai = time.perf_counter() - started
 
     identical = (
@@ -356,7 +356,7 @@ def test_criterion_8_dependency_shapes():
         "a/D b/X c/F\na/D b/X c/F\na/D b/Y c2/E\n"
         "g/Z b/P g2/Z2\ng/Z b/P g2/Z2\ng/Z b/P g2/Z2\n"
     )
-    lex2 = build_lexicon(correction.clone(), "D")
+    lex2 = build_lexicon(clone(correction), "D")
     cfg2 = TrainerConfig(
         templates=parse_template_spec("-1; +1"), threshold=1, record_deps=True
     )

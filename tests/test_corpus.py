@@ -19,7 +19,7 @@ from tbltag.corpus import (
     serialize_corpus,
 )
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, lex_of
+from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of
 
 
 # --- parsing -----------------------------------------------------------------
@@ -189,6 +189,13 @@ def test_lexicon_rejects_bad_default():
         Lexicon(BOUNDARY)
 
 
+@pytest.mark.parametrize("default", ["N N", "NN\n", "\u3000"])
+def test_lexicon_refuses_default_tag_with_whitespace(default):
+    # Lexicon.add refuses such a tag; no model file could carry it either
+    with pytest.raises(ValueError):
+        Lexicon(default)
+
+
 @pytest.mark.parametrize(
     "word, tag",
     [("", "NN"), ("a b", "NN"), ("a\tb", "NN"), ("　", "NN"), ("w", ""), ("w", "N N"),
@@ -256,7 +263,7 @@ def test_baseline_assign_untagged_counts_zero():
 def test_clone_resets_state():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     c.sentences[0][1].dep = object()
-    fresh = c.clone()
+    fresh = clone(c)
     assert fresh is not c
     assert [t.current for t in fresh.sentences[0]] == [
         t.truth for t in c.sentences[0]

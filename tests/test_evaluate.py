@@ -26,7 +26,7 @@ from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
 from tbltag.training import Model, TrainerConfig
 
-from helpers import TOY_LEX, TOY_TEXT, lex_of
+from helpers import TOY_LEX, TOY_TEXT, clone, lex_of
 
 T2 = parse_template_spec("-1; +1")
 
@@ -50,7 +50,7 @@ def _trained(seed: int = 5, n_tokens: int = 200):
 def test_tag_replays_training_exactly():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    replay = tag(model, corpus.clone())
+    replay = tag(model, clone(corpus))
     assert replay == corpus
     assert serialize_corpus(replay, which="current") == serialize_corpus(
         corpus, which="current"
@@ -70,7 +70,7 @@ def test_tag_replay_property(seed):
     corpus = parse_corpus(markov_corpus(spec, draw_seed=rng.randrange(2**20), n_tokens=150))
     lex = build_lexicon(corpus, "T00")
     model, _, _ = train_naive(corpus, lex, TrainerConfig(templates=T2, threshold=1))
-    assert tag(model, corpus.clone()) == corpus
+    assert tag(model, clone(corpus)) == corpus
 
 
 # Every regex metacharacter as a tag, and enough further tags that the

@@ -116,10 +116,17 @@ def test_format_model_rejects_rules_that_do_not_read_back(tmp_path, rule):
     assert os.listdir(tmp_path) == ["m.model"]
 
 
+def _lexicon_with_default(default: str, counts=None) -> Lexicon:
+    """A lexicon whose default tag is set past the constructor's check."""
+    lexicon = Lexicon("Z", counts)
+    lexicon.default_tag = default
+    return lexicon
+
+
 @pytest.mark.parametrize(
     "model",
     [
-        Model(Lexicon("N N"), [], TrainerConfig()),
+        Model(_lexicon_with_default("N N"), [], TrainerConfig()),
         Model(Lexicon("Z", {"w": {"A\tB": 1}}), [], TrainerConfig()),
         Model(Lexicon("Z"), [Rule("A", "B", [(-1, "C\u2028D")])], TrainerConfig()),
     ],
@@ -163,12 +170,13 @@ _items = st.lists(st.sampled_from(_ITEM_ALPHABET), max_size=3).map("".join)
 @settings(max_examples=300)
 def test_model_file_round_trips_or_is_refused(default, entries, rules):
     assume(default and default != "<B>")
-    # built from counts, as Lexicon.add would refuse some of these items
+    # built from counts and given its default tag after construction, as
+    # the constructor and Lexicon.add would refuse some of these items
     counts = {}
     for word, tag, n in entries:
         by_tag = counts.setdefault(word, {})
         by_tag[tag] = by_tag.get(tag, 0) + n
-    lexicon = Lexicon(default, counts)
+    lexicon = _lexicon_with_default(default, counts)
     built = []
     for frm, to, ctx in rules:
         try:
@@ -181,7 +189,7 @@ def test_model_file_round_trips_or_is_refused(default, entries, rules):
     except ModelFormatError:
         return
     for word, tag, n in entries:
-        # every item a model file carries, Lexicon.add accepts
+        # every item a model file carries, the constructor and Lexicon.add accept
         Lexicon(default).add(word, tag, n)
     back = parse_model(text)
     assert back.lexicon.default_tag == default
@@ -272,6 +280,34 @@ def test_parse_model_rejects_malformed_lexicon_entry():
 def test_parse_model_rejects_reserved_lexicon_tag():
     with pytest.raises(ModelFormatError, match="reserved"):
         _parse_edited(lambda ls: ls.__setitem__(10, ". <B> 1"))
+
+
+def test_parse_model_rejects_tags_line_other_than_the_tagset():
+    # the toy model's tags are . DT MD NN VBZ; format_model would write them back
+    for tags in ("tags 2 X Y", "tags 4 . DT MD NN", "tags 5 DT . MD NN VBZ"):
+        with pytest.raises(ModelFormatError, match="tags line"):
+            _parse_edited(lambda ls: ls.__setitem__(8, tags))
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_parse_model_rejects_count_below_one(count):
+    with pytest.raises(ModelFormatError, match="counts"):
+        _parse_edited(lambda ls: ls.__setitem__(10, f". . {count}"))
+
+
+def test_parse_model_rejects_tag_repeated_in_an_entry():
+    # Lexicon.add would sum the two into one count of 2
+    with pytest.raises(ModelFormatError, match="twice"):
+        _parse_edited(lambda ls: ls.__setitem__(10, ". . 1 . 1"))
+
+
+def test_parse_model_rejects_word_repeated_across_entries():
+    def repeat_word(lines):
+        lines[9] = "lexicon 5"
+        lines.insert(11, ". . 1")
+
+    with pytest.raises(ModelFormatError, match="two lexicon entries"):
+        _parse_edited(repeat_word)
 
 
 def test_parse_model_rejects_bad_rule():

@@ -18,6 +18,7 @@ from tbltag.rules import (
     apply_rule,
     parse_template_spec,
     position_sets,
+    score_rule,
     tag_codes,
 )
 from tbltag.synth import ChainSpec, markov_corpus
@@ -32,7 +33,7 @@ from tbltag.trainer_incremental import (
 from tbltag.trainer_naive import enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, select, trace_tsv
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, lex_of
+from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of
 
 T1 = parse_template_spec("-1")
 T3 = parse_template_spec("-1; +1; -1,+1")
@@ -171,7 +172,7 @@ def test_missing_truth_counts_as_neutral():
 
     corpus_n = parse_corpus(text)
     corpus_n.sentences[2][1].truth = None
-    corpus_i = corpus_n.clone()
+    corpus_i = clone(corpus_n)
     cfg = TrainerConfig(templates=T1, threshold=1)
     mn, tn, _ = train_naive(corpus_n, lex, cfg)
     mi, ti, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True))
@@ -257,6 +258,16 @@ def test_verify_index_catches_missing_candidate():
     index, c = _fresh_index()
     del index.table[TOY_RULE]
     with pytest.raises(AuditError):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_extra_candidate():
+    # MD>VBZ @ -1:DT is filed under a live key, but no site it matches is a VBZ
+    index, c = _fresh_index()
+    rule = Rule("MD", "VBZ", [(-1, "DT")])
+    cand = index.table[rule] = Candidate(rule)
+    index.cands[index.key_of(rule)][index.codes["VBZ"]] = cand
+    with pytest.raises(AuditError, match="candidate table"):
         verify_index(index, c)
 
 
@@ -379,7 +390,7 @@ def test_train_incremental_audit_log_format():
         assert all(f.isdigit() for f in fields)
     # after each pass the candidates are exactly the rules a fresh
     # enumeration finds once the learned rules so far are replayed
-    replay = c.clone()
+    replay = clone(c)
     baseline_assign(replay, lex)
     for rule, line in zip(model.rules, log):
         apply_rule(rule, replay)
@@ -403,7 +414,7 @@ def _equiv_config(draw_seed: int) -> TrainerConfig:
 @settings(max_examples=15)
 def test_engine_equivalence(seed):
     corpus_n = _small_corpus(seed, n_tokens=250)
-    corpus_i = corpus_n.clone()
+    corpus_i = clone(corpus_n)
     lex = build_lexicon(corpus_n, "T00")
     cfg = _equiv_config(seed)
 
@@ -436,14 +447,14 @@ def _many_tags_input():
 def test_engine_equivalence_with_deps():
     small = _small_corpus(13, n_tokens=200)
     for corpus_n, lex in [(small, build_lexicon(small, "T00")), _many_tags_input()]:
-        corpus_i = corpus_n.clone()
+        corpus_i = clone(corpus_n)
         cfg = TrainerConfig(templates=T3, threshold=1, record_deps=True)
 
         mn, _, _ = train_naive(corpus_n, lex, cfg)
         mi, _, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True))
         assert mn.rules == mi.rules
         assert dependency_report(corpus_n) == dependency_report(corpus_i)
-        replayed = replay(mi, corpus_i.clone())
+        replayed = replay(mi, clone(corpus_i))
         assert replayed == corpus_i
 
     codes = tag_codes(mi.tagset())
@@ -455,14 +466,14 @@ def test_engine_equivalence_random_long():
     # random selection shuffles rule order, which exercises retirement and
     # revival paths the greedy order never hits
     corpus_n = _small_corpus(21, n_tokens=300)
-    corpus_i = corpus_n.clone()
+    corpus_i = clone(corpus_n)
     lex = build_lexicon(corpus_n, "T00")
     for seed in range(4):
         cfg = TrainerConfig(
             templates=T3, threshold=1, strategy=Strategy.RANDOM, rng_seed=seed
         )
-        mn, tn, _ = train_naive(corpus_n.clone(), lex, cfg)
-        mi, ti, _ = train_incremental(corpus_i.clone(), lex, cfg)
+        mn, tn, _ = train_naive(clone(corpus_n), lex, cfg)
+        mi, ti, _ = train_incremental(clone(corpus_i), lex, cfg)
         assert mn.rules == mi.rules
         assert tn == ti
 
@@ -481,7 +492,7 @@ def test_engines_agree_on_rules_sharing_a_canonical_string():
     # the two engines find candidates in different orders, so a tie left to
     # that order made them pick different rules at pass 6
     corpus_n = parse_corpus(SHARED_CANONICAL_TEXT)
-    corpus_i = corpus_n.clone()
+    corpus_i = clone(corpus_n)
     lex = build_lexicon(corpus_n, "A")
     cfg = TrainerConfig(threshold=1, strategy=Strategy.RANDOM, rng_seed=34)
     mn, tn, _ = train_naive(corpus_n, lex, cfg)
@@ -638,7 +649,7 @@ def _adversarial_corpus(draw) -> str:
 @settings(max_examples=150)
 def test_engine_equivalence_adversarial(text, templates, strategy, threshold, rng_seed):
     corpus_n = parse_corpus(text)
-    corpus_i = corpus_n.clone()
+    corpus_i = clone(corpus_n)
     lex = build_lexicon(corpus_n, "A")
     base = dict(templates=templates, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
     cfg_n = TrainerConfig(**base, record_deps=True)
@@ -685,7 +696,9 @@ def _reread(corpus, sites, psets) -> int:
 )
 @settings(max_examples=150)
 def test_pass_counters_match_a_recount(text, templates, strategy, rng_seed):
-    # new_keys and sites_rechecked of the audit log, recounted by brute force
+    # new_keys and sites_rechecked of the audit log, and every candidate's
+    # counts, recounted by brute force: score_rule matches the rule at each
+    # site through find_sites, not through observation keys
     corpus = parse_corpus(text)
     baseline_assign(corpus, build_lexicon(corpus, "A"))
     cfg = TrainerConfig(templates=templates, threshold=1, strategy=strategy, rng_seed=rng_seed)
@@ -697,3 +710,5 @@ def test_pass_counters_match_a_recount(text, templates, strategy, rng_seed):
         sites = apply_and_update(index, corpus, picked[0])
         assert index.last_unseen_added == len(_observed_keys(corpus, psets) - before)
         assert index.last_sites_rechecked == _reread(corpus, sites, psets)
+        for rule, cand in index.table.items():
+            assert RuleScore(cand.pos, cand.neg, cand.neut) == score_rule(rule, corpus)

@@ -26,7 +26,7 @@ from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, select
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, lex_of
+from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of
 
 T1 = parse_template_spec("-1")
 T1R = parse_template_spec("-1; +1")
@@ -255,7 +255,7 @@ def test_train_curve_monotone_and_replayable(seed):
     assert [rec.train_accuracy_after for rec in trace] == [a for _, a in curve[1:]]
 
     # replaying the rule sequence on a fresh copy reproduces the curve exactly
-    replay = corpus.clone()
+    replay = clone(corpus)
     baseline_assign(replay, lex)
     assert accuracy(replay) == curve[0][1]
     for rec, (_, expected) in zip(trace, curve[1:]):
