@@ -15,17 +15,8 @@ import time
 from contextlib import nullcontext
 
 from .corpus import ParseError, accuracy_of, build_lexicon, parse_corpus, parse_line
-from .dependency import RecordingDisabledError, dependency_report, record_pass
 from .evaluate import Curve, Tally, replay, tag_stream
-from .rules import (
-    DEFAULT_TEMPLATE_SPEC,
-    DEFAULT_WINDOW,
-    DecodeError,
-    parse_template_spec,
-    render_template_spec,
-)
-from .trainer_incremental import AUDIT_LOG_HEADER, train_incremental
-from .trainer_naive import train_naive
+from .rules import DEFAULT_TEMPLATE_SPEC, DEFAULT_WINDOW, DecodeError, parse_template_spec
 from .training import (
     Model,
     ModelFormatError,
@@ -34,6 +25,7 @@ from .training import (
     atomic_writer,
     check_tagset,
     check_writable,
+    config_pairs,
     load_model,
     save_model,
     trace_tsv,
@@ -210,6 +202,12 @@ def _load_model(path: str) -> Model:
 
 
 def _cmd_train(args) -> int:
+    # The trainers and the dependency layer are imported only by the
+    # commands that run them, so tag, eval and curve load none of them.
+    from .dependency import dependency_report
+    from .trainer_incremental import AUDIT_LOG_HEADER, train_incremental
+    from .trainer_naive import train_naive
+
     if args.engine == "naive" and (args.audit or args.audit_log):
         raise _UsageError("--audit and --audit-log check the index of the incremental engine")
     text = _read_text(args.corpus, "corpus")
@@ -243,16 +241,11 @@ def _cmd_train(args) -> int:
         model, trace, curve = train_incremental(corpus, lexicon, config, audit_log=audit_log)
 
     effective = {
+        **dict(config_pairs(config)),
         "corpus": args.corpus,
         "default-tag": args.default_tag,
-        "templates": render_template_spec(templates),
-        "threshold": args.threshold,
-        "strategy": args.strategy,
-        "seed": args.seed,
         "engine": args.engine,
-        "max-passes": "" if args.max_passes is None else args.max_passes,
         "window": args.window,
-        "deps": int(args.deps),
         "model": args.model,
     }
     if args.test_corpus:
@@ -366,6 +359,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_deps(args) -> int:
+    from .dependency import dependency_report, record_pass
+
     model = _load_model(args.model)
     if not model.record_deps:
         raise _UsageError(
@@ -482,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DataError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (RecordingDisabledError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, (ParseError, DecodeError, ModelFormatError)):
             sys.stderr.write(f"error: {exc}\n")
             return 2

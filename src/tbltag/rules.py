@@ -194,15 +194,6 @@ def observe(sent, psets, span: int) -> list[list[tuple]]:
     return list(map(list, zip(*columns)))
 
 
-def score_rule(rule: Rule, corpus: Corpus) -> RuleScore:
-    """Tally the truth tags at the rule's sites over the whole corpus."""
-    sentences = corpus.sentences
-    truths = [sentences[si][ti].truth for si, ti in find_sites(rule, corpus)]
-    pos = truths.count(rule.to)
-    neg = truths.count(rule.frm)
-    return RuleScore(pos, neg, len(truths) - pos - neg)
-
-
 def find_sites(rule: Rule, corpus: Corpus) -> list[Site]:
     """All sites the rule matches, in corpus order, against current tags.
 

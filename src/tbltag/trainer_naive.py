@@ -55,7 +55,8 @@ def score_keys(counts: dict[tuple, dict], psets) -> dict[Rule, RuleScore]:
 
 
 def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
-    """All rules instantiable at currently mistagged sites, scored as by score_rule."""
+    """All rules instantiable at currently mistagged sites, each scored
+    by the truth tags at the sites it matches."""
     psets = position_sets(templates)
     return score_keys(count_keys(corpus, psets, max(t.span for t in templates)), psets)
 

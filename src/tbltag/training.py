@@ -328,10 +328,14 @@ def _take(lines, what: str) -> str:
 
 
 def _int(text: str, what: str) -> int:
+    """The integer text, which must be written as format_model writes it."""
     try:
-        return int(text)
+        n = int(text)
+        if str(n) == text:
+            return n
     except ValueError:
-        raise ModelFormatError(f"expected an integer {what}, got {text!r}") from None
+        pass
+    raise ModelFormatError(f"expected an integer {what}, got {text!r}")
 
 
 def parse_model(text: str) -> Model:
@@ -351,17 +355,23 @@ def parse_model(text: str) -> Model:
         if name != key:
             raise ModelFormatError(f"expected {key!r} line, got {line!r}")
         settings[key] = value
+    if settings["deps"] not in ("0", "1"):
+        raise ModelFormatError(f"expected deps 0 or 1, got {settings['deps']!r}")
+    max_passes = settings["max-passes"]
     try:
         config = TrainerConfig(
             templates=parse_template_spec(settings["templates"], window=sys.maxsize),
-            threshold=int(settings["threshold"]),
+            threshold=_int(settings["threshold"], "threshold"),
             strategy=Strategy(settings["strategy"]),
-            rng_seed=int(settings["seed"]),
-            max_passes=int(settings["max-passes"]) if settings["max-passes"] else None,
+            rng_seed=_int(settings["seed"], "seed"),
+            max_passes=_int(max_passes, "max-passes") if max_passes else None,
             record_deps=settings["deps"] == "1",
         )
     except ValueError as exc:
         raise ModelFormatError(f"bad training settings: {exc}") from None
+    spec = render_template_spec(config.templates)
+    if spec != settings["templates"]:
+        raise ModelFormatError(f"templates {settings['templates']!r} would be written {spec!r}")
 
     line = _take(lines, "default-tag line")
     name, _, default_tag = line.partition(" ")
@@ -380,7 +390,6 @@ def parse_model(text: str) -> Model:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "lexicon":
         raise ModelFormatError(f"expected 'lexicon N', got {line!r}")
-    _check_item(default_tag, "tag")
     try:
         lexicon = Lexicon(default_tag)
     except ValueError as exc:

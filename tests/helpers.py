@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from tbltag.corpus import Corpus, Lexicon, Token, baseline_assign, parse_corpus
+from tbltag.rules import Rule, RuleScore, find_sites
 
 
 def corpus_of(text: str) -> Corpus:
@@ -10,6 +11,15 @@ def corpus_of(text: str) -> Corpus:
 def clone(corpus: Corpus) -> Corpus:
     """Fresh copy with current reset to truth and dep links cleared."""
     return Corpus([[Token(t.word, t.truth, t.truth) for t in sent] for sent in corpus.sentences])
+
+
+def score_rule(rule: Rule, corpus: Corpus) -> RuleScore:
+    """Tally the truth tags at the rule's sites over the whole corpus."""
+    sentences = corpus.sentences
+    truths = [sentences[si][ti].truth for si, ti in find_sites(rule, corpus)]
+    pos = truths.count(rule.to)
+    neg = truths.count(rule.frm)
+    return RuleScore(pos, neg, len(truths) - pos - neg)
 
 
 def lex_of(mapping: dict[str, str], default: str) -> Lexicon:

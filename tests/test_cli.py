@@ -1,11 +1,13 @@
 """Command line behavior: outputs, exit codes, config files."""
 
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import tbltag
 from tbltag.cli import main
 from tbltag.corpus import ParseError, parse_corpus
 from tbltag.synth import ChainSpec, markov_corpus
@@ -553,8 +555,8 @@ def test_exit_2_on_unencodable_tag_before_training(tmp_path, capsys, monkeypatch
     def no_training(*args, **kwargs):
         raise AssertionError("training ran")
 
-    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
-    monkeypatch.setattr("tbltag.cli.train_naive", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_naive.train_naive", no_training)
     corpus = tmp_path / "c.txt"
     corpus.write_text(CHAIN + "q/A>B\n")
     rc = main(
@@ -575,7 +577,7 @@ def test_exit_2_on_default_tag_with_whitespace(tmp_path, chain, capsys, monkeypa
     def no_training(*args, **kwargs):
         raise AssertionError("training ran")
 
-    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
     rc = main(
         ["train", "--corpus", str(chain), "--default-tag", "N N", "-o", str(tmp_path / "m.model")]
     )
@@ -590,7 +592,7 @@ def test_exit_2_on_malformed_test_corpus_before_training(tmp_path, chain, capsys
     def no_training(*args, **kwargs):
         raise AssertionError("training ran")
 
-    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
     (tmp_path / "test.txt").write_text("a/DT b/P\nword_without_tag\n")
     rc = main(
         ["train", "--corpus", str(chain), "--default-tag", "Z",
@@ -612,7 +614,7 @@ def test_exit_2_on_corrupt_model(tmp_path, chain, capsys):
 @pytest.mark.parametrize(
     "default, message",
     [("<B>", "bad default tag: default_tag may not be the reserved '<B>'"),
-     ("Z Z", "tag 'Z Z' would not read back from a model file")],
+     ("Z Z", "bad default tag: a lexicon tag must be non-empty and free of whitespace")],
 )
 def test_exit_2_on_unusable_default_tag(tmp_path, chain, capsys, default, message):
     model = _train(tmp_path, chain)
@@ -623,6 +625,32 @@ def test_exit_2_on_unusable_default_tag(tmp_path, chain, capsys, default, messag
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("templates -1", "templates -01"),
+        ("threshold 1", "threshold 01"),
+        ("seed 0", "seed +0"),
+        ("max-passes ", "max-passes 1_0"),
+        ("deps 1", "deps 2"),
+        ("tags 6 DT P Q X Y Z", "tags +6 DT P Q X Y Z"),
+        ("lexicon 5", "lexicon 05"),
+        ("b P 2 X 1", "b P 2 X +1"),
+        ("rules 2", "rules 02"),
+    ],
+)
+def test_exit_2_on_model_line_not_written_as_saving_writes_it(tmp_path, chain, capsys, line, bad):
+    # int() and the template parser read each bad line, but saving the
+    # model would write it back changed; deps 2 would read as deps off.
+    model = tmp_path / "m.model"
+    model.write_text(CHAIN_MODEL.replace(f"\n{line}\n", f"\n{bad}\n"))
+    assert model.read_text() != CHAIN_MODEL
+    assert main(["tag", "--model", str(model), "--in", str(chain)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -682,7 +710,7 @@ def test_exit_1_before_training_on_unwritable_output(
     def no_training(*args, **kwargs):
         raise AssertionError("training ran")
 
-    monkeypatch.setattr("tbltag.cli.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
     (tmp_path / "adir").mkdir()
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / target
@@ -776,6 +804,41 @@ def test_exit_1_on_missing_model(tmp_path, chain, capsys):
     rc = main(["eval", "--model", str(tmp_path / "no.model"), "--corpus", str(chain)])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tag", "--model", "m.model", "--in", "chain.txt"],
+        ["eval", "--model", "m.model", "--corpus", "chain.txt"],
+        ["curve", "--model", "m.model", "--train", "chain.txt"],
+        ["deps", "--model", "m.model", "--corpus", "chain.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_loads_only_the_modules_it_runs(tmp_path, chain, argv):
+    # Only train runs a trainer, and only train and deps record dependencies.
+    unloaded = {"tbltag.trainer_incremental", "tbltag.trainer_naive"}
+    if argv[0] != "deps":
+        unloaded.add("tbltag.dependency")
+    (tmp_path / "m.model").write_text(CHAIN_MODEL)
+    script = (
+        "import sys\n"
+        "from tbltag.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('tbltag')))\n"
+        "sys.exit(rc)\n"
+    )
+    # The package's own directory, since the child runs in tmp_path.
+    src = os.path.dirname(os.path.dirname(tbltag.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "-o", "out.txt"],
+        cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines())
+    assert "tbltag.cli" in loaded
+    assert not loaded & unloaded
 
 
 def test_module_entry_point():

@@ -24,13 +24,12 @@ from tbltag.rules import (
     render_slots,
     render_template_spec,
     rewrite,
-    score_rule,
     sites_of,
     tag_codes,
 )
 from tbltag.trainer_naive import enumerate_candidates
 
-from helpers import TOY_LEX, TOY_TEXT, baselined
+from helpers import TOY_LEX, TOY_TEXT, baselined, score_rule
 
 
 # --- templates ---------------------------------------------------------------

@@ -18,7 +18,6 @@ from tbltag.rules import (
     apply_rule,
     parse_template_spec,
     position_sets,
-    score_rule,
     tag_codes,
 )
 from tbltag.synth import ChainSpec, markov_corpus
@@ -33,7 +32,7 @@ from tbltag.trainer_incremental import (
 from tbltag.trainer_naive import enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, select, trace_tsv
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of
+from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule
 
 T1 = parse_template_spec("-1")
 T3 = parse_template_spec("-1; +1; -1,+1")

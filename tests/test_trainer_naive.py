@@ -20,13 +20,12 @@ from tbltag.rules import (
     RuleScore,
     apply_rule,
     parse_template_spec,
-    score_rule,
 )
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, select
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of
+from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule
 
 T1 = parse_template_spec("-1")
 T1R = parse_template_spec("-1; +1")
