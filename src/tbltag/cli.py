@@ -74,7 +74,8 @@ def _read_config_file(path: str) -> list[str]:
             else:
                 raise _UsageError(f"{path}:{lineno}: {key} wants true/false, got {value!r}")
         else:
-            argv.extend([f"--{key}", value])
+            # one token, so that a value starting with "-" is not read as a flag
+            argv.append(f"--{key}={value}")
     return argv
 
 

@@ -164,18 +164,20 @@ class Lexicon:
 
         Raises ValueError for an empty word or tag, one holding whitespace,
         or the tag BOUNDARY: no corpus line or model file could carry it.
-        Each is checked only when first seen, as a word or as its tag.
+        Each is checked only when first seen, as a word or as its tag, and
+        a refused one leaves the table as it was.
         """
         by_tag = self.counts.get(word)
         if by_tag is None:
             _check_item(word, "word")
-            by_tag = self.counts[word] = {}
+            by_tag = {}
         old = by_tag.get(tag)
         if old is None:
             _check_item(tag, "tag")
             if tag == BOUNDARY:
                 raise ValueError(f"tag {BOUNDARY!r} is reserved for sentence boundaries")
             old = 0
+            self.counts[word] = by_tag  # a new word is filed only once its tag passes
         by_tag[tag] = old + n
         self._best.pop(word, None)
 

@@ -272,12 +272,13 @@ def format_model(model: Model) -> str:
     counts (words sorted, tags sorted within a word), then the learned
     rules one canonical encoding per line in application order.  The
     engine that produced the model is deliberately not recorded; both
-    engines must produce byte-identical files.  Raises ModelFormatError
-    for a rule whose tags the encoding cannot carry (one that would read
-    back as a different rule); for an empty tag or lexicon word, or one
-    holding whitespace, which the whitespace-split tags and lexicon lines
-    cannot carry; and for a lexicon tag that is the reserved BOUNDARY,
-    which tagging would read as the edge of the sentence.
+    engines must produce byte-identical files, and parse_model accepts
+    only what this writes.  Raises ModelFormatError for a rule whose tags
+    the encoding cannot carry (one that would read back as a different
+    rule); for an empty tag or lexicon word, or one holding whitespace,
+    which the whitespace-split lines cannot carry; for a lexicon tag that
+    is the reserved BOUNDARY, which tagging would read as the sentence
+    edge; and for a lexicon word with no tags or a count below 1.
     """
     for rule in model.rules:
         try:
@@ -297,6 +298,11 @@ def format_model(model: Model) -> str:
     words = sorted(model.lexicon.counts)
     for word in words:
         _check_item(word, "word")
+        counts = model.lexicon.counts[word]
+        if not counts or min(counts.values()) < 1:
+            raise ModelFormatError(
+                f"lexicon entry for {word!r} counts {counts}: a word needs tags seen at least once"
+            )
     lines = [f"{MODEL_FORMAT} {MODEL_VERSION}"]
     for key, value in config_pairs(model.config):
         lines.append(f"{key} {value}")
@@ -327,18 +333,40 @@ def _take(lines, what: str) -> str:
     return lines.pop()
 
 
+def _value(lines, key: str) -> str:
+    """What follows ``key`` and one space on the next line."""
+    line = _take(lines, f"{key} line")
+    name, _, value = line.partition(" ")
+    if name != key:
+        raise ModelFormatError(f"expected {key!r} line, got {line!r}")
+    return value
+
+
 def _int(text: str, what: str) -> int:
-    """The integer text, which must be written as format_model writes it."""
     try:
-        n = int(text)
-        if str(n) == text:
-            return n
+        return int(text)
     except ValueError:
-        pass
-    raise ModelFormatError(f"expected an integer {what}, got {text!r}")
+        raise ModelFormatError(f"expected an integer {what}, got {text!r}") from None
+
+
+def _first_difference(text: str, written: str) -> ModelFormatError:
+    """Name the first line of text that is not the line saving writes there."""
+    got, want = text.splitlines(True), written.splitlines(True)
+    i = next(i for i, (g, w) in enumerate(zip(got + [None], want + [None])) if g != w)
+    reads = repr(got[i]) if i < len(got) else "nothing"
+    writes = repr(want[i]) if i < len(want) else "nothing"
+    return ModelFormatError(f"line {i + 1} reads {reads}; saving the model would write {writes}")
 
 
 def parse_model(text: str) -> Model:
+    """Read a model file, accepting it only if format_model writes it back.
+
+    The lines are read for their values alone, and then the text must
+    equal format_model of the model read, byte for byte.  Whatever saving
+    would write differently (order, spacing, an integer's spelling, a
+    blank line, a missing final newline, a carriage return) is refused
+    with a ModelFormatError naming the first line that differs.
+    """
     lines = text.splitlines()
     lines.reverse()  # pop() from the front
     version = _take(lines, "version line")
@@ -348,15 +376,8 @@ def parse_model(text: str) -> Model:
     if parts[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported {MODEL_FORMAT} version {parts[1]!r}")
 
-    settings = {}
-    for key in ("templates", "threshold", "strategy", "seed", "max-passes", "deps"):
-        line = _take(lines, f"{key} line")
-        name, _, value = line.partition(" ")
-        if name != key:
-            raise ModelFormatError(f"expected {key!r} line, got {line!r}")
-        settings[key] = value
-    if settings["deps"] not in ("0", "1"):
-        raise ModelFormatError(f"expected deps 0 or 1, got {settings['deps']!r}")
+    keys = ("templates", "threshold", "strategy", "seed", "max-passes", "deps", "default-tag")
+    settings = {key: _value(lines, key) for key in keys}
     max_passes = settings["max-passes"]
     try:
         config = TrainerConfig(
@@ -369,65 +390,31 @@ def parse_model(text: str) -> Model:
         )
     except ValueError as exc:
         raise ModelFormatError(f"bad training settings: {exc}") from None
-    spec = render_template_spec(config.templates)
-    if spec != settings["templates"]:
-        raise ModelFormatError(f"templates {settings['templates']!r} would be written {spec!r}")
-
-    line = _take(lines, "default-tag line")
-    name, _, default_tag = line.partition(" ")
-    if name != "default-tag" or not default_tag:
-        raise ModelFormatError(f"expected 'default-tag TAG', got {line!r}")
-
-    line = _take(lines, "tags line")
-    parts = line.split()
-    if not parts or parts[0] != "tags" or len(parts) < 2:
-        raise ModelFormatError(f"expected 'tags N ...', got {line!r}")
-    if len(parts) - 2 != _int(parts[1], "tag count"):
-        raise ModelFormatError(f"tags line announces {parts[1]} tags, has {len(parts) - 2}")
-    listed = parts[2:]
-
-    line = _take(lines, "lexicon line")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "lexicon":
-        raise ModelFormatError(f"expected 'lexicon N', got {line!r}")
     try:
-        lexicon = Lexicon(default_tag)
+        lexicon = Lexicon(settings["default-tag"])
     except ValueError as exc:
         raise ModelFormatError(f"bad default tag: {exc}") from None
-    for _ in range(_int(parts[1], "lexicon size")):
+    _take(lines, "tags line")  # the model's tagset, which the comparison checks
+
+    for _ in range(_int(_value(lines, "lexicon"), "lexicon size")):
         entry = _take(lines, "lexicon entry").split()
         if len(entry) < 3 or len(entry) % 2 == 0:
             raise ModelFormatError(f"malformed lexicon entry {' '.join(entry)!r}")
-        word, tags = entry[0], entry[1::2]
-        if word in lexicon.counts:
-            raise ModelFormatError(f"two lexicon entries for {word!r}")
-        if len(set(tags)) != len(tags):
-            raise ModelFormatError(f"lexicon entry for {word!r} lists a tag twice")
-        if BOUNDARY in tags:
-            raise ModelFormatError(f"lexicon entry for {word!r} holds the reserved {BOUNDARY!r}")
-        for tag, count in zip(tags, entry[2::2]):
+        word = entry[0]
+        for tag, count in zip(entry[1::2], entry[2::2]):
             n = _int(count, f"count in lexicon entry for {word!r}")
-            if n < 1:
-                raise ModelFormatError(f"lexicon entry for {word!r} counts {tag!r} {n} times")
-            lexicon.add(word, tag, n)
+            try:
+                lexicon.add(word, tag, n)
+            except ValueError as exc:
+                raise ModelFormatError(f"lexicon entry for {word!r}: {exc}") from None
 
-    line = _take(lines, "rules line")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "rules":
-        raise ModelFormatError(f"expected 'rules N', got {line!r}")
-    rules = []
-    for _ in range(_int(parts[1], "rule count")):
-        encoded = _take(lines, "rule line")
-        try:
-            rules.append(decode_rule(encoded))
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from None
-    if any(line.strip() for line in lines):
-        raise ModelFormatError("trailing content after the rules section")
+    n_rules = _int(_value(lines, "rules"), "rule count")
+    try:
+        rules = [decode_rule(_take(lines, "rule line")) for _ in range(n_rules)]
+    except DecodeError as exc:
+        raise ModelFormatError(str(exc)) from None
     model = Model(lexicon, rules, config)
-    tagset = model.tagset()
-    if listed != tagset:
-        raise ModelFormatError(
-            f"tags line lists {' '.join(listed)!r}, the model's tags are {' '.join(tagset)!r}"
-        )
+    written = format_model(model)  # refuses a lexicon count below 1
+    if written != text:
+        raise _first_difference(text, written)
     return model

@@ -11,6 +11,7 @@ import tbltag
 from tbltag.cli import main
 from tbltag.corpus import ParseError, parse_corpus
 from tbltag.synth import ChainSpec, markov_corpus
+from tbltag.training import ModelFormatError, parse_model
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -412,6 +413,18 @@ def test_config_file_underscore_keys(tmp_path, chain):
     assert rc == 0
 
 
+@pytest.mark.parametrize("spec", ["-2,-1", "-1;+1"])
+def test_config_file_value_starting_with_minus(tmp_path, chain, spec):
+    # argparse would read a separate "-2,-1" argument as a flag
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"templates = {spec}\n")
+    model = tmp_path / "m.model"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(chain), "--default-tag", "Z",
+               "-o", str(model)])
+    assert rc == 0
+    assert f"\ntemplates {spec.replace(';', '; ')}\n" in model.read_text()
+
+
 @pytest.mark.parametrize(
     "content",
     ["nonsense line\n", "config=other.cfg\n", "deps=maybe\n"],
@@ -651,6 +664,51 @@ def test_exit_2_on_model_line_not_written_as_saving_writes_it(tmp_path, chain, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+# Texts that read as a model which saving would write back differently:
+# (bad text, line number of the first difference).
+_NOT_WRITTEN_BACK = {
+    "words-out-of-order": (CHAIN_MODEL.replace("a DT 1\nb P 2 X 1\n", "b P 2 X 1\na DT 1\n"), 11),
+    "tags-out-of-order": (CHAIN_MODEL.replace("b P 2 X 1", "b X 1 P 2"), 12),
+    "entry-double-space": (CHAIN_MODEL.replace("b P 2 X 1", "b P  2 X 1"), 12),
+    "tags-line-trailing-space": (CHAIN_MODEL.replace("X Y Z\n", "X Y Z \n"), 9),
+    "rules-line-double-space": (CHAIN_MODEL.replace("rules 2", "rules  2"), 16),
+    "context-out-of-order": (CHAIN_MODEL.replace("Q>Y @ -1:X", "Q>Y @ 1:Z,-1:X"), 18),
+    "offset-01": (CHAIN_MODEL.replace("P>X @ -1:DT", "P>X @ -01:DT"), 17),
+    "trailing-blank-line": (CHAIN_MODEL + "\n", 19),
+    "no-final-newline": (CHAIN_MODEL[:-1], 18),
+    "crlf": (CHAIN_MODEL.replace("\n", "\r\n"), 1),
+}
+
+
+@pytest.mark.parametrize("form", list(_NOT_WRITTEN_BACK))
+def test_parse_model_refuses_text_saving_would_not_write(form):
+    bad, lineno = _NOT_WRITTEN_BACK[form]
+    assert bad != CHAIN_MODEL
+    with pytest.raises(ModelFormatError, match=f"^line {lineno} reads "):
+        parse_model(bad)
+
+
+@pytest.mark.parametrize("form", [f for f in _NOT_WRITTEN_BACK if f != "crlf"])
+def test_exit_2_on_model_file_saving_would_not_write(tmp_path, chain, capsys, form):
+    bad, lineno = _NOT_WRITTEN_BACK[form]
+    model = tmp_path / "m.model"
+    model.write_bytes(bad.encode())
+    assert main(["tag", "--model", str(model), "--in", str(chain)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: line {lineno} reads ")
+
+
+def test_model_file_with_crlf_lines_loads(tmp_path, chain, capsys):
+    # load_model reads in text mode, which turns each \r\n into \n
+    outs = []
+    for name, text in (("m.model", CHAIN_MODEL), ("crlf.model", _NOT_WRITTEN_BACK["crlf"][0])):
+        (tmp_path / name).write_bytes(text.encode())
+        assert main(["tag", "--model", str(tmp_path / name), "--in", str(chain)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,16 @@ def test_lexicon_add_refuses_unwritable_items(word, tag):
     assert lex.most_frequent(BOUNDARY) == "NN"
 
 
+@pytest.mark.parametrize("tag", ["", "N N", BOUNDARY])
+def test_lexicon_add_refused_tag_files_no_new_word(tag):
+    # a new word's entry is made only once its first tag passes, so the
+    # table holds no word without tags, which no model file could carry
+    lex = Lexicon("X")
+    with pytest.raises(ValueError):
+        lex.add("w", tag)
+    assert lex.counts == {}
+
+
 def test_lexicon_tags():
     lex = lex_of({"a": "A", "b": "B"}, "D")
     assert lex.tags() == {"A", "B", "D"}

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tbltag.corpus import Lexicon, build_lexicon, parse_corpus
-from tbltag.rules import Rule, decode_rule, parse_template_spec
+from tbltag.rules import Rule, Template, decode_rule, parse_template_spec
+from tbltag.synth import ChainSpec, markov_corpus
+from tbltag.trainer_incremental import train_incremental
 from tbltag.trainer_naive import train_naive
 from tbltag.training import (
     Model,
@@ -198,6 +200,83 @@ def test_model_file_round_trips_or_is_refused(default, entries, rules):
     assert back.config == model.config
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"w": {"A": 0}}, {"w": {"A": 1, "B": -2}}, {"w": {}}],
+    ids=["zero", "negative", "no-tags"],
+)
+def test_format_model_refuses_entry_parse_model_would_refuse(counts):
+    # a lexicon built from counts is checked only here; no corpus gives these
+    with pytest.raises(ModelFormatError, match="'w' counts"):
+        format_model(Model(Lexicon("Z", counts), [], TrainerConfig()))
+
+
+def _mutate(text: str, how: str, at: int) -> str:
+    """text with one edit of kind how, at a place chosen by at."""
+    lines = text.splitlines(True)
+    i = at % len(lines)
+    if how == "swap adjacent lines":
+        i = at % (len(lines) - 1)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif how == "double a space":
+        spaces = [k for k, ch in enumerate(text) if ch == " "]
+        k = spaces[at % len(spaces)]
+        return text[:k] + " " + text[k:]
+    elif how == "append a space":
+        lines[i] = lines[i][:-1] + " \n"
+    elif how == "duplicate a line":
+        lines.insert(i, lines[i])
+    elif how == "append a blank line":
+        lines.append("\n")
+    elif how == "drop the final newline":
+        return text[:-1]
+    return "".join(lines)
+
+
+_MUTATIONS = [
+    "swap adjacent lines",
+    "double a space",
+    "append a space",
+    "duplicate a line",
+    "append a blank line",
+    "drop the final newline",
+]
+_templates = st.lists(
+    st.frozensets(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+).map(lambda groups: tuple(Template(g) for g in groups))
+
+
+@given(
+    draw_seed=st.integers(0, 10**6),
+    templates=_templates,
+    strategy=st.sampled_from(list(Strategy)),
+    record_deps=st.booleans(),
+    how=st.sampled_from(_MUTATIONS),
+    at=st.integers(0, 10**6),
+)
+@settings(max_examples=60)
+def test_parse_model_accepts_only_what_saving_writes(
+    draw_seed, templates, strategy, record_deps, how, at
+):
+    corpus = parse_corpus(markov_corpus(ChainSpec(structure_seed=2), draw_seed, n_tokens=300))
+    config = TrainerConfig(
+        templates=templates, threshold=1, strategy=strategy, rng_seed=draw_seed,
+        record_deps=record_deps,
+    )
+    model, _, _ = train_incremental(corpus, build_lexicon(corpus, "T00"), config)
+    text = format_model(model)
+    assert format_model(parse_model(text)) == text
+    mutated = _mutate(text, how, at)
+    try:
+        back = parse_model(mutated)
+    except ModelFormatError:
+        return
+    # an edit that leaves a valid model, such as swapping two rules
+    assert format_model(back) == mutated
+
+
 def test_save_model_failed_write_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "toy.model"
     path.write_text("old\n")
@@ -285,7 +364,7 @@ def test_parse_model_rejects_reserved_lexicon_tag():
 def test_parse_model_rejects_tags_line_other_than_the_tagset():
     # the toy model's tags are . DT MD NN VBZ; format_model would write them back
     for tags in ("tags 2 X Y", "tags 4 . DT MD NN", "tags 5 DT . MD NN VBZ"):
-        with pytest.raises(ModelFormatError, match="tags line"):
+        with pytest.raises(ModelFormatError, match="line 9 reads"):
             _parse_edited(lambda ls: ls.__setitem__(8, tags))
 
 
@@ -297,7 +376,7 @@ def test_parse_model_rejects_count_below_one(count):
 
 def test_parse_model_rejects_tag_repeated_in_an_entry():
     # Lexicon.add would sum the two into one count of 2
-    with pytest.raises(ModelFormatError, match="twice"):
+    with pytest.raises(ModelFormatError, match="line 11 reads"):
         _parse_edited(lambda ls: ls.__setitem__(10, ". . 1 . 1"))
 
 
@@ -306,7 +385,7 @@ def test_parse_model_rejects_word_repeated_across_entries():
         lines[9] = "lexicon 5"
         lines.insert(11, ". . 1")
 
-    with pytest.raises(ModelFormatError, match="two lexicon entries"):
+    with pytest.raises(ModelFormatError, match="line 10 reads"):
         _parse_edited(repeat_word)
 
 
