@@ -14,7 +14,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from .corpus import ParseError, accuracy_of, build_lexicon, parse_corpus, parse_line
+from .corpus import ParseError, accuracy_of, build_lexicon, count_tagged, lexicon_of, parse_corpus
 from .evaluate import Curve, Tally, replay, tag_stream
 from .rules import DEFAULT_TEMPLATE_SPEC, DEFAULT_WINDOW, DecodeError, parse_template_spec
 from .training import (
@@ -45,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; this package reserves 2
     # for data errors, so route usage problems through exit code 1.
     def error(self, message):
+        if message.endswith(": expected one argument"):
+            # argparse reads a separate value such as "-2,-1" as a flag
+            message += "; write a value that starts with '-' in one piece, as --templates=-2,-1"
         raise _UsageError(f"{self.prog}: {message}")
 
 
@@ -203,26 +206,42 @@ def _load_model(path: str) -> Model:
 
 
 def _cmd_train(args) -> int:
-    # The trainers and the dependency layer are imported only by the
-    # commands that run them, so tag, eval and curve load none of them.
-    from .dependency import dependency_report
-    from .trainer_incremental import AUDIT_LOG_HEADER, train_incremental
-    from .trainer_naive import train_naive
+    """Train on the corpus and write the model, trace, curve and reports.
 
-    if args.engine == "naive" and (args.audit or args.audit_log):
+    The naive engine trains on a parsed ``Corpus``.  The incremental
+    engine reads the text in two passes and builds no token: one counts
+    the lexicon (``corpus.count_tagged``), the other codes the text
+    straight into its strings (``trainer_incremental.train_text``).  Its
+    dependency recording and audit read tokens, so for them the text is
+    parsed too, into a ``Corpus`` kept in step with the strings.
+    """
+    # The trainers and the dependency layer are imported only by the
+    # commands that run them, so tag, eval and curve load none of them,
+    # and a naive run does not load the incremental trainer.
+    from .dependency import dependency_report
+
+    naive = args.engine == "naive"
+    if naive and (args.audit or args.audit_log):
         raise _UsageError("--audit and --audit-log check the index of the incremental engine")
     text = _read_text(args.corpus, "corpus")
-    corpus = parse_corpus(text)
-    if corpus.n_tokens == 0:
+    if naive:
+        corpus = parse_corpus(text)
+        n_tokens = corpus.n_tokens
+    else:
+        pairs = count_tagged(text)
+        n_tokens = sum(pairs.values())
+    if n_tokens == 0:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
     # The test corpus is checked now and tagged after training, kept as
     # text rather than as a Corpus.
     test_text = _read_text(args.test_corpus, "test corpus") if args.test_corpus else ""
-    for lineno, line in enumerate(test_text.splitlines(), start=1):
-        parse_line(line, lineno)
+    count_tagged(test_text)
     # A default tag no model file can carry exits 2, before Lexicon refuses it.
     check_tagset([args.default_tag])
-    lexicon = build_lexicon(corpus, args.default_tag)
+    if naive:
+        lexicon = build_lexicon(corpus, args.default_tag)
+    else:
+        lexicon = lexicon_of(pairs, args.default_tag)
     check_tagset(lexicon.tags())
     templates = parse_template_spec(args.templates, window=args.window)
     config = TrainerConfig(
@@ -236,10 +255,15 @@ def _cmd_train(args) -> int:
     )
 
     audit_log: list[str] | None = [] if args.audit_log else None
-    if args.engine == "naive":
+    if naive:
+        from .trainer_naive import train_naive
+
         model, trace, curve = train_naive(corpus, lexicon, config)
     else:
-        model, trace, curve = train_incremental(corpus, lexicon, config, audit_log=audit_log)
+        from .trainer_incremental import AUDIT_LOG_HEADER, train_text
+
+        corpus = parse_corpus(text) if args.deps or args.audit else None
+        model, trace, curve = train_text(text, lexicon, config, audit_log, corpus)
 
     effective = {
         **dict(config_pairs(config)),
@@ -269,7 +293,7 @@ def _cmd_train(args) -> int:
         report = dependency_report(corpus, model)
         _write_text(args.deps_out, _header("train", effective) + report)
 
-    if args.audit_log and audit_log is not None:
+    if args.audit_log and audit_log is not None:  # only the incremental engine keeps one
         log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])
         _write_text(args.audit_log, _header("train", effective) + log_text)
 

@@ -4,12 +4,17 @@ A corpus is a list of sentences, each a list of tokens carrying the gold
 tag (``truth``) and the working tag (``current``).  Training mutates only
 ``current`` and the per-token ``dep`` link; ``truth`` and words are fixed
 after parsing.
+
+The incremental trainer's front end builds no tokens: ``count_tagged``
+reads a text's ``(word, tag)`` pairs straight from its lines, and
+``lexicon_of`` files them, as ``build_lexicon`` files a Corpus's.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 # Reserved pseudo-tag returned for positions outside the sentence.  It may
@@ -19,6 +24,10 @@ BOUNDARY = sys.intern("<B>")
 
 # (sentence index, token index)
 Site = tuple[int, int]
+
+# Characters read from the input per chunk, rounded up to a whole line, so
+# memory stays bounded by the chunk, not the input.
+CHUNK_CHARS = 1 << 16
 
 _ITEM_RE = re.compile(r"\S+")
 
@@ -205,15 +214,52 @@ def _check_item(item: str, kind: str) -> None:
         raise ValueError(f"a lexicon {kind} must be non-empty and free of whitespace: {item!r}")
 
 
+def text_chunks(text: str, chunk_chars: int = CHUNK_CHARS):
+    """``text.splitlines()`` a chunk at a time, as ``(first line number, lines)``.
+
+    Each chunk ends just after the first "\n" at or past ``chunk_chars``
+    characters, or at the end of the text.  A "\n" always ends a line of
+    the whole text, so the chunks' lines are exactly the text's lines;
+    line numbers count from 1.
+    """
+    lineno = 1
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk_chars - 1) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+        start = end
+
+
+def count_tagged(text: str) -> Counter:
+    """How often each ``(word, tag)`` pair occurs in tagged text.
+
+    The text is read as ``parse_corpus`` reads it, and a malformed item
+    raises the same ParseError, but no token is built and no list of all
+    its lines is held.  The pairs are in the order of their first use.
+    """
+    pairs = Counter()
+    for first, lines in text_chunks(text):
+        for lineno, line in enumerate(lines, first):
+            pairs.update(zip(*parse_line(line, lineno)))
+    return pairs
+
+
+def lexicon_of(pairs: dict[tuple[str, str], int], default_tag: str) -> Lexicon:
+    """The lexicon of these ``(word, tag)`` counts: one ``add`` per pair."""
+    lex = Lexicon(default_tag)
+    for (word, tag), n in pairs.items():
+        lex.add(word, tag, n)
+    return lex
+
+
 def build_lexicon(corpus: Corpus, default_tag: str) -> Lexicon:
     """Count truth tags per word over the whole corpus."""
-    lex = Lexicon(default_tag)
-    for sent in corpus.sentences:
-        for tok in sent:
-            if tok.truth is None:
-                raise ValueError("cannot build a lexicon from an untagged corpus")
-            lex.add(tok.word, tok.truth)
-    return lex
+    pairs = Counter((tok.word, tok.truth) for sent in corpus.sentences for tok in sent)
+    if any(truth is None for _, truth in pairs):
+        raise ValueError("cannot build a lexicon from an untagged corpus")
+    return lexicon_of(pairs, default_tag)
 
 
 def baseline_assign(corpus: Corpus, lexicon: Lexicon) -> int:

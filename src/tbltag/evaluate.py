@@ -16,13 +16,9 @@ from io import TextIOBase
 from itertools import accumulate, count, repeat
 from operator import ne, sub
 
-from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_line
+from .corpus import CHUNK_CHARS, Corpus, Site, accuracy_of, baseline_assign, parse_line
 from .rules import PAD, Rule, code_corpus, compile_rules, run_rules, sites_of, tag_codes
 from .training import Model, apply_at_sites
-
-# Characters read from the input per chunk, rounded up to a whole line, so
-# memory stays bounded by the chunk, not the input.
-CHUNK_CHARS = 1 << 16
 
 
 def replay(

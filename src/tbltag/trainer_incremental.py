@@ -9,11 +9,19 @@ effect counts are read off its key's counter: ``pos = counts[to]``,
 (key, to) with ``to != frm`` and ``counts[to] > 0``: exactly the rules that
 would fix some mistagged site.
 
-Keys are read from the corpus coded one character per tag, and rules
-applied to it by ``rules.rewrite``, the step of the replay loop that
-``evaluate.replay`` runs: a literal window search for a rule whose offsets
-and 0 form an unbroken run, a look-around pattern for one with a gap.  The counting follows a plan made once from the
-templates.  A position set that no other set contains is counted: its
+The index reads only two strings, the current and the truth tags coded
+one character per tag and padded as ``rules.code_corpus`` pads them.
+``train_text`` reads them straight from the corpus text in a second pass
+over its lines (``code_text``), after ``corpus.count_tagged`` counted the
+lexicon in the first, so it builds no ``Token``; a ``Corpus`` is kept,
+and each pass's sites written to it, only where something reads tokens:
+``train_incremental``, dependency recording and the audit.
+
+Rules are applied to the coded current tags by ``rules.rewrite``, the
+step of the replay loop that ``evaluate.replay`` runs: a literal window
+search for a rule whose offsets and 0 form an unbroken run, a
+look-around pattern for one with a gap.  The counting follows a plan
+made once from the templates.  A position set that no other set contains is counted: its
 (key, truth) pairs are counted in bulk from columns of the coded strings.
 A set that another contains is projected: its key is read off the
 containing set's key, so its counts are sums of that set's.  The default
@@ -37,9 +45,19 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, ne
 
-from .corpus import BOUNDARY, Corpus, Lexicon, Site, accuracy_of, baseline_assign, error_count
+from .corpus import (
+    BOUNDARY,
+    Corpus,
+    Lexicon,
+    Site,
+    accuracy_of,
+    baseline_assign,
+    error_count,
+    parse_line,
+    text_chunks,
+)
 from .dependency import record_pass
 from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
 from .trainer_naive import count_keys, score_keys
@@ -91,6 +109,11 @@ def _plan(psets: list[tuple[int, ...]]) -> list[tuple]:
     return [(pi, offsets, projections) for pi, (offsets, projections) in plan.items()]
 
 
+def _width(templates) -> int:
+    """The padding the coded strings need: the widest template's span."""
+    return max(t.span for t in templates)
+
+
 class TrainerIndex:
     """Truth-tag counters per observation key, and the live candidate table."""
 
@@ -103,6 +126,7 @@ class TrainerIndex:
         "text",
         "truth",
         "starts",
+        "n_tokens",
         "keys",
         "cands",
         "table",
@@ -112,19 +136,27 @@ class TrainerIndex:
         "last_sites_rechecked",
     )
 
-    def __init__(self, corpus: Corpus, templates):
+    def __init__(self, current: str, truth: str, starts: list[int], codes: dict, templates):
+        """Build the index from scratch from the coded current and truth tags.
+
+        ``current`` and ``truth`` are padded by ``_width(templates)``, as
+        ``rules.code_corpus`` pads them with ``codes``, and ``starts``
+        says where each sentence starts in both.  Per counted position
+        set, one Counter over columns of the strings counts every (key,
+        truth) pair, and the pairs, projected, count the keys of the sets
+        it contains.  Then every key is scored, so the candidates and
+        their counts equal a fresh enumerate_candidates over the same
+        tags.
+        """
         self.psets: list[tuple[int, ...]] = position_sets(templates)
         self.plan = _plan(self.psets)
-        self.width = width = max(t.span for t in templates)
-        # Every current and truth tag gets a code, a missing truth (None) too.
-        tags = {tok.current for sent in corpus.sentences for tok in sent}
-        tags.update(tok.truth for sent in corpus.sentences for tok in sent)
-        self.codes = codes = tag_codes(sorted(tags - {None}) + [None])
+        self.width = width = _width(templates)
+        self.codes = codes
         self.tags = {code: tag for tag, code in codes.items()}
-        # The current and the truth tags, coded and padded by width, and
-        # where each sentence starts in both.
-        self.text, self.starts = code_corpus(corpus, codes, width)
-        self.truth = code_corpus(corpus, codes, width, "truth")[0]
+        self.text = current
+        self.truth = truth
+        self.starts = starts
+        self.n_tokens = len(current) - current.count(PAD)
         # (pset index, current code, *context codes) -> {truth code: count};
         # a count is never 0, and a key with no count is deleted when rescored
         self.keys: dict[tuple, dict[str, int]] = {}
@@ -133,9 +165,21 @@ class TrainerIndex:
         self.table: dict[Rule, Candidate] = {}
         # the candidates with pos - neg >= 1, sorted by rule_order
         self.eligible: list[Candidate] = []
-        self.links_total = 0  # site-to-key memberships
+        self.links_total = self.n_tokens * len(self.psets)  # site-to-key memberships
         self.last_unseen_added = 0  # keys created by the last pass
         self.last_sites_rechecked = 0  # tokens whose keys the last pass re-read
+
+        end = len(current) - width
+        truths = truth[width:end]
+        projected = {}
+        for pi, offsets, projections in self.plan:
+            pairs = _pairs(pi, [current[width + off : end + off] for off in offsets], truths)
+            for pair in [pair for pair in pairs if pair[0][1] == PAD]:
+                del pairs[pair]  # the padding between sentences
+            self._move(pairs, set())
+            _project(pairs, projections, projected)
+        self._move(projected, set())
+        self._rescore(self.keys)
 
     def key_of(self, rule: Rule) -> tuple:
         codes = self.codes
@@ -254,30 +298,54 @@ def _project(moved, projections, into: dict) -> None:
 def init_index(corpus: Corpus, templates) -> TrainerIndex:
     """Build the index from scratch against the corpus's current tags.
 
-    Per counted position set, one Counter over columns of the coded
-    strings counts every (key, truth) pair, and the pairs, projected,
-    count the keys of the sets it contains.  Then every key is scored, so
-    the candidates and their counts equal a fresh enumerate_candidates
-    over the same corpus.
+    Every current and truth tag gets a code, a missing truth (None) too.
     """
-    index = TrainerIndex(corpus, templates)
-    width, text = index.width, index.text
-    end = len(text) - width
-    truth = index.truth[width:end]
-    projected = {}
-    for pi, offsets, projections in index.plan:
-        pairs = _pairs(pi, [text[width + off : end + off] for off in offsets], truth)
-        for pair in [pair for pair in pairs if pair[0][1] == PAD]:
-            del pairs[pair]  # the padding between sentences
-        index._move(pairs, set())
-        _project(pairs, projections, projected)
-    index._move(projected, set())
-    index._rescore(index.keys)
-    index.links_total = corpus.n_tokens * len(index.psets)
-    return index
+    tags = {tok.current for sent in corpus.sentences for tok in sent}
+    tags.update(tok.truth for sent in corpus.sentences for tok in sent)
+    codes = tag_codes(sorted(tags - {None}) + [None])
+    width = _width(templates)
+    current, starts = code_corpus(corpus, codes, width)
+    truth = code_corpus(corpus, codes, width, "truth")[0]
+    return TrainerIndex(current, truth, starts, codes, templates)
 
 
-def apply_and_update(index: TrainerIndex, corpus: Corpus, rule: Rule) -> list[Site]:
+def code_text(text: str, lexicon: Lexicon, width: int) -> tuple:
+    """Tagged text's baseline and truth tags, coded, with no Token built.
+
+    The lexicon must hold the text's own counts (``corpus.count_tagged``).
+    Returns ``(current, truth, starts, codes, errors)``: the strings,
+    starts and codes ``init_index`` makes of ``parse_corpus(text)`` after
+    ``baseline_assign(corpus, lexicon)``, and the baseline's errors.  The
+    lines are read as ``parse_corpus`` reads them, a chunk at a time
+    (``corpus.text_chunks``), and each chunk's sentences are joined
+    before the next is read.  A word's baseline code comes from a word ->
+    code table built once from ``Lexicon.most_frequent``.
+    """
+    tagset = {tag for by_tag in lexicon.counts.values() for tag in by_tag}
+    codes = tag_codes(sorted(tagset) + [None])
+    most_frequent = lexicon.most_frequent
+    word_code = {word: codes[most_frequent(word)] for word in lexicon.counts}
+    pad = PAD * width
+    current, truth, starts = [], [], []
+    pos = width
+    for first, lines in text_chunks(text):
+        cur, tru = [], []
+        for lineno, line in enumerate(lines, first):
+            words, tags = parse_line(line, lineno)
+            if words:
+                starts.append(pos)
+                pos += len(words) + width
+                cur.append("".join(map(word_code.__getitem__, words)))
+                tru.append("".join(map(codes.__getitem__, tags)))
+        if cur:
+            current.append(pad.join(cur))
+            truth.append(pad.join(tru))
+    current = pad + pad.join(current) + pad
+    truth = pad + pad.join(truth) + pad
+    return current, truth, starts, codes, sum(map(ne, current, truth))
+
+
+def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> list[Site]:
     """Apply a candidate rule at its sites and repair the index.
 
     The sites are matched in the coded string before any is rewritten, so
@@ -288,14 +356,16 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus, rule: Rule) -> list[Si
     counted: the new counts less the old are the net moves of the set's
     keys.  The sets it contains read no position it does not, so its
     nonzero moves, projected, are theirs.  Only the keys whose counts
-    moved are rescored.  Returns the changed sites in corpus order.
+    moved are rescored.  Returns the changed sites in corpus order, and
+    rewrites them in ``corpus`` too when one is given.
     """
     if rule not in index.table:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")
     old = index.text
     new, hits = rewrite(rule, old, index.codes, index.width)
     sites = sites_of(hits, index.starts)
-    apply_at_sites(corpus, rule, sites)
+    if corpus is not None:
+        apply_at_sites(corpus, rule, sites)
     index.text = new
 
     truth = index.truth
@@ -418,14 +488,45 @@ def train_incremental(
     Output-equivalent to train_naive under the same config and seed.
     With config.audit the index is recounted after setup and every pass.
     audit_log, when given, receives one tab-separated line per pass, in
-    the columns of AUDIT_LOG_HEADER.
+    the columns of AUDIT_LOG_HEADER.  Each pass's sites are rewritten in
+    the corpus, which ends with the tags the model's replay gives it.
     """
     if config is None:
         config = TrainerConfig()
     errors = baseline_assign(corpus, lexicon)
-    n = corpus.n_tokens
+    return _train(init_index(corpus, config.templates), errors, lexicon, config, audit_log, corpus)
+
+
+def train_text(
+    text: str,
+    lexicon: Lexicon,
+    config: TrainerConfig | None = None,
+    audit_log: list[str] | None = None,
+    corpus: Corpus | None = None,
+):
+    """``train_incremental`` of ``parse_corpus(text)``, reading the text straight into codes.
+
+    The lexicon must hold the text's own counts (``corpus.count_tagged``),
+    as ``code_text`` needs.  Dependency recording and the audit read
+    tokens, so they need ``corpus``: a parse of the same text, which is
+    baseline-tagged here and has each pass's sites written to it.
+    """
+    if config is None:
+        config = TrainerConfig()
+    if corpus is None and (config.record_deps or config.audit):
+        raise ValueError("dependency recording and the audit need the text parsed as a corpus")
+    current, truth, starts, codes, errors = code_text(text, lexicon, _width(config.templates))
+    index = TrainerIndex(current, truth, starts, codes, config.templates)
+    if corpus is not None:
+        baseline_assign(corpus, lexicon)
+    return _train(index, errors, lexicon, config, audit_log, corpus)
+
+
+def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerConfig,
+           audit_log: list[str] | None, corpus: Corpus | None):
+    """The passes over a fresh index whose current tags make ``errors`` errors."""
+    n = index.n_tokens
     rng = random.Random(config.rng_seed)
-    index = init_index(corpus, config.templates)
     if config.audit:
         verify_index(index, corpus)
 

@@ -8,10 +8,13 @@ import sys
 import pytest
 
 import tbltag
+import tbltag.corpus
 from tbltag.cli import main
-from tbltag.corpus import ParseError, parse_corpus
+from tbltag.corpus import ParseError, build_lexicon, parse_corpus
+from tbltag.evaluate import Curve
 from tbltag.synth import ChainSpec, markov_corpus
-from tbltag.training import ModelFormatError, parse_model
+from tbltag.trainer_incremental import train_incremental
+from tbltag.training import ModelFormatError, TrainerConfig, format_model, parse_model, trace_tsv
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -423,6 +426,19 @@ def test_config_file_value_starting_with_minus(tmp_path, chain, spec):
                "-o", str(model)])
     assert rc == 0
     assert f"\ntemplates {spec.replace(';', '; ')}\n" in model.read_text()
+
+
+@pytest.mark.parametrize("spec", ["-2,-1", "-1;+1"])
+def test_command_line_value_starting_with_minus_names_the_joined_form(tmp_path, chain, spec,
+                                                                      capsys):
+    model = tmp_path / "m.model"
+    rc = main(["train", "--corpus", str(chain), "--default-tag", "Z", "--templates", spec,
+               "-o", str(model)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "argument --templates: expected one argument" in err
+    assert "--templates=-2,-1" in err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize(
@@ -871,13 +887,17 @@ def test_exit_1_on_missing_model(tmp_path, chain, capsys):
         ["eval", "--model", "m.model", "--corpus", "chain.txt"],
         ["curve", "--model", "m.model", "--train", "chain.txt"],
         ["deps", "--model", "m.model", "--corpus", "chain.txt"],
+        ["train", "--engine", "naive", "--corpus", "chain.txt", "--default-tag", "Z"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_command_loads_only_the_modules_it_runs(tmp_path, chain, argv):
-    # Only train runs a trainer, and only train and deps record dependencies.
+    # Only train runs a trainer, a naive run only the naive one, and only
+    # train and deps record dependencies.
     unloaded = {"tbltag.trainer_incremental", "tbltag.trainer_naive"}
-    if argv[0] != "deps":
+    if argv[0] == "train":
+        unloaded = {"tbltag.trainer_incremental"}
+    elif argv[0] != "deps":
         unloaded.add("tbltag.dependency")
     (tmp_path / "m.model").write_text(CHAIN_MODEL)
     script = (
@@ -910,3 +930,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout
+
+
+def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
+    text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=1, n_tokens=2000)
+    path = tmp_path / "train.txt"
+    path.write_text(text)
+    corpus = parse_corpus(text)
+    model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), TrainerConfig())
+    assert model.rules
+
+    def no_token(*args):
+        raise AssertionError("a Token was built")
+
+    monkeypatch.setattr(tbltag.corpus, "Token", no_token)
+    out = tmp_path / "m.model"
+    rc = main(["train", "--corpus", str(path), "--default-tag", "T00", "-o", str(out)])
+    assert rc == 0
+    assert out.read_text() == format_model(model)
+
+    def body(p):
+        return "".join(line for line in p.read_text().splitlines(True) if not line.startswith("#"))
+
+    assert body(tmp_path / "m.model.trace.tsv") == trace_tsv(trace)
+    assert body(tmp_path / "m.model.curve.tsv") == Curve.of([a for _, a in curve]).to_tsv()
+    # dependency recording reads tokens, so that run does parse a Corpus
+    with pytest.raises(AssertionError, match="a Token was built"):
+        main(["train", "--corpus", str(path), "--default-tag", "T00", "--deps",
+              "-o", str(tmp_path / "d.model")])

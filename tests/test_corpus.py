@@ -17,6 +17,7 @@ from tbltag.corpus import (
     error_count,
     parse_corpus,
     serialize_corpus,
+    text_chunks,
 )
 
 from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of
@@ -89,6 +90,16 @@ def test_parse_reserved_boundary_tag():
     message = f"line 1, column 3: tag {BOUNDARY!r} is reserved for sentence boundaries"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_corpus(f"  dog/{BOUNDARY}\n")
+
+
+@given(text=st.text(alphabet="ab \n\r\x1c\u2028"), chunk_chars=st.integers(1, 8))
+def test_text_chunks_are_the_lines_of_the_text(text, chunk_chars):
+    lines = []
+    for first, chunk in text_chunks(text, chunk_chars):
+        assert first == len(lines) + 1
+        assert chunk
+        lines += chunk
+    assert lines == text.splitlines()
 
 
 def test_parse_empty_text():

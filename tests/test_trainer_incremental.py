@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbltag.corpus import BOUNDARY, baseline_assign, build_lexicon, error_count, parse_corpus
+from tbltag.corpus import (
+    BOUNDARY,
+    ParseError,
+    baseline_assign,
+    build_lexicon,
+    count_tagged,
+    error_count,
+    lexicon_of,
+    parse_corpus,
+)
 from tbltag.dependency import dependency_report
 from tbltag.evaluate import replay
 from tbltag.rules import (
@@ -16,6 +25,7 @@ from tbltag.rules import (
     Rule,
     RuleScore,
     apply_rule,
+    code_corpus,
     parse_template_spec,
     position_sets,
     tag_codes,
@@ -25,12 +35,14 @@ from tbltag.trainer_incremental import (
     AuditError,
     Candidate,
     apply_and_update,
+    code_text,
     init_index,
     train_incremental,
+    train_text,
     verify_index,
 )
 from tbltag.trainer_naive import enumerate_candidates, train_naive
-from tbltag.training import Strategy, TrainerConfig, select, trace_tsv
+from tbltag.training import Strategy, TrainerConfig, format_model, select, trace_tsv
 
 from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule
 
@@ -104,6 +116,77 @@ def test_init_index_matches_enumeration(seed):
     index = init_index(c, T3)
     assert _scores(index) == enumerate_candidates(c, T3)
     verify_index(index, c)
+
+
+# --- the front end: text straight to coded strings ------------------------------
+
+# Line breaks str.splitlines honours, blank lines among them, and
+# whitespace str.split honours inside a line.
+_BREAKS = ["\n", "\r\n", "\r", "\x1c", "\u2028", "\n\n", "\r\n\r\n", "\n \t\n"]
+_GAPS = [" ", "   ", "\t", " \t ", "\u3000"]
+_BAD_ITEMS = ["x", "/x", "x/", f"x/{BOUNDARY}"]
+
+
+@st.composite
+def _tagged_text(draw):
+    """Tagged text whose words may hold '/', sometimes with one malformed item."""
+    words = st.sampled_from(["a", "b", "a/b", "/", "c//", "d"])
+    tags = st.sampled_from(["T0", "T1", "T2", "D"])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        items = [f"{draw(words)}/{draw(tags)}" for _ in range(draw(st.integers(0, 5)))]
+        indent = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(indent + draw(st.sampled_from(_GAPS)).join(items))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(_BAD_ITEMS))
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "a/T0  "])) + bad)
+    breaks = [draw(st.sampled_from(_BREAKS)) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + end for line, end in zip(lines, breaks))
+
+
+@given(text=_tagged_text(), width=st.integers(1, 3))
+@settings(max_examples=300)
+def test_front_end_matches_the_token_path(text, width):
+    try:
+        corpus = parse_corpus(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            count_tagged(text)
+        assert (str(got.value), got.value.line, got.value.column) == (
+            str(exc), exc.line, exc.column
+        )
+        return
+    pairs = count_tagged(text)
+    assert sum(pairs.values()) == corpus.n_tokens
+    lexicon = lexicon_of(pairs, "D")
+    want = build_lexicon(corpus, "D")
+    assert list(lexicon.counts.items()) == list(want.counts.items())
+    errors = baseline_assign(corpus, want)
+    codes = tag_codes(sorted({tok.truth for sent in corpus.sentences for tok in sent}) + [None])
+    current, starts = code_corpus(corpus, codes, width)
+    truth = code_corpus(corpus, codes, width, "truth")[0]
+    assert code_text(text, lexicon, width) == (current, truth, starts, codes, errors)
+
+
+def test_train_text_matches_train_incremental():
+    text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=2, n_tokens=1500)
+    config = TrainerConfig(templates=T3, threshold=1)
+    corpus = parse_corpus(text)
+    lexicon = build_lexicon(corpus, "T00")
+    model, trace, curve = train_incremental(corpus, lexicon, config)
+    got, got_trace, got_curve = train_text(text, lexicon_of(count_tagged(text), "T00"), config)
+    assert len(model.rules) > 5
+    assert (format_model(got), got_trace, got_curve) == (format_model(model), trace, curve)
+
+
+@pytest.mark.parametrize("setting", ["record_deps", "audit"])
+def test_train_text_refuses_token_readers_without_corpus(setting):
+    config = replace(TrainerConfig(), **{setting: True})
+    text = "a/X b/Y\n"
+    with pytest.raises(ValueError, match="parsed as a corpus"):
+        train_text(text, lexicon_of(count_tagged(text), "X"), config)
 
 
 # --- apply_and_update --------------------------------------------------------------
