@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 
 from .corpus import ParseError, accuracy_of, build_lexicon, count_tagged, lexicon_of, parse_corpus
 from .evaluate import Curve, Tally, replay, tag_stream
@@ -212,13 +213,13 @@ def _cmd_train(args) -> int:
     engine reads the text in two passes and builds no token: one counts
     the lexicon (``corpus.count_tagged``), the other codes the text
     straight into its strings (``trainer_incremental.train_text``).  Its
-    dependency recording and audit read tokens, so for them the text is
-    parsed too, into a ``Corpus`` kept in step with the strings.
+    audit reads tokens, so for it the text is parsed too, into a
+    ``Corpus`` kept in step with the strings.
     """
     # The trainers and the dependency layer are imported only by the
     # commands that run them, so tag, eval and curve load none of them,
     # and a naive run does not load the incremental trainer.
-    from .dependency import dependency_report
+    from .dependency import dependency_report, record_pass
 
     naive = args.engine == "naive"
     if naive and (args.audit or args.audit_log):
@@ -255,15 +256,17 @@ def _cmd_train(args) -> int:
     )
 
     audit_log: list[str] | None = [] if args.audit_log else None
+    links = {}
+    on_rule = partial(record_pass, links) if args.deps else None
     if naive:
         from .trainer_naive import train_naive
 
-        model, trace, curve = train_naive(corpus, lexicon, config)
+        model, trace, curve = train_naive(corpus, lexicon, config, on_rule)
     else:
         from .trainer_incremental import AUDIT_LOG_HEADER, train_text
 
-        corpus = parse_corpus(text) if args.deps or args.audit else None
-        model, trace, curve = train_text(text, lexicon, config, audit_log, corpus)
+        corpus = parse_corpus(text) if args.audit else None
+        model, trace, curve = train_text(text, lexicon, config, audit_log, corpus, on_rule)
 
     effective = {
         **dict(config_pairs(config)),
@@ -290,7 +293,7 @@ def _cmd_train(args) -> int:
     _write_text(args.curve, _header("train", effective) + curve_obj.to_tsv())
 
     if args.deps:
-        report = dependency_report(corpus, model)
+        report = dependency_report(links, model)
         _write_text(args.deps_out, _header("train", effective) + report)
 
     if args.audit_log and audit_log is not None:  # only the incremental engine keeps one
@@ -392,18 +395,22 @@ def _cmd_deps(args) -> int:
             "model was trained without --deps; retrain with dependency recording"
         )
     corpus = parse_corpus(_read_text(args.corpus, "corpus"))
+    not_trained_on = f"corpus {args.corpus} is not the one the model was trained on"
     if build_lexicon(corpus, model.default_tag).counts != model.lexicon.counts:
-        raise _DataError(
-            f"corpus {args.corpus} is not the one the model was trained on: "
-            "its word/tag counts differ from the model's lexicon"
-        )
+        raise _DataError(f"{not_trained_on}: its word/tag counts differ from the model's lexicon")
+    links = {}
+
+    def record(pass_no, rule, sites):
+        # each rule lowered the errors at its training sites, which replay finds
+        truths = [corpus.sentences[si][ti].truth for si, ti in sites]
+        if truths.count(rule.to) - truths.count(rule.frm) < 1:
+            raise _DataError(f"{not_trained_on}: rule {pass_no} does not lower its errors there")
+        record_pass(links, pass_no, rule, sites)
+
     # Replay the training application order with recording on; this
     # reconstructs the same structures the training run produced.
-    replay(
-        model, corpus,
-        on_rule=lambda pass_no, rule, sites: record_pass(corpus, sites, rule, pass_no),
-    )
-    report = dependency_report(corpus, model, include_pass=not args.no_pass_in_key)
+    replay(model, corpus, on_rule=record)
+    report = dependency_report(links, model, include_pass=not args.no_pass_in_key)
     pairs = {
         "model": args.model,
         "corpus": args.corpus,

@@ -2,8 +2,8 @@
 
 A corpus is a list of sentences, each a list of tokens carrying the gold
 tag (``truth``) and the working tag (``current``).  Training mutates only
-``current`` and the per-token ``dep`` link; ``truth`` and words are fixed
-after parsing.
+``current``; ``truth`` and words are fixed after parsing.  Dependency links
+are kept apart from the tokens, keyed by site (``dependency.record_pass``).
 
 The incremental trainer's front end builds no tokens: ``count_tagged``
 reads a text's ``(word, tag)`` pairs straight from its lines, and
@@ -46,11 +46,10 @@ class Token:
     word: str
     truth: str | None
     current: str | None = None
-    dep: object | None = None  # most recent DependencyNode, None until changed
 
 
 class Corpus:
-    """Sentences of tokens.  Equality compares words and tags, not dep links."""
+    """Sentences of tokens.  Equality compares their words and tags."""
 
     __slots__ = ("sentences", "n_tokens")
 
@@ -61,9 +60,7 @@ class Corpus:
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
-        return [
-            [(t.word, t.truth, t.current) for t in s] for s in self.sentences
-        ] == [[(t.word, t.truth, t.current) for t in s] for s in other.sentences]
+        return self.sentences == other.sentences
 
     def __len__(self):
         return len(self.sentences)
@@ -265,15 +262,14 @@ def build_lexicon(corpus: Corpus, default_tag: str) -> Lexicon:
 def baseline_assign(corpus: Corpus, lexicon: Lexicon) -> int:
     """Set every token's current tag to its lexicon-most-frequent tag.
 
-    Clears dep links.  Returns the number of tokens whose current tag
-    disagrees with truth (0 for untagged corpora).  Idempotent.
+    Returns the number of tokens whose current tag disagrees with truth
+    (0 for untagged corpora).  Idempotent.
     """
     errors = 0
     mf = lexicon.most_frequent
     for sent in corpus.sentences:
         for tok in sent:
             tok.current = mf(tok.word)
-            tok.dep = None
             if tok.truth is not None and tok.current != tok.truth:
                 errors += 1
     return errors

@@ -3,16 +3,17 @@
 Every tag change gets an immutable node naming the rule and the training
 pass.  A node's children are the previous node at the same site (offset 0)
 and the nodes at the rule's context offsets, all read as they stood before
-the pass began.  A token's dep link always points at the most recent node,
-so the final links form per-site trees (really DAGs, since a node can be
-shared by several parents) whose shapes show how rules fed each other.
+the pass began.  ``partial(record_pass, links)``, the ``on_rule`` of the
+trainers and of ``evaluate.replay``, keeps each site's most recent node in
+the dict ``links``, so the final links form per-site trees (really DAGs,
+since a node can be shared) whose shapes show how rules fed each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, Site
+from .corpus import Site
 from .rules import Rule, display_rule
 
 
@@ -52,34 +53,29 @@ class DependencyNode:
         return f"DependencyNode({self.rule.canonical!r}, pass={self.pass_no})"
 
 
-def record_pass(corpus: Corpus, sites: list[Site], rule: Rule, pass_no: int) -> list[DependencyNode]:
+Links = dict[Site, DependencyNode]  # each changed site's most recent node
+
+
+def record_pass(links: Links, pass_no: int, rule: Rule, sites: list[Site]) -> list[DependencyNode]:
     """Create and install nodes for all sites one rule changes in one pass.
 
     Child links are gathered for every site before any node is installed,
     so sites changed together see each other's previous nodes, never the
-    new ones.  Only dep links are read, never tags, so it may be called
-    before or after the tags themselves are rewritten.
+    new ones.  A neighbour outside the sentence is never a site, so it has
+    no link to read.  Returns the new nodes, in the order of the sites.
     """
-    offsets = [off for off, _ in rule.ctx]
+    offsets = (0, *[off for off, _ in rule.ctx])
+    get = links.get
     gathered = []
     for si, ti in sites:
-        sent = corpus.sentences[si]
         children: dict[int, DependencyNode] = {}
-        prior = sent[ti].dep
-        if prior is not None:
-            children[0] = prior
         for off in offsets:
-            j = ti + off
-            if 0 <= j < len(sent):
-                neighbor = sent[j].dep
-                if neighbor is not None:
-                    children[off] = neighbor
+            child = get((si, ti + off))
+            if child is not None:
+                children[off] = child
         gathered.append(children)
-    nodes = []
-    for (si, ti), children in zip(sites, gathered):
-        node = DependencyNode(rule, pass_no, children)
-        corpus.sentences[si][ti].dep = node
-        nodes.append(node)
+    nodes = [DependencyNode(rule, pass_no, children) for children in gathered]
+    links.update(zip(sites, nodes))
     return nodes
 
 
@@ -142,7 +138,7 @@ class TreeClass:
     representative: DependencyNode
 
 
-def collect_classes(corpus: Corpus, include_pass: bool = True) -> list[TreeClass]:
+def collect_classes(links: Links, include_pass: bool = True) -> list[TreeClass]:
     """Group final per-site trees by canonical key.
 
     Sorted by descending count, then ascending key.  Counts sum to the
@@ -150,32 +146,28 @@ def collect_classes(corpus: Corpus, include_pass: bool = True) -> list[TreeClass
     """
     memo: dict[int, str] = {}
     classes: dict[str, TreeClass] = {}
-    for sent in corpus.sentences:
-        for tok in sent:
-            node = tok.dep
-            if node is None:
-                continue
-            key = canonical_key(node, include_pass, memo)
-            tc = classes.get(key)
-            if tc is None:
-                classes[key] = TreeClass(key, 1, node)
-            else:
-                tc.count += 1
+    for _, node in sorted(links.items()):  # corpus order: a class keeps its first site
+        key = canonical_key(node, include_pass, memo)
+        tc = classes.get(key)
+        if tc is None:
+            classes[key] = TreeClass(key, 1, node)
+        else:
+            tc.count += 1
     return sorted(classes.values(), key=lambda tc: (-tc.count, tc.key))
 
 
-def dependency_report(corpus: Corpus, model=None, include_pass: bool = True) -> str:
-    """Text report: change counts, leverage, and every tree class.
+def dependency_report(links: Links, model=None, include_pass: bool = True) -> str:
+    """Text report of the links: change counts, leverage, and every tree class.
 
     ``model``, when given, must have been trained with dependency
-    recording enabled; otherwise the corpus carries no dep links and the
+    recording enabled; otherwise no links were recorded for it and the
     report would be silently empty.
     """
     if model is not None and not model.record_deps:
         raise RecordingDisabledError(
             "model was trained without dependency recording; retrain with it enabled"
         )
-    classes = collect_classes(corpus, include_pass)
+    classes = collect_classes(links, include_pass)
     changed = sum(tc.count for tc in classes)
     multi = sum(
         tc.count for tc in classes if tc.representative.node_count() > 1

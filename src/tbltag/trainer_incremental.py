@@ -14,8 +14,8 @@ one character per tag and padded as ``rules.code_corpus`` pads them.
 ``train_text`` reads them straight from the corpus text in a second pass
 over its lines (``code_text``), after ``corpus.count_tagged`` counted the
 lexicon in the first, so it builds no ``Token``; a ``Corpus`` is kept,
-and each pass's sites written to it, only where something reads tokens:
-``train_incremental``, dependency recording and the audit.
+and each pass's sites written to it, only for ``train_incremental`` and
+the audit.  Dependency links are recorded by ``on_rule`` from the sites.
 
 Rules are applied to the coded current tags by ``rules.rewrite``, the
 step of the replay loop that ``evaluate.replay`` runs: a literal window
@@ -58,7 +58,6 @@ from .corpus import (
     parse_line,
     text_chunks,
 )
-from .dependency import record_pass
 from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
 from .trainer_naive import count_keys, score_keys
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
@@ -482,19 +481,22 @@ def train_incremental(
     lexicon: Lexicon,
     config: TrainerConfig | None = None,
     audit_log: list[str] | None = None,
+    on_rule=None,
 ):
     """Train on a gold corpus; returns (model, trace, curve).
 
-    Output-equivalent to train_naive under the same config and seed.
-    With config.audit the index is recounted after setup and every pass.
-    audit_log, when given, receives one tab-separated line per pass, in
-    the columns of AUDIT_LOG_HEADER.  Each pass's sites are rewritten in
-    the corpus, which ends with the tags the model's replay gives it.
+    Output-equivalent to train_naive under the same config and seed, and
+    so are its ``on_rule`` calls.  With config.audit the index is recounted
+    after setup and every pass.  audit_log, when given, receives one
+    tab-separated line per pass, in the columns of AUDIT_LOG_HEADER.  Each
+    pass's sites are rewritten in the corpus, which ends with the tags the
+    model's replay gives it.
     """
     if config is None:
         config = TrainerConfig()
     errors = baseline_assign(corpus, lexicon)
-    return _train(init_index(corpus, config.templates), errors, lexicon, config, audit_log, corpus)
+    index = init_index(corpus, config.templates)
+    return _train(index, errors, lexicon, config, audit_log, corpus, on_rule)
 
 
 def train_text(
@@ -503,27 +505,28 @@ def train_text(
     config: TrainerConfig | None = None,
     audit_log: list[str] | None = None,
     corpus: Corpus | None = None,
+    on_rule=None,
 ):
     """``train_incremental`` of ``parse_corpus(text)``, reading the text straight into codes.
 
     The lexicon must hold the text's own counts (``corpus.count_tagged``),
-    as ``code_text`` needs.  Dependency recording and the audit read
-    tokens, so they need ``corpus``: a parse of the same text, which is
-    baseline-tagged here and has each pass's sites written to it.
+    as ``code_text`` needs.  The audit reads tokens, so it needs
+    ``corpus``: a parse of the same text, which is baseline-tagged here and
+    has each pass's sites written to it.
     """
     if config is None:
         config = TrainerConfig()
-    if corpus is None and (config.record_deps or config.audit):
-        raise ValueError("dependency recording and the audit need the text parsed as a corpus")
+    if corpus is None and config.audit:
+        raise ValueError("the audit needs the text parsed as a corpus")
     current, truth, starts, codes, errors = code_text(text, lexicon, _width(config.templates))
     index = TrainerIndex(current, truth, starts, codes, config.templates)
     if corpus is not None:
         baseline_assign(corpus, lexicon)
-    return _train(index, errors, lexicon, config, audit_log, corpus)
+    return _train(index, errors, lexicon, config, audit_log, corpus, on_rule)
 
 
 def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerConfig,
-           audit_log: list[str] | None, corpus: Corpus | None):
+           audit_log: list[str] | None, corpus: Corpus | None, on_rule):
     """The passes over a fresh index whose current tags make ``errors`` errors."""
     n = index.n_tokens
     rng = random.Random(config.rng_seed)
@@ -541,8 +544,8 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
         rule, sc = picked
         pass_no = len(learned) + 1
         sites = apply_and_update(index, corpus, rule)
-        if config.record_deps:
-            record_pass(corpus, sites, rule, pass_no)
+        if on_rule is not None:
+            on_rule(pass_no, rule, sites)
         # Matches were classified before the rewrite, so the error count
         # moves by exactly the net score.
         errors -= sc.score

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 
 from .corpus import Corpus, Lexicon, accuracy, baseline_assign
-from .dependency import record_pass
 from .rules import Rule, RuleScore, find_sites, observe, position_sets
 from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
 
@@ -61,13 +60,15 @@ def enumerate_candidates(corpus: Corpus, templates) -> dict[Rule, RuleScore]:
     return score_keys(count_keys(corpus, psets, max(t.span for t in templates)), psets)
 
 
-def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None):
+def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None,
+                on_rule=None):
     """Train on a gold corpus; returns (model, trace, curve).
 
-    Each pass scores every candidate with ``enumerate_candidates`` and
-    applies the ``select``-ed rule at its ``find_sites`` matches.  The
-    corpus is left baseline-tagged then rewritten by the learned rules
-    in order; the curve starts at pass 0 with the baseline accuracy.
+    Each pass scores every candidate with ``enumerate_candidates``,
+    applies the ``select``-ed rule at its ``find_sites`` matches and calls
+    ``on_rule(pass_no, rule, sites)``, when given, as ``evaluate.replay``
+    does.  The corpus is left baseline-tagged then rewritten by the learned
+    rules in order; the curve starts at pass 0 with the baseline accuracy.
     """
     if config is None:
         config = TrainerConfig()
@@ -86,8 +87,8 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
         pass_no = len(learned) + 1
         sites = find_sites(rule, corpus)
         apply_at_sites(corpus, rule, sites)
-        if config.record_deps:
-            record_pass(corpus, sites, rule, pass_no)
+        if on_rule is not None:
+            on_rule(pass_no, rule, sites)
         learned.append(rule)
         a = accuracy(corpus)
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, a))

@@ -52,7 +52,7 @@ class TrainerConfig:
     strategy: Strategy = Strategy.GREEDY
     rng_seed: int = 0
     max_passes: int | None = None
-    record_deps: bool = False
+    record_deps: bool = False  # marks the model for `tbltag deps`; on_rule records links
     audit: bool = False
 
     def __post_init__(self):

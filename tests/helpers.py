@@ -9,7 +9,7 @@ def corpus_of(text: str) -> Corpus:
 
 
 def clone(corpus: Corpus) -> Corpus:
-    """Fresh copy with current reset to truth and dep links cleared."""
+    """Fresh copy with current reset to truth."""
     return Corpus([[Token(t.word, t.truth, t.truth) for t in sent] for sent in corpus.sentences])
 
 

@@ -23,6 +23,7 @@ helper code:
 import io
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -34,7 +35,7 @@ from tbltag.corpus import (
     parse_corpus,
     serialize_corpus,
 )
-from tbltag.dependency import collect_classes
+from tbltag.dependency import collect_classes, record_pass
 from tbltag.evaluate import evaluate_curve, tag
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
@@ -337,10 +338,11 @@ def test_criterion_8_dependency_shapes():
     chain = parse_corpus("a/DT b/X c/Y\n")
     lex = lex_of({"a": "DT", "b": "P", "c": "Q"}, "Z")
     cfg = TrainerConfig(templates=parse_template_spec("-1"), threshold=1, record_deps=True)
-    model, _, _ = train_incremental(chain, lex, cfg)
+    links = {}
+    model, _, _ = train_incremental(chain, lex, cfg, on_rule=partial(record_pass, links))
     if [r.canonical for r in model.rules] != ["P>X @ -1:DT", "Q>Y @ -1:X"]:
         problems.append(f"chain rules {[r.canonical for r in model.rules]}")
-    multi = [tc for tc in collect_classes(chain) if tc.representative.node_count() > 1]
+    multi = [tc for tc in collect_classes(links) if tc.representative.node_count() > 1]
     if len(multi) != 1 or multi[0].count != 1:
         problems.append(f"chain multi-node classes {[(tc.key, tc.count) for tc in multi]}")
     else:
@@ -360,8 +362,9 @@ def test_criterion_8_dependency_shapes():
     cfg2 = TrainerConfig(
         templates=parse_template_spec("-1; +1"), threshold=1, record_deps=True
     )
-    model2, _, _ = train_incremental(correction, lex2, cfg2)
-    node = correction.sentences[2][1].dep
+    links2 = {}
+    model2, _, _ = train_incremental(correction, lex2, cfg2, on_rule=partial(record_pass, links2))
+    node = links2.get((2, 1))
     if node is None or 0 not in node.children:
         problems.append("correction site lacks an offset-0 child")
     elif node.children[0].pass_no >= node.pass_no:

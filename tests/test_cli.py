@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ import tbltag
 import tbltag.corpus
 from tbltag.cli import main
 from tbltag.corpus import ParseError, build_lexicon, parse_corpus
+from tbltag.dependency import dependency_report, record_pass
 from tbltag.evaluate import Curve
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import train_incremental
@@ -353,6 +355,26 @@ def test_deps_refuses_other_corpus(tmp_path, chain, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "lexicon" in err
+
+
+def test_deps_refuses_corpus_with_other_sentence_breaks(tmp_path, capsys):
+    # the same word/tag counts, but the rule's site now starts a sentence
+    train = tmp_path / "train.txt"
+    train.write_text("a/X b/Y a/Y\n")
+    other = tmp_path / "other.txt"
+    other.write_text("a/X b/Y\na/Y\n")
+    model = tmp_path / "m.model"
+    rc = main(["train", "--corpus", str(train), "--default-tag", "X", "--deps",
+               "--threshold", "1", "-o", str(model)])
+    assert rc == 0
+    assert "sites-changed\t1\n" in (tmp_path / "m.model.deps.txt").read_text()
+    capsys.readouterr()
+    rc = main(["deps", "--model", str(model), "--corpus", str(other)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "is not the one the model was trained on" in err
 
 
 def test_deps_no_pass_in_key(tmp_path, chain, capsys):
@@ -937,7 +959,10 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
     path = tmp_path / "train.txt"
     path.write_text(text)
     corpus = parse_corpus(text)
-    model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), TrainerConfig())
+    links = {}
+    model, trace, curve = train_incremental(
+        corpus, build_lexicon(corpus, "T00"), TrainerConfig(), on_rule=partial(record_pass, links)
+    )
     assert model.rules
 
     def no_token(*args):
@@ -954,7 +979,13 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
 
     assert body(tmp_path / "m.model.trace.tsv") == trace_tsv(trace)
     assert body(tmp_path / "m.model.curve.tsv") == Curve.of([a for _, a in curve]).to_tsv()
-    # dependency recording reads tokens, so that run does parse a Corpus
+    # dependency links are keyed by site, so recording them reads no token
+    rc = main(["train", "--corpus", str(path), "--default-tag", "T00", "--deps",
+               "-o", str(tmp_path / "d.model")])
+    assert rc == 0
+    assert body(tmp_path / "d.model.trace.tsv") == trace_tsv(trace)
+    assert body(tmp_path / "d.model.deps.txt") == dependency_report(links)
+    # the audit reads tokens, so that run does parse a Corpus
     with pytest.raises(AssertionError, match="a Token was built"):
-        main(["train", "--corpus", str(path), "--default-tag", "T00", "--deps",
-              "-o", str(tmp_path / "d.model")])
+        main(["train", "--corpus", str(path), "--default-tag", "T00", "--audit",
+              "-o", str(tmp_path / "a.model")])

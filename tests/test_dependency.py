@@ -1,8 +1,10 @@
 """Dependency nodes, tree keys, rendering, and the interaction report."""
 
+from functools import partial
+
 import pytest
 
-from tbltag.corpus import baseline_assign, build_lexicon, parse_corpus
+from tbltag.corpus import build_lexicon, parse_corpus
 from tbltag.dependency import (
     DependencyNode,
     RecordingDisabledError,
@@ -51,34 +53,34 @@ def test_node_count_shares_subtrees():
 
 
 def test_record_application_links_prior_and_context():
-    c = parse_corpus("x/X a/A\n")
-    first = record_pass(c, [(0, 1)], R1, 1)[0]
+    links = {}
+    first = record_pass(links, 1, R1, [(0, 1)])[0]
     assert first.children == {}
-    assert c.sentences[0][1].dep is first
+    assert links[0, 1] is first
     # second change at the same site: prior node becomes the offset-0 child
-    second = record_pass(c, [(0, 1)], R2, 2)[0]
+    second = record_pass(links, 2, R2, [(0, 1)])[0]
     assert second.children == {0: first}
     # a later change whose context covers the site picks it up at the offset
-    third = record_pass(c, [(0, 0)], R3, 3)[0]
+    third = record_pass(links, 3, R3, [(0, 0)])[0]
     assert third.children == {1: second}
 
 
 def test_record_pass_snapshot_within_pass():
     # two sites changed by one pass must not see each other's new nodes
-    c = parse_corpus("a/A a/A\n")
+    links = {}
     rule = Rule("A", "B", [(-1, "A"), (1, "A")])
-    n0 = record_pass(c, [(0, 0)], R1, 1)[0]
-    nodes = record_pass(c, [(0, 0), (0, 1)], rule, 2)
+    n0 = record_pass(links, 1, R1, [(0, 0)])[0]
+    nodes = record_pass(links, 2, rule, [(0, 0), (0, 1)])
     assert nodes[0].children == {0: n0}
     # site 1 sees site 0's OLD node, not the pass-2 node just built for it
     assert nodes[1].children == {-1: n0}
-    assert c.sentences[0][0].dep is nodes[0]
-    assert c.sentences[0][1].dep is nodes[1]
+    assert links[0, 0] is nodes[0]
+    assert links[0, 1] is nodes[1]
 
 
 def test_record_pass_out_of_sentence_offsets_ignored():
-    c = parse_corpus("a/A\n")
-    node = record_pass(c, [(0, 0)], Rule("A", "B", [(-1, "X"), (1, "Y")]), 1)[0]
+    links = {}
+    node = record_pass(links, 1, Rule("A", "B", [(-1, "X"), (1, "Y")]), [(0, 0)])[0]
     assert node.children == {}
 
 
@@ -153,20 +155,21 @@ def test_render_tree_root_last():
 # --- end-to-end structures -----------------------------------------------------------
 
 
-def _chain_corpus():
+def _chain_links():
     text = "a/DT b/X c/Y\n"
     lex = lex_of({"a": "DT", "b": "P", "c": "Q"}, "Z")
     corpus = parse_corpus(text)
     cfg = TrainerConfig(templates=T1, threshold=1, record_deps=True)
-    model, _, _ = train_incremental(corpus, lex, cfg)
-    return corpus, model
+    links = {}
+    model, _, _ = train_incremental(corpus, lex, cfg, on_rule=partial(record_pass, links))
+    return links, model
 
 
 def test_chaining_structure():
-    corpus, model = _chain_corpus()
+    links, model = _chain_links()
     assert [r.canonical for r in model.rules] == ["P>X @ -1:DT", "Q>Y @ -1:X"]
-    b_node = corpus.sentences[0][1].dep
-    c_node = corpus.sentences[0][2].dep
+    b_node = links[0, 1]
+    c_node = links[0, 2]
     assert b_node.pass_no == 1 and b_node.children == {}
     assert c_node.pass_no == 2
     assert c_node.children == {-1: b_node}
@@ -174,8 +177,8 @@ def test_chaining_structure():
 
 
 def test_chaining_report():
-    corpus, model = _chain_corpus()
-    report = dependency_report(corpus, model)
+    links, model = _chain_links()
+    report = dependency_report(links, model)
     assert "sites-changed\t2" in report
     assert "multi-node-sites\t1" in report
     assert "leverage\t0.5" in report
@@ -195,20 +198,21 @@ def test_correction_structure():
     corpus = parse_corpus(text)
     lex = build_lexicon(corpus, "D")
     cfg = TrainerConfig(templates=parse_template_spec("-1; +1"), threshold=1, record_deps=True)
-    model, _, _ = train_incremental(corpus, lex, cfg)
+    links = {}
+    model, _, _ = train_incremental(corpus, lex, cfg, on_rule=partial(record_pass, links))
     assert [r.canonical for r in model.rules] == ["P>X @ -1:D", "X>Y @ 1:E"]
-    twice = corpus.sentences[2][1].dep
+    twice = links[2, 1]
     assert twice.pass_no == 2
     assert set(twice.children) == {0}
     assert twice.children[0].pass_no == 1
-    report = dependency_report(corpus, model)
+    report = dependency_report(links, model)
     assert "sites-changed\t3" in report
     assert "multi-node-sites\t1" in report
 
 
 def test_collect_classes_counts_and_order():
-    corpus, _ = _chain_corpus()
-    classes = collect_classes(corpus)
+    links, _ = _chain_links()
+    classes = collect_classes(links)
     assert [tc.count for tc in classes] == [1, 1]
     assert sum(tc.count for tc in classes) == 2
     keys = [tc.key for tc in classes]
@@ -216,16 +220,14 @@ def test_collect_classes_counts_and_order():
 
 
 def test_report_without_changes():
-    corpus = parse_corpus("a/A\n")
-    baseline_assign(corpus, lex_of({"a": "A"}, "A"))
-    report = dependency_report(corpus)
+    report = dependency_report({})
     assert report == "sites-changed\t0\nmulti-node-sites\t0\nleverage\t0.0\n"
 
 
 def test_report_requires_recording():
-    corpus, model = _chain_corpus()
+    links, model = _chain_links()
     plain = Model(model.lexicon, model.rules, TrainerConfig(templates=T1, threshold=1))
     with pytest.raises(RecordingDisabledError):
-        dependency_report(corpus, plain)
-    # no model given: caller vouches for the corpus, report proceeds
-    assert dependency_report(corpus).startswith("sites-changed")
+        dependency_report(links, plain)
+    # no model given: caller vouches for the links, report proceeds
+    assert dependency_report(links).startswith("sites-changed")

@@ -17,7 +17,7 @@ from tbltag.corpus import (
     lexicon_of,
     parse_corpus,
 )
-from tbltag.dependency import dependency_report
+from tbltag.dependency import dependency_report, record_pass
 from tbltag.evaluate import replay
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
@@ -181,7 +181,38 @@ def test_train_text_matches_train_incremental():
     assert (format_model(got), got_trace, got_curve) == (format_model(model), trace, curve)
 
 
-@pytest.mark.parametrize("setting", ["record_deps", "audit"])
+def _recorder():
+    """An on_rule that records dependency links and keeps every call's arguments.
+
+    Returns ``(links, stream, on_rule)``; stream holds the ``(pass_no,
+    rule, sites)`` of each call.
+    """
+    links, stream = {}, []
+
+    def on_rule(pass_no, rule, sites):
+        stream.append((pass_no, rule, sites))
+        record_pass(links, pass_no, rule, sites)
+
+    return links, stream, on_rule
+
+
+def test_train_text_without_corpus_records_like_train_incremental():
+    # dependency links need only each pass's sites, so train_text needs no
+    # corpus for them: its on_rule stream is train_incremental's
+    text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=2, n_tokens=1500)
+    config = TrainerConfig(templates=T3, threshold=1, record_deps=True)
+    corpus = parse_corpus(text)
+    want_links, want_stream, on_rule = _recorder()
+    model, _, _ = train_incremental(corpus, build_lexicon(corpus, "T00"), config, on_rule=on_rule)
+    links, stream, on_rule = _recorder()
+    got, _, _ = train_text(text, lexicon_of(count_tagged(text), "T00"), config, on_rule=on_rule)
+    assert len(stream) > 5
+    assert format_model(got) == format_model(model)
+    assert stream == want_stream
+    assert dependency_report(links, got) == dependency_report(want_links, model)
+
+
+@pytest.mark.parametrize("setting", ["audit"])
 def test_train_text_refuses_token_readers_without_corpus(setting):
     config = replace(TrainerConfig(), **{setting: True})
     text = "a/X b/Y\n"
@@ -531,11 +562,14 @@ def test_engine_equivalence_with_deps():
     for corpus_n, lex in [(small, build_lexicon(small, "T00")), _many_tags_input()]:
         corpus_i = clone(corpus_n)
         cfg = TrainerConfig(templates=T3, threshold=1, record_deps=True)
+        links_n, stream_n, on_rule_n = _recorder()
+        links_i, stream_i, on_rule_i = _recorder()
 
-        mn, _, _ = train_naive(corpus_n, lex, cfg)
-        mi, _, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True))
+        mn, _, _ = train_naive(corpus_n, lex, cfg, on_rule_n)
+        mi, _, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True), on_rule=on_rule_i)
         assert mn.rules == mi.rules
-        assert dependency_report(corpus_n) == dependency_report(corpus_i)
+        assert stream_n == stream_i
+        assert dependency_report(links_n) == dependency_report(links_i)
         replayed = replay(mi, clone(corpus_i))
         assert replayed == corpus_i
 
@@ -736,15 +770,18 @@ def test_engine_equivalence_adversarial(text, templates, strategy, threshold, rn
     base = dict(templates=templates, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
     cfg_n = TrainerConfig(**base, record_deps=True)
     cfg_i = TrainerConfig(**base, record_deps=True, audit=True)
+    links_n, stream_n, on_rule_n = _recorder()
+    links_i, stream_i, on_rule_i = _recorder()
 
-    mn, tn, cvn = train_naive(corpus_n, lex, cfg_n)
-    mi, ti, cvi = train_incremental(corpus_i, lex, cfg_i)
+    mn, tn, cvn = train_naive(corpus_n, lex, cfg_n, on_rule_n)
+    mi, ti, cvi = train_incremental(corpus_i, lex, cfg_i, on_rule=on_rule_i)
 
     assert mn.rules == mi.rules
     assert tn == ti
     assert cvn == cvi
     assert corpus_n == corpus_i
-    assert dependency_report(corpus_n) == dependency_report(corpus_i)
+    assert stream_n == stream_i
+    assert dependency_report(links_n) == dependency_report(links_i)
 
 
 def _observed_keys(corpus, psets) -> set:
