@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from functools import partial
 
 from .corpus import ParseError, accuracy_of, build_lexicon, count_tagged, lexicon_of, parse_corpus
-from .evaluate import Curve, Tally, replay, tag_stream
+from .evaluate import Curve, Tally, tag_stream
 from .rules import DEFAULT_TEMPLATE_SPEC, DEFAULT_WINDOW, DecodeError, parse_template_spec
 from .training import (
     Model,
@@ -394,22 +394,18 @@ def _cmd_deps(args) -> int:
         raise _UsageError(
             "model was trained without --deps; retrain with dependency recording"
         )
-    corpus = parse_corpus(_read_text(args.corpus, "corpus"))
+    text = _read_text(args.corpus, "corpus")
     not_trained_on = f"corpus {args.corpus} is not the one the model was trained on"
-    if build_lexicon(corpus, model.default_tag).counts != model.lexicon.counts:
+    if lexicon_of(count_tagged(text), model.default_tag).counts != model.lexicon.counts:
         raise _DataError(f"{not_trained_on}: its word/tag counts differ from the model's lexicon")
+    # Replaying the training application order with recording on rebuilds
+    # the training run's structures.  Each rule lowered the errors at its
+    # training sites, which the replay finds.
     links = {}
-
-    def record(pass_no, rule, sites):
-        # each rule lowered the errors at its training sites, which replay finds
-        truths = [corpus.sentences[si][ti].truth for si, ti in sites]
-        if truths.count(rule.to) - truths.count(rule.frm) < 1:
+    tally = tag_stream(model, io.StringIO(text), tagged=True, on_rule=partial(record_pass, links))
+    for pass_no, fixed in enumerate(tally.fixed, start=1):
+        if fixed < 1:
             raise _DataError(f"{not_trained_on}: rule {pass_no} does not lower its errors there")
-        record_pass(links, pass_no, rule, sites)
-
-    # Replay the training application order with recording on; this
-    # reconstructs the same structures the training run produced.
-    replay(model, corpus, on_rule=record)
     report = dependency_report(links, model, include_pass=not args.no_pass_in_key)
     pairs = {
         "model": args.model,

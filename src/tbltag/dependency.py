@@ -4,8 +4,8 @@ Every tag change gets an immutable node naming the rule and the training
 pass.  A node's children are the previous node at the same site (offset 0)
 and the nodes at the rule's context offsets, all read as they stood before
 the pass began.  ``partial(record_pass, links)``, the ``on_rule`` of the
-trainers and of ``evaluate.replay``, keeps each site's most recent node in
-the dict ``links``, so the final links form per-site trees (really DAGs,
+trainers and of ``evaluate.tag_stream``, keeps each site's most recent node
+in the dict ``links``, so the final links form per-site trees (really DAGs,
 since a node can be shared) whose shapes show how rules fed each other.
 """
 

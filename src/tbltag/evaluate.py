@@ -2,10 +2,10 @@
 
 Replay runs the model's rules, compiled once (``rules.compile_rules``), as
 literal windows or patterns over the text coded one character per tag,
-through the one rule-replay loop ``rules.run_rules``.  ``replay`` codes a parsed Corpus
-and writes each rule's sites back to its tokens, for ``tag`` and the
-dependency report; ``tag_stream`` codes the words of a text a chunk at a
-time, builds no tokens at all, and counts the errors left after each rule.
+through the one rule-replay loop ``rules.run_rules``.  ``tag`` codes a parsed
+Corpus and decodes the result into its tokens; ``tag_stream`` codes a text a
+chunk at a time, builds no tokens, counts the errors left after each rule
+and hands each rule's sites to ``on_rule``, for the dependency report.
 """
 
 from __future__ import annotations
@@ -18,43 +18,7 @@ from operator import ne, sub
 
 from .corpus import CHUNK_CHARS, Corpus, Site, accuracy_of, baseline_assign, parse_line
 from .rules import PAD, Rule, code_corpus, compile_rules, run_rules, sites_of, tag_codes
-from .training import Model, apply_at_sites
-
-
-def replay(
-    model: Model,
-    corpus: Corpus,
-    on_rule: Callable[[int, Rule, list[Site]], object] | None = None,
-) -> Corpus:
-    """Baseline-tag the corpus, then apply the model's rules in order.
-
-    Each rule rewrites every site that matched before it was applied, as
-    ``rules.apply_rule`` does, so overlapping matches all fire.  After
-    rule ``pass_no`` (from 1) has rewritten its sites, ``on_rule(pass_no,
-    rule, sites)`` is called with the sites in corpus order.  Mutates and
-    returns the given corpus; current tags are overwritten, truth tags
-    (when present) are untouched.
-
-    The rules run as compiled matchers (``rules.compile_rules``) over the
-    corpus coded one character per tag (``rules.code_corpus``), sentences separated by
-    enough boundary padding for the widest rule context that can fit in a
-    sentence.
-    """
-    baseline_assign(corpus, model.lexicon)
-    codes = tag_codes(model.tagset())
-    longest = max((len(sent) for sent in corpus.sentences), default=0)
-    width = min(max((rule.span for rule in model.rules), default=0), longest)
-    text, starts = code_corpus(corpus, codes, width)
-    rules = model.rules
-
-    def fire(n: int, hits: list[int]) -> None:
-        sites = sites_of(hits, starts)
-        apply_at_sites(corpus, rules[n], sites)
-        if on_rule is not None:
-            on_rule(n + 1, rules[n], sites)
-
-    run_rules(compile_rules(rules, codes, width), text, fire)
-    return corpus
+from .training import Model
 
 
 def tag(model: Model, corpus: Corpus) -> Corpus:
@@ -62,9 +26,21 @@ def tag(model: Model, corpus: Corpus) -> Corpus:
 
     Mutates and returns the given corpus; current tags are overwritten,
     truth tags (when present) are untouched.  Replaying a model over its
-    own training corpus reproduces the trainer's final tags exactly.
+    own training corpus reproduces the trainer's final tags exactly.  The
+    coded corpus (``rules.code_corpus``) is padded for the widest rule
+    context that fits in a sentence.
     """
-    return replay(model, corpus)
+    baseline_assign(corpus, model.lexicon)
+    codes = tag_codes(model.tagset())
+    longest = max((len(sent) for sent in corpus.sentences), default=0)
+    width = min(max((rule.span for rule in model.rules), default=0), longest)
+    text, starts = code_corpus(corpus, codes, width)
+    text = run_rules(compile_rules(model.rules, codes, width), text)
+    tag_of = {code: tag for tag, code in codes.items()}
+    for sent, start in zip(corpus.sentences, starts):
+        for tok, code in zip(sent, text[start : start + len(sent)]):
+            tok.current = tag_of[code]
+    return corpus
 
 
 @dataclass(slots=True)
@@ -99,6 +75,7 @@ def tag_stream(
     tagged: bool = False,
     on_new_tag: Callable[[str], object] | None = None,
     chunk_chars: int = CHUNK_CHARS,
+    on_rule: Callable[[int, Rule, list[Site]], object] | None = None,
 ) -> Tally:
     """Tag one-sentence-per-line text from ``src`` a chunk at a time.
 
@@ -111,7 +88,9 @@ def tag_stream(
     ParseError, with the line number counted from the start of the text;
     chunks already tagged have been written by then.  With tagged input,
     ``on_new_tag(tag)`` is called once for each tag outside the model's
-    tagset, in first-seen order.
+    tagset, in first-seen order, and after rule ``pass_no`` (from 1) has
+    rewritten hits in a chunk, ``on_rule(pass_no, rule, sites)`` is called
+    with their sites in order, sentences counted from the start of the text.
 
     Each word is coded through a word -> code table built once from
     ``Lexicon.most_frequent``, and each chunk's coded string is padded
@@ -130,7 +109,7 @@ def tag_stream(
     repaired = [0] * len(ends)
     compiled: dict[int, list] = {}
     seen: set[str] = set()
-    tokens = errors = lineno = 0
+    tokens = errors = lineno = sentences = 0
     # readlines cuts only at "\n" (after the universal newline translation
     # of a file opened in text mode), so each chunk ends at a line break of
     # the whole text, and splitlines() then breaks it where parse_corpus
@@ -157,6 +136,7 @@ def tag_stream(
             truth = pad + pad.join(
                 "".join(map(codes.get, tags, repeat(PAD))) for _, tags in sents
             ) + pad
+            starts = list(accumulate((len(c) + width for c in coded[:-1]), initial=width))
 
             def count_hits(n: int, hits: list[int]) -> None:
                 frm, to = ends[n]
@@ -165,6 +145,9 @@ def tag_stream(
                     fixed[n] += step
                     if base[h] != truth[h]:
                         repaired[n] += step
+                if hits and on_rule is not None:
+                    sites = [(sentences + si, ti) for si, ti in sites_of(hits, starts)]
+                    on_rule(n + 1, model.rules[n], sites)
 
             text = run_rules(rules, base, count_hits)
             errors += sum(map(ne, text, truth))
@@ -185,6 +168,7 @@ def tag_stream(
                 rows.append(" ".join(map("/".join, zip(words, current))))
                 pos = end + width
             out.write("\n".join(rows) + "\n")
+        sentences += len(sents)
     return Tally(tokens, errors, fixed, repaired)
 
 

@@ -361,8 +361,8 @@ def run_rules(
 
     Each rule rewrites its hits as ``rewrite`` does.  After rule ``n``
     (from 0) has rewritten them, ``on_hits(n, hits)`` is called when given.
-    This is the one rule-replay loop: ``evaluate.replay`` and the streaming
-    tagger both run it.
+    This is the one rule-replay loop: ``evaluate.tag`` and the streaming
+    tagger ``evaluate.tag_stream`` both run it.
     """
     for n, (matcher, code) in enumerate(compiled):
         text, hits = _sub(matcher, code, text)

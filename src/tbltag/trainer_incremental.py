@@ -18,7 +18,7 @@ and each pass's sites written to it, only for ``train_incremental`` and
 the audit.  Dependency links are recorded by ``on_rule`` from the sites.
 
 Rules are applied to the coded current tags by ``rules.rewrite``, the
-step of the replay loop that ``evaluate.replay`` runs: a literal window
+step of the one replay loop ``rules.run_rules``: a literal window
 search for a rule whose offsets and 0 form an unbroken run, a
 look-around pattern for one with a gap.  The counting follows a plan
 made once from the templates.  A position set that no other set contains is counted: its

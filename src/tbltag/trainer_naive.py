@@ -66,7 +66,7 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
 
     Each pass scores every candidate with ``enumerate_candidates``,
     applies the ``select``-ed rule at its ``find_sites`` matches and calls
-    ``on_rule(pass_no, rule, sites)``, when given, as ``evaluate.replay``
+    ``on_rule(pass_no, rule, sites)``, when given, as ``evaluate.tag_stream``
     does.  The corpus is left baseline-tagged then rewritten by the learned
     rules in order; the curve starts at pass 0 with the baseline accuracy.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 import errno
 import os
 import random
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -183,17 +184,25 @@ def config_pairs(config: TrainerConfig) -> list[tuple[str, str]]:
     ]
 
 
-def _temp_file(path: str) -> tuple[int, str]:
-    """Create the temp file atomic_writer writes for path: ``(fd, temp path)``.
+def _temp_file(path: str) -> tuple[int, str, str] | None:
+    """Create the temp file atomic_writer writes for path: ``(fd, temp path, real path)``.
 
-    A path that is a directory is refused here, naming it, rather than by
-    the os.replace after the whole write.
+    A symlink is followed, so the link survives and its target is replaced.
+    A directory is refused here, naming it, rather than by the os.replace
+    after the whole write.  A FIFO or a device cannot be replaced without
+    being destroyed, so it is written in place: None, if it is writable.
     """
-    if os.path.isdir(path):
+    mode = os.stat(path).st_mode if os.path.exists(path) else stat.S_IFREG
+    if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    directory, name = os.path.split(path)
+    if not stat.S_ISREG(mode):
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return None
+    real = os.path.realpath(path)
+    directory, name = os.path.split(real)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+    return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp, real
 
 
 def check_writable(path: str) -> None:
@@ -202,24 +211,31 @@ def check_writable(path: str) -> None:
     It makes and removes the temp file atomic_writer would write, so a
     long run can find out before it starts that it could not save.
     """
-    fd, tmp = _temp_file(path)
-    os.close(fd)
-    os.unlink(tmp)
+    made = _temp_file(path)
+    if made is not None:
+        os.close(made[0])
+        os.unlink(made[1])
 
 
 @contextmanager
 def atomic_writer(path: str):
     """A text file handle whose contents replace path only on success.
 
-    It writes a temp file in the same directory, which replaces path once
-    the block exits normally; on an exception the temp file is removed
-    and path is left as it was.  So no reader ever sees a half-written file.
+    It writes a temp file beside the file path names, which replaces it
+    once the block exits normally; on an exception the temp file is removed
+    and the file is left as it was.  So no reader ever sees a half-written
+    file.  A FIFO or a device is written in place (``_temp_file``).
     """
-    fd, tmp = _temp_file(path)
+    made = _temp_file(path)
+    if made is None:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    fd, tmp, real = made
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise

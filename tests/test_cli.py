@@ -2,6 +2,7 @@
 
 import os
 import re
+import stat
 import subprocess
 import sys
 from functools import partial
@@ -11,7 +12,7 @@ import pytest
 import tbltag
 import tbltag.corpus
 from tbltag.cli import main
-from tbltag.corpus import ParseError, build_lexicon, parse_corpus
+from tbltag.corpus import ParseError, build_lexicon, error_count, parse_corpus, serialize_corpus
 from tbltag.dependency import dependency_report, record_pass
 from tbltag.evaluate import Curve
 from tbltag.synth import ChainSpec, markov_corpus
@@ -889,6 +890,37 @@ def test_exit_1_before_reading_on_unwritable_output(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo_is_written_in_place(tmp_path, chain, capsys):
+    model = _train(tmp_path, chain, "--deps")
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # a waiting reader, so the writer's open does not block; the report
+    # stays far under the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["deps", "--model", str(model), "--corpus", str(chain), "-o", str(fifo)]) == 0
+        got = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got.startswith("# tbltag deps\n")
+    report = (tmp_path / "m.model.deps.txt").read_text()
+    assert got.partition("sites-changed")[1:] == report.partition("sites-changed")[1:]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, chain, capsys):
+    model = _train(tmp_path, chain, "--deps")
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["eval", "--model", str(model), "--corpus", str(chain), "-o", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text().endswith("accuracy\t1.0\n")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+
+
 def test_outputs_on_stdout_do_not_clash(tmp_path, chain, capsys):
     rc = main(["train", "--corpus", str(chain), "--default-tag", "Z", "--templates", "-1",
                "--trace", "-", "--curve", "-", "-o", str(tmp_path / "m.model")])
@@ -985,6 +1017,20 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
     assert rc == 0
     assert body(tmp_path / "d.model.trace.tsv") == trace_tsv(trace)
     assert body(tmp_path / "d.model.deps.txt") == dependency_report(links)
+    # the deps replay streams the text through the tagger, as tag, eval and curve do
+    model_path = str(tmp_path / "d.model")
+    runs = {
+        "deps.txt": (["deps", "--corpus", str(path)], dependency_report(links)),
+        "tagged.txt": (["tag", "--in", str(path)], serialize_corpus(corpus, "current")),
+        "eval.tsv": (["eval", "--corpus", str(path)],
+                     f"tokens\t{corpus.n_tokens}\nerrors\t{error_count(corpus)}\n"
+                     f"accuracy\t{curve[-1][1]!r}\n"),
+        "curve.tsv": (["curve", "--train", str(path)], Curve.of([a for _, a in curve]).to_tsv()),
+    }
+    for name, (argv, want) in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--model", model_path, "-o", str(out)]) == 0
+        assert body(out) == want
     # the audit reads tokens, so that run does parse a Corpus
     with pytest.raises(AssertionError, match="a Token was built"):
         main(["train", "--corpus", str(path), "--default-tag", "T00", "--audit",

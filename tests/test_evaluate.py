@@ -20,7 +20,7 @@ from tbltag.corpus import (
     parse_corpus,
     serialize_corpus,
 )
-from tbltag.evaluate import CHUNK_CHARS, Curve, evaluate_curve, replay, tag, tag_stream
+from tbltag.evaluate import CHUNK_CHARS, Curve, evaluate_curve, tag, tag_stream
 from tbltag.rules import Rule, apply_rule, decode_rule, encode_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
@@ -130,6 +130,19 @@ def _replay_case(draw):
     return Model(lexicon, rules), sentences
 
 
+def _streamed_sites(model, text, chunk_chars=CHUNK_CHARS):
+    """Each pass's sites as ``tag_stream`` hands them to ``on_rule``, chunks joined."""
+    got = {}
+
+    def on_rule(pass_no, rule, sites):
+        assert rule is model.rules[pass_no - 1]
+        assert sites  # called only for a rule with hits in the chunk
+        got.setdefault(pass_no, []).extend(sites)
+
+    tag_stream(model, io.StringIO(text), tagged=True, chunk_chars=chunk_chars, on_rule=on_rule)
+    return [(pass_no, rule, got.get(pass_no, [])) for pass_no, rule in enumerate(model.rules, 1)]
+
+
 @given(case=_replay_case())
 @settings(max_examples=300)
 def test_replay_matches_apply_rule_adversarial(case):
@@ -144,13 +157,10 @@ def test_replay_matches_apply_rule_adversarial(case):
         (pass_no, rule, apply_rule(rule, expected))
         for pass_no, rule in enumerate(model.rules, start=1)
     ]
-    got_sites = []
-    got = replay(
-        model, fresh(),
-        on_rule=lambda pass_no, rule, sites: got_sites.append((pass_no, rule, sites)),
-    )
-    assert got_sites == expected_sites
-    assert got == expected
+    assert tag(model, fresh()) == expected
+    text = "".join(" ".join(f"{w}/{t}" for w, t in sent) + "\n" for sent in sentences)
+    for chunk_chars in (1, 2, 7, CHUNK_CHARS):
+        assert _streamed_sites(model, text, chunk_chars) == expected_sites
 
 
 def test_replay_codes_beyond_latin1():
@@ -162,14 +172,10 @@ def test_replay_codes_beyond_latin1():
     lexicon = build_lexicon(parse_corpus(gold), "Z")
     rules = [Rule(tags[i], "Z", [(-2, tags[i - 2])]) for i in range(599, 1, -1)]
     model = Model(lexicon, rules)
-    text = " ".join(f"w{i}" for i in range(600)) + "\n"
-    got_sites = []
-    got = replay(
-        model, parse_corpus(text, tagged=False),
-        on_rule=lambda pass_no, rule, sites: got_sites.extend(sites),
-    )
-    assert got_sites == [(0, i) for i in range(599, 1, -1)]
+    got = tag(model, parse_corpus(" ".join(f"w{i}" for i in range(600)) + "\n", tagged=False))
     assert [t.current for t in got.sentences[0]] == tags[:2] + ["Z"] * 598
+    got_sites = [site for _, _, sites in _streamed_sites(model, gold) for site in sites]
+    assert got_sites == [(0, i) for i in range(599, 1, -1)]
 
 
 def test_tag_unknown_words_get_default():

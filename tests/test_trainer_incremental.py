@@ -18,7 +18,7 @@ from tbltag.corpus import (
     parse_corpus,
 )
 from tbltag.dependency import dependency_report, record_pass
-from tbltag.evaluate import replay
+from tbltag.evaluate import tag
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
     PAD,
@@ -570,7 +570,7 @@ def test_engine_equivalence_with_deps():
         assert mn.rules == mi.rules
         assert stream_n == stream_i
         assert dependency_report(links_n) == dependency_report(links_i)
-        replayed = replay(mi, clone(corpus_i))
+        replayed = tag(mi, clone(corpus_i))
         assert replayed == corpus_i
 
     codes = tag_codes(mi.tagset())
