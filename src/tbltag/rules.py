@@ -41,7 +41,7 @@ class Template:
 
     positions: tuple[int, ...]
 
-    def __init__(self, positions, window: int = DEFAULT_WINDOW):
+    def __init__(self, positions, window: float = DEFAULT_WINDOW):
         pos = tuple(sorted(positions))
         if not pos:
             raise ValueError("template needs at least one position")
@@ -65,7 +65,7 @@ class Template:
 DEFAULT_TEMPLATE_SPEC = "-1; -2; -2,-1; +1; +2; +1,+2; -1,+1"
 
 
-def parse_template_spec(spec: str, window: int = DEFAULT_WINDOW) -> tuple[Template, ...]:
+def parse_template_spec(spec: str, window: float = DEFAULT_WINDOW) -> tuple[Template, ...]:
     """Parse ``-1; -2,-1; +1`` style text: groups split on ';', offsets on ','."""
     templates = []
     for group in spec.split(";"):
@@ -181,14 +181,20 @@ def observe(sent, psets, span: int) -> list[list[tuple]]:
     tags)``, the context read at the set's offsets with BOUNDARY outside
     the sentence.  A rule over ``psets[pi]`` matches the site exactly when
     its source and context tags make the same key.  ``span`` must be at
-    least the largest offset in ``psets``.
+    least the largest offset in ``psets``.  The sentence is padded by the
+    rule stated at ``PAD``: by ``min(span, len(sent))``, and an offset
+    farther than that is a column of BOUNDARY.
     """
     n = len(sent)
-    edge = [BOUNDARY] * span
+    width = min(span, n)
+    edge = [BOUNDARY] * width
     tags = edge + [tok.current for tok in sent] + edge
-    cur = tags[span : span + n]
+    cur = tags[width : width + n]
     columns = [
-        zip(repeat(pi), cur, zip(*[tags[span + off : span + off + n] for off in pset]))
+        zip(repeat(pi), cur, zip(*[
+            tags[width + off : width + off + n] if abs(off) <= width else repeat(BOUNDARY)
+            for off in pset
+        ]))
         for pi, pset in enumerate(psets)
     ]
     return list(map(list, zip(*columns)))
@@ -237,7 +243,11 @@ def apply_rule(rule: Rule, corpus: Corpus) -> list[Site]:
 # --- the tag-coded corpus string ----------------------------------------------
 
 # The coded corpus string pads sentences with this character; rule contexts
-# code BOUNDARY as it.  Tags are coded from the next code point up.
+# code BOUNDARY as it.  Tags are coded from the next code point up.  Every
+# padded sentence follows one rule: the padding is as wide as the farthest
+# offset read, but never wider than the longest sentence, and any farther
+# offset reads BOUNDARY, since from every site it lands outside the sentence.
+# So a template's reach costs nothing past the longest sentence.
 PAD = "\0"
 
 
@@ -255,7 +265,9 @@ def code_corpus(corpus: Corpus, codes: dict, width: int, which: str = "current")
     """The corpus's ``which`` tags as ``(text, starts)``, one character each.
 
     Each sentence is preceded and the last one followed by ``width`` PAD
-    characters; sentence ``si`` starts at ``text[starts[si]]``.
+    characters; sentence ``si`` starts at ``text[starts[si]]``.  Callers
+    choose ``width`` by the rule stated at ``PAD``: the farthest offset they
+    read, capped at the longest sentence.
     """
     code = codes.__getitem__
     tag = attrgetter(which)

@@ -10,7 +10,10 @@ effect counts are read off its key's counter: ``pos = counts[to]``,
 would fix some mistagged site.
 
 The index reads only two strings, the current and the truth tags coded
-one character per tag and padded as ``rules.code_corpus`` pads them.
+one character per tag and padded as ``rules.code_corpus`` pads them: by
+the templates' reach capped at the longest sentence, the rule stated at
+``rules.PAD``.  A template offset past that width reads padding from every
+site, so the plan reads it as a constant PAD column and it moves no key.
 ``train_text`` reads them straight from the corpus text in a second pass
 over its lines (``code_text``), after ``corpus.count_tagged`` counted the
 lexicon in the first, so it builds no ``Token``; a ``Corpus`` is kept,
@@ -44,7 +47,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter, itemgetter, ne
 
 from .corpus import (
@@ -85,14 +88,15 @@ class Candidate:
 _order = attrgetter("order")
 
 
-def _plan(psets: list[tuple[int, ...]]) -> list[tuple]:
+def _plan(psets: list[tuple[int, ...]], width: int) -> list[tuple]:
     """How each position set's keys are counted: ``[(pi, offsets, projections)]``.
 
     A set that no other set contains is counted, at ``offsets``: 0, then
-    its own; the codes there make its keys ``(pi, *codes)``.  Every other
-    set is projected from the first counted set that contains it: that
-    set's ``projections`` hold ``(si, pick)``, and ``(si, *pick(key))`` is
-    the contained set's key.
+    its own, with None for an offset past ``width``, which reads padding
+    from every site; the codes there make its keys ``(pi, *codes)``.
+    Every other set is projected from the first counted set that contains
+    it: that set's ``projections`` hold ``(si, pick)``, and ``(si,
+    *pick(key))`` is the contained set's key.
     """
     plan = {
         pi: ((0, *pset), [])
@@ -105,12 +109,10 @@ def _plan(psets: list[tuple[int, ...]]) -> list[tuple]:
                 entry for pi, entry in plan.items() if set(pset) < set(psets[pi])
             )
             projections.append((si, itemgetter(1, *[1 + offsets.index(o) for o in pset])))
-    return [(pi, offsets, projections) for pi, (offsets, projections) in plan.items()]
-
-
-def _width(templates) -> int:
-    """The padding the coded strings need: the widest template's span."""
-    return max(t.span for t in templates)
+    return [
+        (pi, tuple(None if abs(off) > width else off for off in offsets), projections)
+        for pi, (offsets, projections) in plan.items()
+    ]
 
 
 class TrainerIndex:
@@ -138,18 +140,19 @@ class TrainerIndex:
     def __init__(self, current: str, truth: str, starts: list[int], codes: dict, templates):
         """Build the index from scratch from the coded current and truth tags.
 
-        ``current`` and ``truth`` are padded by ``_width(templates)``, as
-        ``rules.code_corpus`` pads them with ``codes``, and ``starts``
-        says where each sentence starts in both.  Per counted position
-        set, one Counter over columns of the strings counts every (key,
-        truth) pair, and the pairs, projected, count the keys of the sets
-        it contains.  Then every key is scored, so the candidates and
-        their counts equal a fresh enumerate_candidates over the same
-        tags.
+        ``current`` and ``truth`` are padded as ``rules.code_corpus`` pads
+        them with ``codes``, and ``starts`` says where each sentence
+        starts in both.  So the width is ``starts[0]``: by the rule stated
+        at ``rules.PAD``, the templates' reach capped at the longest
+        sentence.  An offset past it is a constant PAD column.  Per counted
+        position set, one Counter over columns of the strings counts every
+        (key, truth) pair, and the pairs, projected, count the keys of the
+        sets it contains.  Then every key is scored, so the candidates and
+        their counts equal a fresh enumerate_candidates over the same tags.
         """
         self.psets: list[tuple[int, ...]] = position_sets(templates)
-        self.plan = _plan(self.psets)
-        self.width = width = _width(templates)
+        self.width = width = starts[0] if starts else 0
+        self.plan = _plan(self.psets, width)
         self.codes = codes
         self.tags = {code: tag for tag, code in codes.items()}
         self.text = current
@@ -172,7 +175,11 @@ class TrainerIndex:
         truths = truth[width:end]
         projected = {}
         for pi, offsets, projections in self.plan:
-            pairs = _pairs(pi, [current[width + off : end + off] for off in offsets], truths)
+            columns = [
+                repeat(PAD) if off is None else current[width + off : end + off]
+                for off in offsets
+            ]
+            pairs = _pairs(pi, columns, truths)
             for pair in [pair for pair in pairs if pair[0][1] == PAD]:
                 del pairs[pair]  # the padding between sentences
             self._move(pairs, set())
@@ -302,45 +309,49 @@ def init_index(corpus: Corpus, templates) -> TrainerIndex:
     tags = {tok.current for sent in corpus.sentences for tok in sent}
     tags.update(tok.truth for sent in corpus.sentences for tok in sent)
     codes = tag_codes(sorted(tags - {None}) + [None])
-    width = _width(templates)
+    longest = max((len(sent) for sent in corpus.sentences), default=0)
+    width = min(max(t.span for t in templates), longest)
     current, starts = code_corpus(corpus, codes, width)
     truth = code_corpus(corpus, codes, width, "truth")[0]
     return TrainerIndex(current, truth, starts, codes, templates)
 
 
-def code_text(text: str, lexicon: Lexicon, width: int) -> tuple:
+def code_text(text: str, lexicon: Lexicon, reach: int) -> tuple:
     """Tagged text's baseline and truth tags, coded, with no Token built.
 
-    The lexicon must hold the text's own counts (``corpus.count_tagged``).
-    Returns ``(current, truth, starts, codes, errors)``: the strings,
-    starts and codes ``init_index`` makes of ``parse_corpus(text)`` after
+    The lexicon must hold the text's own counts (``corpus.count_tagged``),
+    and ``reach`` is the templates' farthest offset.  Returns ``(current,
+    truth, starts, codes, errors)``: the strings, starts and codes
+    ``init_index`` makes of ``parse_corpus(text)`` after
     ``baseline_assign(corpus, lexicon)``, and the baseline's errors.  The
     lines are read as ``parse_corpus`` reads them, a chunk at a time
-    (``corpus.text_chunks``), and each chunk's sentences are joined
-    before the next is read.  A word's baseline code comes from a word ->
-    code table built once from ``Lexicon.most_frequent``.
+    (``corpus.text_chunks``), and each chunk's sentences are joined one PAD
+    apart before the next is read.  A word's baseline code comes from a
+    word -> code table built once from ``Lexicon.most_frequent``.  The
+    padding is then widened to ``min(reach, longest sentence)``, the rule
+    stated at ``rules.PAD``, with ``str.replace``: no code of a tag is PAD.
     """
     tagset = {tag for by_tag in lexicon.counts.values() for tag in by_tag}
     codes = tag_codes(sorted(tagset) + [None])
     most_frequent = lexicon.most_frequent
     word_code = {word: codes[most_frequent(word)] for word in lexicon.counts}
-    pad = PAD * width
-    current, truth, starts = [], [], []
-    pos = width
+    current, truth, lengths = [], [], []
     for first, lines in text_chunks(text):
         cur, tru = [], []
         for lineno, line in enumerate(lines, first):
             words, tags = parse_line(line, lineno)
             if words:
-                starts.append(pos)
-                pos += len(words) + width
+                lengths.append(len(words))
                 cur.append("".join(map(word_code.__getitem__, words)))
                 tru.append("".join(map(codes.__getitem__, tags)))
         if cur:
-            current.append(pad.join(cur))
-            truth.append(pad.join(tru))
-    current = pad + pad.join(current) + pad
-    truth = pad + pad.join(truth) + pad
+            current.append(PAD.join(cur))
+            truth.append(PAD.join(tru))
+    width = min(reach, max(lengths, default=0))
+    pad = PAD * width
+    current = pad + PAD.join(current).replace(PAD, pad) + pad
+    truth = pad + PAD.join(truth).replace(PAD, pad) + pad
+    starts = list(accumulate((n + width for n in lengths), initial=width))[:-1]
     return current, truth, starts, codes, sum(map(ne, current, truth))
 
 
@@ -373,12 +384,15 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
     projected = {}
     created = 0
     for pi, offsets, projections in index.plan:
-        near = [p for p in {h - off for h in hits for off in offsets} if old[p] != PAD]
+        # an offset past the width (None) reads padding from every site:
+        # it adds no neighbour, and its codes are gathered from position 0
+        near = {h - off for off in offsets if off is not None for h in hits}
+        near = [p for p in near if old[p] != PAD]
         reread.update(near)
         n = len(near)
         # offsets has two or more entries, so get returns a tuple: a run
         # of n codes per offset, offset 0 (the positions themselves) first
-        get = itemgetter(*[p + off for off in offsets for p in near])
+        get = itemgetter(*[0 if off is None else p + off for off in offsets for p in near])
         truths = get(truth)[:n]
         was, now = get(old), get(new)
         runs = range(0, len(was), n)
@@ -427,7 +441,7 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     if index.starts != starts:
         raise AuditError("sentence starts disagree with the coded strings")
 
-    counters = count_keys(corpus, psets, width)
+    counters = count_keys(corpus, psets, max(abs(off) for pset in psets for off in pset))
     stored = {}
     for (pi, *key), counts in index.keys.items():
         cur, *ctx = [tags.get(code, uncoded) for code in key]
@@ -518,7 +532,8 @@ def train_text(
         config = TrainerConfig()
     if corpus is None and config.audit:
         raise ValueError("the audit needs the text parsed as a corpus")
-    current, truth, starts, codes, errors = code_text(text, lexicon, _width(config.templates))
+    reach = max(t.span for t in config.templates)
+    current, truth, starts, codes, errors = code_text(text, lexicon, reach)
     index = TrainerIndex(current, truth, starts, codes, config.templates)
     if corpus is not None:
         baseline_assign(corpus, lexicon)

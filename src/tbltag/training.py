@@ -9,10 +9,10 @@ either engine.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import random
 import stat
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -381,7 +381,9 @@ def parse_model(text: str) -> Model:
     equal format_model of the model read, byte for byte.  Whatever saving
     would write differently (order, spacing, an integer's spelling, a
     blank line, a missing final newline, a carriage return) is refused
-    with a ModelFormatError naming the first line that differs.
+    with a ModelFormatError naming the first line that differs.  The
+    templates line is read with no window bound, so a model trained with
+    any ``--window`` reads back.
     """
     lines = text.splitlines()
     lines.reverse()  # pop() from the front
@@ -397,7 +399,7 @@ def parse_model(text: str) -> Model:
     max_passes = settings["max-passes"]
     try:
         config = TrainerConfig(
-            templates=parse_template_spec(settings["templates"], window=sys.maxsize),
+            templates=parse_template_spec(settings["templates"], window=math.inf),
             threshold=_int(settings["threshold"], "threshold"),
             strategy=Strategy(settings["strategy"]),
             rng_seed=_int(settings["seed"], "seed"),

@@ -14,7 +14,7 @@ import tbltag.corpus
 from tbltag.cli import main
 from tbltag.corpus import ParseError, build_lexicon, error_count, parse_corpus, serialize_corpus
 from tbltag.dependency import dependency_report, record_pass
-from tbltag.evaluate import Curve
+from tbltag.evaluate import Curve, tag
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import train_incremental
 from tbltag.training import ModelFormatError, TrainerConfig, format_model, parse_model, trace_tsv
@@ -105,6 +105,33 @@ def test_train_engines_byte_identical(tmp_path, chain):
     curve_inc = _body((tmp_path / "inc.model.curve.tsv").read_text())
     curve_nai = _body((tmp_path / "nai.model.curve.tsv").read_text())
     assert curve_inc == curve_nai
+
+
+def test_offset_above_sys_maxsize_trains_saves_and_tags(tmp_path, capsys):
+    # The padding is capped at the longest sentence, so an offset past any
+    # machine integer costs nothing; the model file carries it, and loads.
+    far = "99999999999999999999"
+    text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=3, n_tokens=300)
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(text)
+    models = []
+    for engine, *extra in (("incremental", "--audit"), ("naive",)):
+        models.append(tmp_path / f"{engine}.model")
+        rc = main(
+            ["train", "--corpus", str(corpus), "--default-tag", "T00", "--threshold", "1",
+             "--window", far, "--templates", f"-1,+{far}; {far}", "--engine", engine,
+             "-o", str(models[-1]), *extra]
+        )
+        assert rc == 0
+    assert models[0].read_text() == models[1].read_text()
+    model = parse_model(models[0].read_text())
+    assert any(off == int(far) for rule in model.rules for off in rule.positions)
+    raw = tmp_path / "raw.txt"
+    raw.write_text(re.sub(r"/\S+", "", text))
+    capsys.readouterr()
+    assert main(["tag", "--model", str(models[0]), "--in", str(raw), "--raw"]) == 0
+    want = serialize_corpus(tag(model, parse_corpus(raw.read_text(), tagged=False)), "current")
+    assert capsys.readouterr().out == want
 
 
 def test_train_trace_content(tmp_path, chain):
@@ -608,6 +635,7 @@ def test_exit_2_on_unencodable_tag_before_training(tmp_path, capsys, monkeypatch
         raise AssertionError("training ran")
 
     monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_text", no_training)
     monkeypatch.setattr("tbltag.trainer_naive.train_naive", no_training)
     corpus = tmp_path / "c.txt"
     corpus.write_text(CHAIN + "q/A>B\n")
@@ -630,6 +658,7 @@ def test_exit_2_on_default_tag_with_whitespace(tmp_path, chain, capsys, monkeypa
         raise AssertionError("training ran")
 
     monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_text", no_training)
     rc = main(
         ["train", "--corpus", str(chain), "--default-tag", "N N", "-o", str(tmp_path / "m.model")]
     )
@@ -645,6 +674,7 @@ def test_exit_2_on_malformed_test_corpus_before_training(tmp_path, chain, capsys
         raise AssertionError("training ran")
 
     monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_text", no_training)
     (tmp_path / "test.txt").write_text("a/DT b/P\nword_without_tag\n")
     rc = main(
         ["train", "--corpus", str(chain), "--default-tag", "Z",
@@ -808,6 +838,7 @@ def test_exit_1_before_training_on_unwritable_output(
         raise AssertionError("training ran")
 
     monkeypatch.setattr("tbltag.trainer_incremental.train_incremental", no_training)
+    monkeypatch.setattr("tbltag.trainer_incremental.train_text", no_training)
     (tmp_path / "adir").mkdir()
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / target

@@ -165,9 +165,28 @@ def test_front_end_matches_the_token_path(text, width):
     assert list(lexicon.counts.items()) == list(want.counts.items())
     errors = baseline_assign(corpus, want)
     codes = tag_codes(sorted({tok.truth for sent in corpus.sentences for tok in sent}) + [None])
-    current, starts = code_corpus(corpus, codes, width)
-    truth = code_corpus(corpus, codes, width, "truth")[0]
+    # the third argument is the templates' reach; the padding is capped at
+    # the longest sentence
+    padded = min(width, max((len(sent) for sent in corpus.sentences), default=0))
+    current, starts = code_corpus(corpus, codes, padded)
+    truth = code_corpus(corpus, codes, padded, "truth")[0]
     assert code_text(text, lexicon, width) == (current, truth, starts, codes, errors)
+
+
+def test_padding_is_capped_at_the_longest_sentence():
+    # a template reaching far past every sentence costs no padding beyond
+    # the longest one, in init_index and in code_text alike
+    text = markov_corpus(ChainSpec(sentence_len=(5, 5), structure_seed=7), draw_seed=1,
+                         n_tokens=500)
+    templates = parse_template_spec("-1; +1,+20000", window=20000)
+    corpus = parse_corpus(text)
+    lexicon = build_lexicon(corpus, "T00")
+    baseline_assign(corpus, lexicon)
+    assert init_index(corpus, templates).width == 5
+    n = len(corpus.sentences)
+    current, truth, starts, _, _ = code_text(text, lexicon_of(count_tagged(text), "T00"), 20000)
+    assert len(current) == len(truth) == corpus.n_tokens + 5 * (n + 1)
+    assert starts == [5 + 10 * si for si in range(n)]
 
 
 def test_train_text_matches_train_incremental():
@@ -727,11 +746,14 @@ def test_live_greedy_pick_breaks_a_tie_between_rules_sharing_a_canonical_string(
 T_WIDE = parse_template_spec("-1; +1; -3; +2,+3; -2,-1")
 
 # The cases of the index's plan: a set contained in two others, no set
-# containing another, and T_WIDE's mix of counted and projected sets.
+# containing another, and T_WIDE's mix of counted and projected sets.  The
+# last reaches past every sentence, so the padding is capped at the longest
+# one: the counted set -6,-5 and the projected -5 read only padding.
 ADVERSARIAL_TEMPLATES = (
     parse_template_spec("-1; -2,-1; -1,+1"),
     parse_template_spec("-3; +2"),
     T_WIDE,
+    parse_template_spec("-6,-5; -5; +1", window=6),
 )
 
 
