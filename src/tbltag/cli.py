@@ -15,7 +15,7 @@ import time
 from contextlib import nullcontext
 from functools import partial
 
-from .corpus import ParseError, accuracy_of, build_lexicon, count_tagged, lexicon_of, parse_corpus
+from .corpus import ParseError, accuracy_of, count_tagged, lexicon_of, parse_corpus
 from .evaluate import Curve, Tally, tag_stream
 from .rules import DEFAULT_TEMPLATE_SPEC, DEFAULT_WINDOW, DecodeError, parse_template_spec
 from .training import (
@@ -170,7 +170,10 @@ def _resolve_outputs(args) -> None:
     if args.command == "train":
         args.trace = args.trace or args.model + ".trace.tsv"
         args.curve = args.curve or args.model + ".curve.tsv"
-        args.deps_out = (args.deps_out or args.model + ".deps.txt") if args.deps else None
+        if args.deps:
+            args.deps_out = args.deps_out or args.model + ".deps.txt"
+        elif args.deps_out:
+            raise _UsageError("--deps-out names the report of --deps; give --deps too")
         outputs = {"model": args.model, "trace": args.trace, "curve": args.curve,
                    "deps report": args.deps_out, "audit log": args.audit_log}
     else:
@@ -209,12 +212,11 @@ def _load_model(path: str) -> Model:
 def _cmd_train(args) -> int:
     """Train on the corpus and write the model, trace, curve and reports.
 
-    The naive engine trains on a parsed ``Corpus``.  The incremental
-    engine reads the text in two passes and builds no token: one counts
-    the lexicon (``corpus.count_tagged``), the other codes the text
-    straight into its strings (``trainer_incremental.train_text``).  Its
-    audit reads tokens, so for it the text is parsed too, into a
-    ``Corpus`` kept in step with the strings.
+    Both engines share one front end, ``corpus.count_tagged``, which gives
+    the token count and the lexicon, and every refusal of the input is
+    made there.  The naive engine trains on ``parse_corpus(text)``; the
+    incremental engine codes the text straight into its strings
+    (``trainer_incremental.train_text``).  One loop writes the reports.
     """
     # The trainers and the dependency layer are imported only by the
     # commands that run them, so tag, eval and curve load none of them,
@@ -225,13 +227,8 @@ def _cmd_train(args) -> int:
     if naive and (args.audit or args.audit_log):
         raise _UsageError("--audit and --audit-log check the index of the incremental engine")
     text = _read_text(args.corpus, "corpus")
-    if naive:
-        corpus = parse_corpus(text)
-        n_tokens = corpus.n_tokens
-    else:
-        pairs = count_tagged(text)
-        n_tokens = sum(pairs.values())
-    if n_tokens == 0:
+    pairs = count_tagged(text)
+    if not pairs:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
     # The test corpus is checked now and tagged after training, kept as
     # text rather than as a Corpus.
@@ -239,10 +236,7 @@ def _cmd_train(args) -> int:
     count_tagged(test_text)
     # A default tag no model file can carry exits 2, before Lexicon refuses it.
     check_tagset([args.default_tag])
-    if naive:
-        lexicon = build_lexicon(corpus, args.default_tag)
-    else:
-        lexicon = lexicon_of(pairs, args.default_tag)
+    lexicon = lexicon_of(pairs, args.default_tag)
     check_tagset(lexicon.tags())
     templates = parse_template_spec(args.templates, window=args.window)
     config = TrainerConfig(
@@ -261,12 +255,11 @@ def _cmd_train(args) -> int:
     if naive:
         from .trainer_naive import train_naive
 
-        model, trace, curve = train_naive(corpus, lexicon, config, on_rule)
+        model, trace, curve = train_naive(parse_corpus(text), lexicon, config, on_rule)
     else:
         from .trainer_incremental import AUDIT_LOG_HEADER, train_text
 
-        corpus = parse_corpus(text) if args.audit else None
-        model, trace, curve = train_text(text, lexicon, config, audit_log, corpus, on_rule)
+        model, trace, curve = train_text(text, lexicon, config, audit_log, on_rule)
 
     effective = {
         **dict(config_pairs(config)),
@@ -284,21 +277,21 @@ def _cmd_train(args) -> int:
     except OSError as exc:
         raise _cannot_write(args.model, exc) from None
 
-    _write_text(args.trace, _header("train", effective) + trace_tsv(trace))
-
     test_acc = None
     if args.test_corpus:
         test_acc = tag_stream(model, io.StringIO(test_text), tagged=True).accuracies()
-    curve_obj = Curve.of([a for _, a in curve], test_acc)
-    _write_text(args.curve, _header("train", effective) + curve_obj.to_tsv())
-
+    reports = [
+        (args.trace, trace_tsv(trace)),
+        (args.curve, Curve.of([a for _, a in curve], test_acc).to_tsv()),
+    ]
     if args.deps:
-        report = dependency_report(links, model)
-        _write_text(args.deps_out, _header("train", effective) + report)
-
-    if args.audit_log and audit_log is not None:  # only the incremental engine keeps one
+        reports.append((args.deps_out, dependency_report(links)))
+    if args.audit_log:  # refused above for the naive engine
         log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])
-        _write_text(args.audit_log, _header("train", effective) + log_text)
+        reports.append((args.audit_log, log_text))
+    header = _header("train", effective)
+    for path, body in reports:
+        _write_text(path, header + body)
 
     final_acc = curve[-1][1]
     sys.stderr.write(
@@ -406,7 +399,7 @@ def _cmd_deps(args) -> int:
     for pass_no, fixed in enumerate(tally.fixed, start=1):
         if fixed < 1:
             raise _DataError(f"{not_trained_on}: rule {pass_no} does not lower its errors there")
-    report = dependency_report(links, model, include_pass=not args.no_pass_in_key)
+    report = dependency_report(links, include_pass=not args.no_pass_in_key)
     pairs = {
         "model": args.model,
         "corpus": args.corpus,

@@ -154,7 +154,9 @@ class Lexicon:
 
     ``most_frequent`` breaks count ties by the lexicographically smallest
     tag symbol so baseline tagging is deterministic.  The default tag must
-    pass the check ``add`` makes of a tag.
+    pass the check ``add`` makes of a tag.  ``add`` interns the words and
+    tags it files, as ``parse_corpus`` interns a token's, so that the
+    reference trainer's tag comparisons and lookups mostly succeed by identity.
     """
 
     def __init__(self, default_tag: str, counts: dict[str, dict[str, int]] | None = None):
@@ -176,10 +178,12 @@ class Lexicon:
         by_tag = self.counts.get(word)
         if by_tag is None:
             _check_item(word, "word")
+            word = sys.intern(word)
             by_tag = {}
         old = by_tag.get(tag)
         if old is None:
             _check_item(tag, "tag")
+            tag = sys.intern(tag)
             if tag == BOUNDARY:
                 raise ValueError(f"tag {BOUNDARY!r} is reserved for sentence boundaries")
             old = 0

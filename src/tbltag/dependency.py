@@ -17,10 +17,6 @@ from .corpus import Site
 from .rules import Rule, display_rule
 
 
-class RecordingDisabledError(RuntimeError):
-    """A dependency report was requested for a model trained without one."""
-
-
 class DependencyNode:
     """One tag change: a rule, the pass it fired in, and what it built on."""
 
@@ -156,17 +152,12 @@ def collect_classes(links: Links, include_pass: bool = True) -> list[TreeClass]:
     return sorted(classes.values(), key=lambda tc: (-tc.count, tc.key))
 
 
-def dependency_report(links: Links, model=None, include_pass: bool = True) -> str:
+def dependency_report(links: Links, include_pass: bool = True) -> str:
     """Text report of the links: change counts, leverage, and every tree class.
 
-    ``model``, when given, must have been trained with dependency
-    recording enabled; otherwise no links were recorded for it and the
-    report would be silently empty.
+    The links are those ``partial(record_pass, links)`` kept over a whole
+    run; ``{}`` reports no change, so the caller makes sure it recorded.
     """
-    if model is not None and not model.record_deps:
-        raise RecordingDisabledError(
-            "model was trained without dependency recording; retrain with it enabled"
-        )
     classes = collect_classes(links, include_pass)
     changed = sum(tc.count for tc in classes)
     multi = sum(

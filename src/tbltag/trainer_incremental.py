@@ -16,9 +16,10 @@ the templates' reach capped at the longest sentence, the rule stated at
 site, so the plan reads it as a constant PAD column and it moves no key.
 ``train_text`` reads them straight from the corpus text in a second pass
 over its lines (``code_text``), after ``corpus.count_tagged`` counted the
-lexicon in the first, so it builds no ``Token``; a ``Corpus`` is kept,
+lexicon in the first, so it builds no ``Token``.  A ``Corpus`` is kept,
 and each pass's sites written to it, only for ``train_incremental`` and
-the audit.  Dependency links are recorded by ``on_rule`` from the sites.
+the audit, which reads tokens: an audited ``train_text`` parses the text
+for it.  Dependency links are recorded by ``on_rule`` from the sites.
 
 Rules are applied to the coded current tags by ``rules.rewrite``, the
 step of the one replay loop ``rules.run_rules``: a literal window
@@ -58,6 +59,7 @@ from .corpus import (
     accuracy_of,
     baseline_assign,
     error_count,
+    parse_corpus,
     parse_line,
     text_chunks,
 )
@@ -518,23 +520,22 @@ def train_text(
     lexicon: Lexicon,
     config: TrainerConfig | None = None,
     audit_log: list[str] | None = None,
-    corpus: Corpus | None = None,
     on_rule=None,
 ):
     """``train_incremental`` of ``parse_corpus(text)``, reading the text straight into codes.
 
     The lexicon must hold the text's own counts (``corpus.count_tagged``),
-    as ``code_text`` needs.  The audit reads tokens, so it needs
-    ``corpus``: a parse of the same text, which is baseline-tagged here and
-    has each pass's sites written to it.
+    as ``code_text`` needs.  No Token is built, except for the audit: it
+    reads tokens, so with ``config.audit`` the text is parsed here too, into
+    a baseline-tagged ``Corpus`` that each pass's sites are written to and
+    that ``verify_index`` compares with the coded strings.
     """
     if config is None:
         config = TrainerConfig()
-    if corpus is None and config.audit:
-        raise ValueError("the audit needs the text parsed as a corpus")
     reach = max(t.span for t in config.templates)
     current, truth, starts, codes, errors = code_text(text, lexicon, reach)
     index = TrainerIndex(current, truth, starts, codes, config.templates)
+    corpus = parse_corpus(text) if config.audit else None
     if corpus is not None:
         baseline_assign(corpus, lexicon)
     return _train(index, errors, lexicon, config, audit_log, corpus, on_rule)

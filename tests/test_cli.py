@@ -95,16 +95,28 @@ def test_train_writes_expected_model(tmp_path, chain, capsys):
     assert (tmp_path / "m.model.deps.txt").exists()
 
 
-def test_train_engines_byte_identical(tmp_path, chain):
-    m_inc = _train(tmp_path, chain, "--engine", "incremental", name="inc.model")
-    m_nai = _train(tmp_path, chain, "--engine", "naive", name="nai.model")
-    assert m_inc.read_bytes() == m_nai.read_bytes()
-    trace_inc = _body((tmp_path / "inc.model.trace.tsv").read_text())
-    trace_nai = _body((tmp_path / "nai.model.trace.tsv").read_text())
-    assert trace_inc == trace_nai
-    curve_inc = _body((tmp_path / "inc.model.curve.tsv").read_text())
-    curve_nai = _body((tmp_path / "nai.model.curve.tsv").read_text())
-    assert curve_inc == curve_nai
+def test_train_engines_byte_identical(tmp_path, chain, capsys):
+    # both engines go through one front end and one report writer
+    test = tmp_path / "test.txt"
+    test.write_text(CHAIN.replace("b/X", "b/P"))
+    runs = {
+        "plain": ((), [".trace.tsv", ".curve.tsv"]),
+        "deps": (("--deps", "--test-corpus", str(test)), [".trace.tsv", ".curve.tsv", ".deps.txt"]),
+    }
+    for run, (extra, reports) in runs.items():
+        got = {}
+        for engine in ("incremental", "naive"):
+            model = _train(tmp_path, chain, "--engine", engine, *extra, name=f"{run}.{engine}")
+            got[engine] = [
+                model.read_bytes(),
+                *[_body((tmp_path / f"{run}.{engine}{suffix}").read_text()) for suffix in reports],
+                capsys.readouterr().err,
+            ]
+        assert got["incremental"] == got["naive"]
+    _, _, curve, deps, err = got["naive"]
+    assert curve.splitlines()[0] == "pass\ttrain_acc\ttest_acc"
+    assert deps.startswith("sites-changed\t2\n")
+    assert err.startswith("trained 2 rules; final train accuracy 1.0")
 
 
 def test_offset_above_sys_maxsize_trains_saves_and_tags(tmp_path, capsys):
@@ -218,6 +230,23 @@ def test_exit_1_on_audit_flag_with_naive_engine(tmp_path, chain, capsys, flag):
     assert rc == 1
     assert "incremental engine" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.txt"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_exit_1_on_deps_out_without_deps(tmp_path, chain, capsys, source):
+    # without --deps no links are recorded, so there is no report to write
+    deps = tmp_path / "d.txt"
+    extra = ["--deps-out", str(deps)]
+    if source == "config":
+        (tmp_path / "cfg.txt").write_text(f"deps-out = {deps}\n")
+        extra = ["--config", str(tmp_path / "cfg.txt")]
+    rc = main(
+        ["train", "--corpus", str(chain), "--default-tag", "Z",
+         "-o", str(tmp_path / "m.model"), *extra]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "--deps-out names the report of --deps; give --deps too\n"
+    assert not deps.exists() and not (tmp_path / "m.model").exists()
 
 
 def test_train_explicit_output_paths(tmp_path, chain):
@@ -1062,7 +1091,7 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
         out = tmp_path / name
         assert main([*argv, "--model", model_path, "-o", str(out)]) == 0
         assert body(out) == want
-    # the audit reads tokens, so that run does parse a Corpus
+    # the audit reads tokens, so train_text parses a Corpus for that run
     with pytest.raises(AssertionError, match="a Token was built"):
         main(["train", "--corpus", str(path), "--default-tag", "T00", "--audit",
               "-o", str(tmp_path / "a.model")])

@@ -14,7 +14,9 @@ from tbltag.corpus import (
     accuracy,
     baseline_assign,
     build_lexicon,
+    count_tagged,
     error_count,
+    lexicon_of,
     parse_corpus,
     serialize_corpus,
     text_chunks,
@@ -249,6 +251,18 @@ def test_build_lexicon_untagged_fails():
     c = parse_corpus("a b\n", tagged=False)
     with pytest.raises(ValueError):
         build_lexicon(c, "X")
+
+
+def test_lexicon_of_the_text_holds_the_tokens_own_strings():
+    # parse_corpus interns words and tags, and so does the lexicon counted
+    # from the same text, so the reference trainer compares them by identity
+    text = "the/DT dog/NN runs/VBZ\ndog/NN\n"
+    corpus = parse_corpus(text)
+    lexicon = lexicon_of(count_tagged(text), "NN")
+    baseline_assign(corpus, lexicon)
+    for tok in corpus.sentences[0]:
+        assert tok.current is tok.truth
+        assert next(w for w in lexicon.counts if w == tok.word) is tok.word
 
 
 # --- baseline ----------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from tbltag.corpus import build_lexicon, parse_corpus
 from tbltag.dependency import (
     DependencyNode,
-    RecordingDisabledError,
     canonical_key,
     collect_classes,
     dependency_report,
@@ -16,7 +15,7 @@ from tbltag.dependency import (
 )
 from tbltag.rules import Rule, parse_template_spec
 from tbltag.trainer_incremental import train_incremental
-from tbltag.training import Model, TrainerConfig
+from tbltag.training import TrainerConfig
 
 from helpers import lex_of
 
@@ -177,8 +176,8 @@ def test_chaining_structure():
 
 
 def test_chaining_report():
-    links, model = _chain_links()
-    report = dependency_report(links, model)
+    links, _ = _chain_links()
+    report = dependency_report(links)
     assert "sites-changed\t2" in report
     assert "multi-node-sites\t1" in report
     assert "leverage\t0.5" in report
@@ -205,7 +204,7 @@ def test_correction_structure():
     assert twice.pass_no == 2
     assert set(twice.children) == {0}
     assert twice.children[0].pass_no == 1
-    report = dependency_report(links, model)
+    report = dependency_report(links)
     assert "sites-changed\t3" in report
     assert "multi-node-sites\t1" in report
 
@@ -222,12 +221,3 @@ def test_collect_classes_counts_and_order():
 def test_report_without_changes():
     report = dependency_report({})
     assert report == "sites-changed\t0\nmulti-node-sites\t0\nleverage\t0.0\n"
-
-
-def test_report_requires_recording():
-    links, model = _chain_links()
-    plain = Model(model.lexicon, model.rules, TrainerConfig(templates=T1, threshold=1))
-    with pytest.raises(RecordingDisabledError):
-        dependency_report(links, plain)
-    # no model given: caller vouches for the links, report proceeds
-    assert dependency_report(links).startswith("sites-changed")

@@ -228,15 +228,36 @@ def test_train_text_without_corpus_records_like_train_incremental():
     assert len(stream) > 5
     assert format_model(got) == format_model(model)
     assert stream == want_stream
-    assert dependency_report(links, got) == dependency_report(want_links, model)
+    assert dependency_report(links) == dependency_report(want_links)
 
 
-@pytest.mark.parametrize("setting", ["audit"])
-def test_train_text_refuses_token_readers_without_corpus(setting):
-    config = replace(TrainerConfig(), **{setting: True})
-    text = "a/X b/Y\n"
-    with pytest.raises(ValueError, match="parsed as a corpus"):
-        train_text(text, lexicon_of(count_tagged(text), "X"), config)
+def test_train_text_audit_checks_the_coded_strings(monkeypatch):
+    # the audit parses the text itself, and checks the strings code_text
+    # made against the parsed tokens
+    text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=2, n_tokens=1500)
+    config = replace(TrainerConfig(templates=T3, threshold=1), audit=True)
+    corpus = parse_corpus(text)
+    want_log = []
+    model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), config,
+                                            audit_log=want_log)
+    lexicon = lexicon_of(count_tagged(text), "T00")
+    log = []
+    got, got_trace, got_curve = train_text(text, lexicon, config, audit_log=log)
+    assert len(log) > 5
+    assert (format_model(got), got_trace, got_curve, log) == (
+        format_model(model), trace, curve, want_log
+    )
+
+    def flipped(*args):
+        current, truth, starts, codes, errors = code_text(*args)
+        p = starts[0]
+        other = next(c for t, c in codes.items() if t is not None and c != current[p])
+        current = current[:p] + other + current[p + 1 :]
+        return current, truth, starts, codes, errors
+
+    monkeypatch.setattr("tbltag.trainer_incremental.code_text", flipped)
+    with pytest.raises(AuditError, match="coded"):
+        train_text(text, lexicon, config)
 
 
 # --- apply_and_update --------------------------------------------------------------
