@@ -8,14 +8,14 @@ rule text that does not parse).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import time
 from contextlib import nullcontext
 from functools import partial
 
-from .corpus import ParseError, accuracy_of, count_tagged, lexicon_of, parse_corpus
+from .corpus import (ParseError, accuracy_of, count_tagged, file_chunks, lexicon_of,
+                     parse_corpus, text_chunks)
 from .evaluate import Curve, Tally, tag_stream
 from .rules import DEFAULT_TEMPLATE_SPEC, DEFAULT_WINDOW, DecodeError, parse_template_spec
 from .training import (
@@ -279,7 +279,7 @@ def _cmd_train(args) -> int:
 
     test_acc = None
     if args.test_corpus:
-        test_acc = tag_stream(model, io.StringIO(test_text), tagged=True).accuracies()
+        test_acc = tag_stream(model, text_chunks(test_text), tagged=True).accuracies()
     reports = [
         (args.trace, trace_tsv(trace)),
         (args.curve, Curve.of([a for _, a in curve], test_acc).to_tsv()),
@@ -305,23 +305,28 @@ def _tag_file(model: Model, path: str, what: str, output: str | None = None,
     """Stream the file at path through ``tag_stream`` and return its tally.
 
     The tagged text goes to the file ``output``, or to stdout for "-";
-    with no ``output`` nothing is written.
+    with no ``output`` nothing is written.  A failed read names the input,
+    and a failed write the output.
     """
-    try:
-        src = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read {what}: {exc}") from None
+
+    def chunks():
+        try:
+            with open(path, encoding="utf-8") as src:
+                yield from file_chunks(src)
+        except OSError as exc:
+            raise _UsageError(f"cannot read {what}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(what, path, exc) from None
+
     if output is None or output == "-":
         sink = nullcontext(sys.stdout if output else None)
     else:
         sink = atomic_writer(output)
     try:
-        with src, sink as out:
-            return tag_stream(model, src, out, tagged, on_new_tag)
+        with sink as out:
+            return tag_stream(model, chunks(), out, tagged, on_new_tag)
     except OSError as exc:
-        raise _UsageError(f"cannot tag {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(what, path, exc) from None
+        raise _cannot_write(output, exc) from None
 
 
 def _tag_timed(model: Model, path: str, what: str, output: str | None = None,
@@ -395,7 +400,7 @@ def _cmd_deps(args) -> int:
     # the training run's structures.  Each rule lowered the errors at its
     # training sites, which the replay finds.
     links = {}
-    tally = tag_stream(model, io.StringIO(text), tagged=True, on_rule=partial(record_pass, links))
+    tally = tag_stream(model, text_chunks(text), tagged=True, on_rule=partial(record_pass, links))
     for pass_no, fixed in enumerate(tally.fixed, start=1):
         if fixed < 1:
             raise _DataError(f"{not_trained_on}: rule {pass_no} does not lower its errors there")

@@ -233,6 +233,18 @@ def text_chunks(text: str, chunk_chars: int = CHUNK_CHARS):
         start = end
 
 
+def file_chunks(src, chunk_chars: int = CHUNK_CHARS):
+    """The lines of the file ``src`` as ``text_chunks`` yields a text's, read a chunk at a time."""
+    lineno = 1
+    # readlines cuts only at "\n" (after the universal newline translation
+    # of a file opened in text mode), so each chunk ends at a line break of
+    # the whole text, and splitlines() then breaks it where parse_corpus
+    # would break the whole text.
+    while lines := "".join(src.readlines(chunk_chars)).splitlines():
+        yield lineno, lines
+        lineno += len(lines)
+
+
 def count_tagged(text: str) -> Counter:
     """How often each ``(word, tag)`` pair occurs in tagged text.
 

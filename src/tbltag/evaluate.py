@@ -4,19 +4,20 @@ Replay runs the model's rules, compiled once (``rules.compile_rules``), as
 literal windows or patterns over the text coded one character per tag,
 through the one rule-replay loop ``rules.run_rules``.  ``tag`` codes a parsed
 Corpus and decodes the result into its tokens; ``tag_stream`` codes a text a
-chunk at a time, builds no tokens, counts the errors left after each rule
-and hands each rule's sites to ``on_rule``, for the dependency report.
+chunk of lines at a time, builds no tokens, counts the errors left after
+each rule and hands each rule's sites to ``on_rule``, for the dependency
+report.  ``Curve.of`` makes a curve of ``Tally.accuracies`` columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from io import TextIOBase
 from itertools import accumulate, count, repeat
 from operator import ne, sub
 
-from .corpus import CHUNK_CHARS, Corpus, Site, accuracy_of, baseline_assign, parse_line
+from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_line
 from .rules import PAD, Rule, code_corpus, compile_rules, run_rules, sites_of, tag_codes
 from .training import Model
 
@@ -70,22 +71,21 @@ class Tally:
 
 def tag_stream(
     model: Model,
-    src: TextIOBase,
+    chunks: Iterable[tuple[int, list[str]]],
     out: TextIOBase | None = None,
     tagged: bool = False,
     on_new_tag: Callable[[str], object] | None = None,
-    chunk_chars: int = CHUNK_CHARS,
     on_rule: Callable[[int, Rule, list[Site]], object] | None = None,
 ) -> Tally:
-    """Tag one-sentence-per-line text from ``src`` a chunk at a time.
+    """Tag one-sentence-per-line text given as ``(first line number, lines)`` chunks.
 
     Writes to ``out``, when given, exactly ``serialize_corpus(tag(model,
     parse_corpus(text, tagged)), "current")`` for the whole text, and
     returns the ``Tally`` of it: the tokens read and, for tagged input,
     how many of them end with a tag other than their own (``error_count``
-    of that corpus) and how many errors each rule removed.  Lines are split
-    as ``parse_corpus`` splits them and a malformed item raises the same
-    ParseError, with the line number counted from the start of the text;
+    of that corpus) and how many errors each rule removed.  The chunks are
+    those ``corpus.text_chunks`` or ``corpus.file_chunks`` yields for the
+    text, so a malformed item raises the ParseError ``parse_corpus`` raises;
     chunks already tagged have been written by then.  With tagged input,
     ``on_new_tag(tag)`` is called once for each tag outside the model's
     tagset, in first-seen order, and after rule ``pass_no`` (from 1) has
@@ -109,14 +109,10 @@ def tag_stream(
     repaired = [0] * len(ends)
     compiled: dict[int, list] = {}
     seen: set[str] = set()
-    tokens = errors = lineno = sentences = 0
-    # readlines cuts only at "\n" (after the universal newline translation
-    # of a file opened in text mode), so each chunk ends at a line break of
-    # the whole text, and splitlines() then breaks it where parse_corpus
-    # would break the whole text.
-    while chunk := src.readlines(chunk_chars):
+    tokens = errors = sentences = 0
+    for first, lines in chunks:
         sents = []
-        for lineno, line in enumerate("".join(chunk).splitlines(), start=lineno + 1):
+        for lineno, line in enumerate(lines, first):
             words, tags = parse_line(line, lineno, tagged)
             if words:
                 sents.append((words, tags))
@@ -183,9 +179,6 @@ class Curve:
         """The curve of per-pass accuracy columns, passes numbered from 0."""
         return cls(list(zip(count(), train, repeat(None) if test is None else test)))
 
-    def final(self) -> tuple[int, float, float | None]:
-        return self.points[-1]
-
     def to_tsv(self) -> str:
         with_test = any(p[2] is not None for p in self.points)
         header = "pass\ttrain_acc\ttest_acc" if with_test else "pass\ttrain_acc"
@@ -197,18 +190,3 @@ class Curve:
             lines.append(row)
         return "\n".join(lines) + "\n"
 
-
-def evaluate_curve(
-    model: Model,
-    train: TextIOBase,
-    test: TextIOBase | None = None,
-    errored_only: bool = False,
-) -> Curve:
-    """Accuracy after every rule, each gold text streamed once through ``tag_stream``.
-
-    ``errored_only`` is as in ``Tally.accuracies``.
-    """
-    train_acc = tag_stream(model, train, tagged=True).accuracies(errored_only)
-    if test is None:
-        return Curve.of(train_acc)
-    return Curve.of(train_acc, tag_stream(model, test, tagged=True).accuracies(errored_only))

@@ -20,7 +20,6 @@ helper code:
    bijection over 10,000 fuzzed rules
 """
 
-import io
 import random
 import time
 from functools import partial
@@ -34,9 +33,10 @@ from tbltag.corpus import (
     error_count,
     parse_corpus,
     serialize_corpus,
+    text_chunks,
 )
 from tbltag.dependency import collect_classes, record_pass
-from tbltag.evaluate import evaluate_curve, tag
+from tbltag.evaluate import tag, tag_stream
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
     Rule,
@@ -256,8 +256,7 @@ def _overtraining_margin(templates, spec, train_seed, test_seed):
     lexicon = build_lexicon(train, "T00")
     cfg = TrainerConfig(templates=templates, threshold=1)
     model, _, train_curve = train_incremental(train, lexicon, cfg)
-    curve = evaluate_curve(model, io.StringIO(train_text), io.StringIO(test_text))
-    test_accs = [t for _, _, t in curve.points]
+    test_accs = tag_stream(model, text_chunks(test_text), tagged=True).accuracies()
     train_accs = [a for _, a in train_curve]
     monotone = all(b >= a for a, b in zip(train_accs, train_accs[1:]))
     return max(test_accs) - test_accs[-1], monotone

@@ -5,6 +5,9 @@ import re
 import stat
 import subprocess
 import sys
+import threading
+import time
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
@@ -967,6 +970,83 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path, chain, capsys):
     assert got.startswith("# tbltag deps\n")
     report = (tmp_path / "m.model.deps.txt").read_text()
     assert got.partition("sites-changed")[1:] == report.partition("sites-changed")[1:]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_names_the_output(tmp_path, chain, capsys):
+    model = _train(tmp_path, chain)
+    capsys.readouterr()
+    assert main(["tag", "--model", str(model), "--in", str(chain), "-o", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "cannot write /dev/full: No space left on device\n"
+
+
+@contextmanager
+def _read_once(path, text):
+    """A FIFO at path that gives text to its first reader, and nothing to any later one.
+
+    So a command that opened its input twice would read an empty second
+    text, as from ``<(cat file)``, rather than wait for a writer.
+    """
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def feed():
+        path.write_text(text)
+        while not done.is_set():
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                time.sleep(0.01)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        done.set()
+    writer.join(timeout=10)
+    assert not writer.is_alive(), f"nothing read {path}"
+
+
+def _two_draws(tmp_path):
+    """Two draws of one chain, written to train.txt and test.txt."""
+    spec = ChainSpec(structure_seed=7)
+    texts = [markov_corpus(spec, draw_seed=draw, n_tokens=1500) for draw in (1, 2)]
+    for name, text in zip(("train.txt", "test.txt"), texts):
+        (tmp_path / name).write_text(text)
+    return texts
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("engine", ["incremental", "naive"])
+def test_train_reads_read_once_corpora(tmp_path, engine):
+    train, test = _two_draws(tmp_path)
+    argv = ["train", "--default-tag", "T00", "--engine", engine, "--deps"]
+    assert main([*argv, "--corpus", str(tmp_path / "train.txt"),
+                 "--test-corpus", str(tmp_path / "test.txt"), "-o", str(tmp_path / "f.model")]) == 0
+    with (_read_once(tmp_path / "train.fifo", train) as corpus,
+          _read_once(tmp_path / "test.fifo", test) as test_corpus):
+        assert main([*argv, "--corpus", str(corpus), "--test-corpus", str(test_corpus),
+                     "-o", str(tmp_path / "p.model")]) == 0
+    for what in ("", ".trace.tsv", ".curve.tsv", ".deps.txt"):
+        got = _body((tmp_path / f"p.model{what}").read_text())
+        assert got == _body((tmp_path / f"f.model{what}").read_text())
+    assert "test_acc" in (tmp_path / "p.model.curve.tsv").read_text()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_deps_reads_a_read_once_corpus(tmp_path):
+    train, _ = _two_draws(tmp_path)
+    path = tmp_path / "train.txt"
+    argv = ["--default-tag", "T00", "--deps", "-o", str(tmp_path / "m.model")]
+    assert main(["train", "--corpus", str(path), *argv]) == 0
+    argv = ["deps", "--model", str(tmp_path / "m.model")]
+    assert main([*argv, "--corpus", str(path), "-o", str(tmp_path / "f.deps")]) == 0
+    with _read_once(tmp_path / "train.fifo", train) as corpus:
+        assert main([*argv, "--corpus", str(corpus), "-o", str(tmp_path / "p.deps")]) == 0
+    got = _body((tmp_path / "p.deps").read_text())
+    assert got == _body((tmp_path / "f.deps").read_text())
+    assert got == _body((tmp_path / "m.model.deps.txt").read_text())
 
 
 def test_output_through_a_symlink_writes_its_target(tmp_path, chain, capsys):

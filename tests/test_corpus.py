@@ -1,5 +1,6 @@
 """Corpus parsing, lexicons, baseline tagging, accuracy."""
 
+import io
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from tbltag.corpus import (
     build_lexicon,
     count_tagged,
     error_count,
+    file_chunks,
     lexicon_of,
     parse_corpus,
     serialize_corpus,
@@ -96,12 +98,14 @@ def test_parse_reserved_boundary_tag():
 
 @given(text=st.text(alphabet="ab \n\r\x1c\u2028"), chunk_chars=st.integers(1, 8))
 def test_text_chunks_are_the_lines_of_the_text(text, chunk_chars):
-    lines = []
-    for first, chunk in text_chunks(text, chunk_chars):
-        assert first == len(lines) + 1
-        assert chunk
-        lines += chunk
-    assert lines == text.splitlines()
+    # io.StringIO translates no newline, as a file opened with newline="\n"
+    for chunks in (text_chunks(text, chunk_chars), file_chunks(io.StringIO(text), chunk_chars)):
+        lines = []
+        for first, chunk in chunks:
+            assert first == len(lines) + 1
+            assert chunk
+            lines += chunk
+        assert lines == text.splitlines()
 
 
 def test_parse_empty_text():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tbltag.corpus import (
     BOUNDARY,
+    CHUNK_CHARS,
     Corpus,
     ParseError,
     Token,
@@ -17,10 +18,12 @@ from tbltag.corpus import (
     baseline_assign,
     build_lexicon,
     error_count,
+    file_chunks,
     parse_corpus,
     serialize_corpus,
+    text_chunks,
 )
-from tbltag.evaluate import CHUNK_CHARS, Curve, evaluate_curve, tag, tag_stream
+from tbltag.evaluate import Curve, tag, tag_stream
 from tbltag.rules import Rule, apply_rule, decode_rule, encode_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
@@ -29,6 +32,30 @@ from tbltag.training import Model, TrainerConfig
 from helpers import TOY_LEX, TOY_TEXT, clone, lex_of
 
 T2 = parse_template_spec("-1; +1")
+
+# Chunk sizes in characters; 1 cuts after every "\n".
+_CHUNK_SIZES = (1, 2, 7, CHUNK_CHARS)
+
+
+def _chunks(text, chunk_chars, from_file):
+    """The text's chunks as ``text_chunks`` cuts them, or ``file_chunks`` from a file of it."""
+    if from_file:
+        return file_chunks(io.StringIO(text), chunk_chars)
+    return text_chunks(text, chunk_chars)
+
+
+def _chunkings(text, sizes=_CHUNK_SIZES):
+    """The text's chunks from both chunkers at each size, one iterable per cut."""
+    return [_chunks(text, n, from_file) for n in sizes for from_file in (False, True)]
+
+
+def _curve(model, train_text, test_text=None, errored_only=False):
+    """The accuracy curve over gold texts, each replayed once by ``tag_stream``."""
+
+    def column(text):
+        return tag_stream(model, text_chunks(text), tagged=True).accuracies(errored_only)
+
+    return Curve.of(column(train_text), None if test_text is None else column(test_text))
 
 
 def _trained(seed: int = 5, n_tokens: int = 200):
@@ -130,7 +157,7 @@ def _replay_case(draw):
     return Model(lexicon, rules), sentences
 
 
-def _streamed_sites(model, text, chunk_chars=CHUNK_CHARS):
+def _streamed_sites(model, chunks):
     """Each pass's sites as ``tag_stream`` hands them to ``on_rule``, chunks joined."""
     got = {}
 
@@ -139,7 +166,7 @@ def _streamed_sites(model, text, chunk_chars=CHUNK_CHARS):
         assert sites  # called only for a rule with hits in the chunk
         got.setdefault(pass_no, []).extend(sites)
 
-    tag_stream(model, io.StringIO(text), tagged=True, chunk_chars=chunk_chars, on_rule=on_rule)
+    tag_stream(model, chunks, tagged=True, on_rule=on_rule)
     return [(pass_no, rule, got.get(pass_no, [])) for pass_no, rule in enumerate(model.rules, 1)]
 
 
@@ -159,8 +186,8 @@ def test_replay_matches_apply_rule_adversarial(case):
     ]
     assert tag(model, fresh()) == expected
     text = "".join(" ".join(f"{w}/{t}" for w, t in sent) + "\n" for sent in sentences)
-    for chunk_chars in (1, 2, 7, CHUNK_CHARS):
-        assert _streamed_sites(model, text, chunk_chars) == expected_sites
+    for chunks in _chunkings(text):
+        assert _streamed_sites(model, chunks) == expected_sites
 
 
 def test_replay_codes_beyond_latin1():
@@ -174,7 +201,7 @@ def test_replay_codes_beyond_latin1():
     model = Model(lexicon, rules)
     got = tag(model, parse_corpus(" ".join(f"w{i}" for i in range(600)) + "\n", tagged=False))
     assert [t.current for t in got.sentences[0]] == tags[:2] + ["Z"] * 598
-    got_sites = [site for _, _, sites in _streamed_sites(model, gold) for site in sites]
+    got_sites = [site for _, _, sites in _streamed_sites(model, text_chunks(gold)) for site in sites]
     assert got_sites == [(0, i) for i in range(599, 1, -1)]
 
 
@@ -194,7 +221,7 @@ _BAD_ITEMS = ["x", "/x", "x/", f"x/{BOUNDARY}"]
 
 @st.composite
 def _stream_case(draw):
-    """A model, a text of its sentences, whether it is tagged, a chunk size.
+    """A model, a text of its sentences, whether it is tagged, how to cut it.
 
     Some words are unknown to the lexicon, some tags to the model, and a
     tagged text may hold one malformed item.
@@ -218,20 +245,18 @@ def _stream_case(draw):
     if breaks and draw(st.booleans()):
         breaks[-1] = ""
     text = "".join(line + end for line, end in zip(lines, breaks))
-    # 1 cuts after every "\n"
-    chunk_chars = draw(st.sampled_from([1, 2, 7, CHUNK_CHARS]))
-    return model, text, tagged, chunk_chars
+    return model, text, tagged, (draw(st.sampled_from(_CHUNK_SIZES)), draw(st.booleans()))
 
 
 @given(case=_stream_case())
 @settings(max_examples=300)
 def test_tag_stream_matches_tag(case):
-    model, text, tagged, chunk_chars = case
+    model, text, tagged, cut = case
     out = io.StringIO()
     new_tags = []
 
     def stream():
-        return tag_stream(model, io.StringIO(text), out, tagged, new_tags.append, chunk_chars)
+        return tag_stream(model, _chunks(text, *cut), out, tagged, new_tags.append)
 
     try:
         corpus = parse_corpus(text, tagged)
@@ -261,22 +286,22 @@ def test_tag_stream_matches_tag(case):
 
 def test_evaluate_curve_matches_trainer_curve():
     model, corpus, train_text, _, train_curve = _trained()
-    replay = evaluate_curve(model, io.StringIO(train_text))
+    replay = _curve(model, train_text)
     assert [(p, a) for p, a, _ in replay.points] == train_curve
     assert all(t is None for _, _, t in replay.points)
-    assert replay.final()[1] == accuracy(corpus)
+    assert replay.points[-1][1] == accuracy(corpus)
 
 
 def test_evaluate_curve_toy():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    curve = evaluate_curve(model, io.StringIO(TOY_TEXT))
+    curve = _curve(model, TOY_TEXT)
     assert curve.points == [(0, 2 / 3, None), (1, 1.0, None)]
 
 
 def test_evaluate_curve_with_test_corpus():
     model, _, train_text, test_text, _ = _trained()
-    curve = evaluate_curve(model, io.StringIO(train_text), io.StringIO(test_text))
+    curve = _curve(model, train_text, test_text)
     assert len(curve.points) == len(model.rules) + 1
     for _, train_acc, test_acc in curve.points:
         assert test_acc is not None
@@ -290,7 +315,7 @@ def test_evaluate_curve_with_test_corpus():
 def test_evaluate_curve_errored_only():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    curve = evaluate_curve(model, io.StringIO(TOY_TEXT), errored_only=True)
+    curve = _curve(model, TOY_TEXT, errored_only=True)
     # the two baseline errors go from all-wrong to all-right
     assert curve.points == [(0, 0.0, None), (1, 1.0, None)]
 
@@ -299,7 +324,7 @@ def test_evaluate_curve_errored_only_empty_mask():
     text = "a/A b/B\n"
     corpus = parse_corpus(text)
     model, _, _ = train_naive(corpus, build_lexicon(corpus, "A"))
-    curve = evaluate_curve(model, io.StringIO(text), errored_only=True)
+    curve = _curve(model, text, errored_only=True)
     assert curve.points == [(0, 1.0, None)]
 
 
@@ -327,16 +352,14 @@ def _recounted_curve(model, corpus, errored_only):
 def test_evaluate_curve_counts_match_recount(errored_only):
     model, _, train_text, test_text, _ = _trained(seed=17, n_tokens=2000)
     assert len(model.rules) > 10
-    curve = evaluate_curve(
-        model, io.StringIO(train_text), io.StringIO(test_text), errored_only=errored_only
-    )
+    curve = _curve(model, train_text, test_text, errored_only)
     assert [p for p, _, _ in curve.points] == list(range(len(model.rules) + 1))
     for column, text in enumerate([train_text, test_text], start=1):
         recounted = _recounted_curve(model, parse_corpus(text), errored_only)
         assert [point[column] for point in curve.points] == recounted
         # the per-rule counts add up the same across any chunk boundaries
-        for chunk_chars in (1, 7, 64, CHUNK_CHARS):
-            tally = tag_stream(model, io.StringIO(text), tagged=True, chunk_chars=chunk_chars)
+        for chunks in _chunkings(text, (1, 7, 64, CHUNK_CHARS)):
+            tally = tag_stream(model, chunks, tagged=True)
             assert tally.accuracies(errored_only) == recounted
 
 
@@ -350,8 +373,3 @@ def test_curve_tsv_with_test():
     assert curve.to_tsv() == (
         "pass\ttrain_acc\ttest_acc\n0\t0.5\t0.25\n1\t1.0\t0.75\n"
     )
-
-
-def test_curve_final():
-    curve = Curve([(0, 0.5, None), (3, 0.9, None)])
-    assert curve.final() == (3, 0.9, None)
