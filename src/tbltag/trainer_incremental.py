@@ -37,10 +37,18 @@ A hit at ``h`` changes only the keys of the positions ``h - o``, for
 positions' pairs in the old string and in the new one; the difference is
 the net move of each key's counts, and its nonzero part, projected, is
 the move of the contained sets' keys.  Only keys whose counts moved are
-rescored, once per pass.  The net-positive candidates are also kept in a
-list sorted by ``training.rule_order``, and both strategies pick from it
-directly; a candidate enters or leaves it only when its rescored net
-score crosses 1 or it leaves the table.
+rescored, once per pass.
+
+A candidate is only a name, ``(key, to code)``: its counts are read off
+its key's counter whenever they are needed, and no object stands for it
+until it is listed.  Only the net-positive candidates are listed, each as
+a ``Candidate`` holding its ``Rule``, ``rule_order`` and net score, filed
+under its key in ``listed`` and kept in the draw list ``eligible``, sorted
+by ``training.rule_order``, that both strategies pick from directly.  A
+rescore refreshes the net score of its key's listed entries, delists one
+whose net score drops below 1, and builds a ``Rule`` only for a truth code
+that newly reaches 1.  ``candidates`` keeps the number of names, counted
+as ``_move`` adds and removes truth codes.
 """
 
 from __future__ import annotations
@@ -77,17 +85,25 @@ class AuditError(AssertionError):
 
 
 class Candidate:
-    """A live rule and its effect counts as of the end of the last pass."""
+    """A listed rule: the candidate ``(key, to)`` while its net score is at least 1.
 
-    __slots__ = ("rule", "pos", "neg", "neut", "order")
+    ``net`` is ``pos - neg`` as of the end of the last pass, stored so that
+    greedy ``pick`` reads one attribute per entry; the counts themselves
+    stay in the key's counter.
+    """
 
-    def __init__(self, rule: Rule):
+    __slots__ = ("rule", "order", "key", "to", "net")
+
+    def __init__(self, rule: Rule, key: tuple, to: str, net: int):
         self.rule = rule
-        self.pos = self.neg = self.neut = 0
-        self.order = None  # rule_order(rule), set when first listed
+        self.order = rule_order(rule)
+        self.key = key
+        self.to = to
+        self.net = net
 
 
 _order = attrgetter("order")
+_net = attrgetter("net")
 
 
 def _plan(psets: list[tuple[int, ...]], width: int) -> list[tuple]:
@@ -118,7 +134,7 @@ def _plan(psets: list[tuple[int, ...]], width: int) -> list[tuple]:
 
 
 class TrainerIndex:
-    """Truth-tag counters per observation key, and the live candidate table."""
+    """Truth-tag counters per observation key, and the listed candidates."""
 
     __slots__ = (
         "psets",
@@ -131,8 +147,8 @@ class TrainerIndex:
         "starts",
         "n_tokens",
         "keys",
-        "cands",
-        "table",
+        "candidates",
+        "listed",
         "eligible",
         "links_total",
         "last_unseen_added",
@@ -150,7 +166,8 @@ class TrainerIndex:
         position set, one Counter over columns of the strings counts every
         (key, truth) pair, and the pairs, projected, count the keys of the
         sets it contains.  Then every key is scored, so the candidates and
-        their counts equal a fresh enumerate_candidates over the same tags.
+        their counts equal a fresh enumerate_candidates over the same tags,
+        and the net-positive ones are listed.
         """
         self.psets: list[tuple[int, ...]] = position_sets(templates)
         self.width = width = starts[0] if starts else 0
@@ -164,10 +181,12 @@ class TrainerIndex:
         # (pset index, current code, *context codes) -> {truth code: count};
         # a count is never 0, and a key with no count is deleted when rescored
         self.keys: dict[tuple, dict[str, int]] = {}
-        # key -> {to code: candidate}, for every key once it is scored
-        self.cands: dict[tuple, dict[str, Candidate]] = {}
-        self.table: dict[Rule, Candidate] = {}
-        # the candidates with pos - neg >= 1, sorted by rule_order
+        # the candidates: a (key, to) per truth code under a key, bar the key's
+        # current code and a missing truth's
+        self.candidates = 0
+        # key -> {to code: candidate}, for the candidates with pos - neg >= 1
+        self.listed: dict[tuple, dict[str, Candidate]] = {}
+        # the same Candidate objects, sorted by rule_order
         self.eligible: list[Candidate] = []
         self.links_total = self.n_tokens * len(self.psets)  # site-to-key memberships
         self.last_unseen_added = 0  # keys created by the last pass
@@ -193,35 +212,58 @@ class TrainerIndex:
         codes = self.codes
         return (self.psets.index(rule.positions), codes[rule.frm], *[codes[t] for _, t in rule.ctx])
 
-    def pick(self, config: TrainerConfig, rng: random.Random):
-        """Pick the next rule from the live list, as select would from the table.
+    def _rule(self, key: tuple, to: str) -> Rule:
+        """The rule named ``(key, to)``."""
+        tags = self.tags
+        return Rule(tags[key[1]], tags[to], zip(self.psets[key[0]], [tags[c] for c in key[2:]]))
 
-        Greedy takes the highest net score on the list, or None below the
-        threshold; the threshold is at least 1, so the winner is always on
-        the list, and ``max`` keeps the first of equal scores, the smallest
-        in rule_order, as select does.  Random draws with the same single
-        ``randrange`` that select makes over its sorted list.  Neither
-        draws from an empty list, so the rng stream is the same.
+    @property
+    def table(self) -> dict[Rule, RuleScore]:
+        """Every candidate's rule and score, decoded from the key counters.
+
+        Built on each read, and read-only: nothing on the pass path reads it.
+        """
+        none = self.codes[None]
+        return {
+            self._rule(key, to): _score(counts, key[1], to)
+            for key, counts in self.keys.items()
+            for to in counts
+            if to != key[1] and to != none
+        }
+
+    def pick(self, config: TrainerConfig, rng: random.Random):
+        """Pick the next rule from the draw list, as select would from the table.
+
+        Greedy takes the highest stored net score on the list, or None below
+        the threshold; the threshold is at least 1, so the winner is always
+        on the list, and ``max`` keeps the first of equal scores, the
+        smallest in rule_order, as select does.  Random draws with the same
+        single ``randrange`` that select makes over its sorted list.  Neither
+        draws from an empty list, so the rng stream is the same.  The
+        picked rule's score is read off its key's counter.
         """
         eligible = self.eligible
         if not eligible:
             return None
         if config.strategy is Strategy.GREEDY:
-            cand = max(eligible, key=lambda cand: cand.pos - cand.neg)
-            if cand.pos - cand.neg < config.threshold:
+            cand = max(eligible, key=_net)
+            if cand.net < config.threshold:
                 return None
         else:
             cand = eligible[rng.randrange(len(eligible))]
-        return cand.rule, RuleScore(cand.pos, cand.neg, cand.neut)
+        return cand.rule, _score(self.keys[cand.key], cand.key[1], cand.to)
 
     def _move(self, moved: dict, touched: set) -> int:
         """Add each nonzero ``(key, truth code)`` count of moved to its key.
 
         Returns how many keys it created; every key it changes goes into
-        touched.
+        touched.  A truth code that joins or leaves a key's counter, other
+        than the key's current code and a missing truth's, adds or removes
+        a candidate.
         """
         keys = self.keys
-        created = 0
+        none = self.codes[None]
+        created = candidates = 0
         for (key, t), n in moved.items():
             if not n:
                 continue
@@ -229,60 +271,55 @@ class TrainerIndex:
             if counts is None:
                 counts = keys[key] = {}
                 created += 1
-            n += counts.get(t, 0)
+            had = counts.get(t, 0)
+            n += had
             if n:
                 counts[t] = n
+                if not had and t != key[1] and t != none:
+                    candidates += 1
             else:
                 del counts[t]
+                if t != key[1] and t != none:
+                    candidates -= 1
             touched.add(key)
+        self.candidates += candidates
         return created
 
     def _rescore(self, keys) -> None:
-        """Make each key's candidates, their counts and listing match its counter.
+        """List exactly the net-positive candidates of each key, as of its counter.
 
-        A key left with no count is deleted, its candidates with it.
+        A listed entry's stored net score is refreshed, and the entry is
+        delisted once it drops below 1; a truth code that newly reaches 1
+        gets its ``Rule`` and ``Candidate`` here, and no other does.  A key
+        left with no count is deleted.
         """
-        counters, all_cands = self.keys, self.cands
-        table, eligible = self.table, self.eligible
-        tags, psets = self.tags, self.psets
+        counters, listed, eligible = self.keys, self.listed, self.eligible
         none = self.codes[None]
         for key in keys:
             counts = counters[key]
-            cands = all_cands.get(key)
-            if cands is None:
-                cands = all_cands[key] = {}
-            elif cands:
-                for code in [code for code in cands if code not in counts]:
-                    cand = cands.pop(code)
-                    del table[cand.rule]
-                    if cand.pos - cand.neg >= 1:
-                        del eligible[bisect_left(eligible, cand.order, key=_order)]
             if not counts:
                 del counters[key]
-                del all_cands[key]
-                continue
-            cur = key[1]
-            neg = counts.get(cur, 0)
-            rest = sum(counts.values()) - neg
-            for code, pos in counts.items():
-                if code == cur or code == none:
-                    continue
-                cand = cands.get(code)
-                if cand is None:
-                    ctx = zip(psets[key[0]], [tags[c] for c in key[2:]])
-                    cand = Candidate(Rule(tags[cur], tags[code], ctx))
-                    cands[code] = table[cand.rule] = cand
-                was = cand.pos - cand.neg >= 1
-                cand.pos = pos
-                cand.neg = neg
-                cand.neut = rest - pos
-                if (pos - neg >= 1) != was:
-                    if was:
-                        del eligible[bisect_left(eligible, cand.order, key=_order)]
-                    else:
-                        if cand.order is None:
-                            cand.order = rule_order(cand.rule)
-                        insort(eligible, cand, key=_order)
+            neg = counts.get(key[1], 0)
+            entries = listed.pop(key, None) or {}
+            for to, cand in list(entries.items()):
+                net = counts.get(to, 0) - neg
+                if net >= 1:
+                    cand.net = net
+                else:
+                    del entries[to]
+                    del eligible[bisect_left(eligible, cand.order, key=_order)]
+            for to, pos in counts.items():
+                if pos - neg >= 1 and to != none and to not in entries:
+                    cand = entries[to] = Candidate(self._rule(key, to), key, to, pos - neg)
+                    insort(eligible, cand, key=_order)
+            if entries:
+                listed[key] = entries
+
+
+def _score(counts: dict, cur: str, to: str) -> RuleScore:
+    """Candidate ``(key, to)``'s score off its key's counter; cur is the key's current code."""
+    pos, neg = counts[to], counts.get(cur, 0)
+    return RuleScore(pos, neg, sum(counts.values()) - pos - neg)
 
 
 def _pairs(pi: int, columns, truths) -> Counter:
@@ -371,7 +408,11 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
     moved are rescored.  Returns the changed sites in corpus order, and
     rewrites them in ``corpus`` too when one is given.
     """
-    if rule not in index.table:
+    try:
+        known = index.codes[rule.to] in index.keys.get(index.key_of(rule), ())
+    except (KeyError, ValueError):  # a tag with no code, or offsets no template has
+        known = False
+    if not known:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")
     old = index.text
     new, hits = rewrite(rule, old, index.codes, index.width)
@@ -416,13 +457,17 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     Independent of the update code and of the coded strings: these must
     decode to the corpus's current and truth tags; the key counters,
     decoded, must equal ``trainer_naive.count_keys``, and ``links_total``
-    their sum; the table must hold exactly the rules ``score_keys`` admits,
-    with its scores, each filed under its key; and the draw list must be
-    exactly the table's net-positive candidates in rule_order.  A site
-    matches a rule exactly when its key is the rule's, so the recount's
-    scores are those of matching every rule at every site, at a cost
-    linear in tokens times position sets.  Raises AuditError on the first
-    discrepancy.
+    their sum.  Every candidate name ``(key, to)`` is decoded here into a
+    rule, and the rules and their scores, read off the stored counters,
+    must be exactly those ``score_keys`` admits; ``candidates`` must be
+    their number.  Each listed entry must sit under a live key, carry its
+    own name and the rule that name decodes to, and store the recount's
+    net score, which must be at least 1; every net-positive rule must be
+    listed; and the draw list must hold exactly the listed entries, the
+    same objects, in rule_order.  A site matches a rule exactly when its
+    key is the rule's, so the recount's scores are those of matching every
+    rule at every site, at a cost linear in tokens times position sets.
+    Raises AuditError on the first discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
@@ -456,39 +501,60 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     if links != index.links_total:
         raise AuditError(f"links_total {index.links_total} != recounted {links}")
 
+    # Every code now decodes: each name decodes to a rule, scored off its stored counter.
     scored = score_keys(counters, psets)
-    if index.table.keys() != scored.keys():
-        raise AuditError("candidate table disagrees with the rules fixing mistagged sites")
-    if sum(len(cands) for cands in index.cands.values()) != len(index.table):
-        raise AuditError("keys hold candidates the table does not")
-    if index.cands.keys() - index.keys.keys():
-        raise AuditError("candidates are filed under keys no site observes")
-    for rule, cand in index.table.items():
-        filed = index.cands.get(index.key_of(rule), {})
-        if cand.rule != rule or filed.get(codes[rule.to]) is not cand:
-            raise AuditError(f"{rule.canonical!r}: candidate not filed under its key")
-        sc = scored[rule]
-        if (sc.pos, sc.neg, sc.neut) != (cand.pos, cand.neg, cand.neut):
-            raise AuditError(
-                f"{rule.canonical!r}: stored score ({cand.pos},{cand.neg},{cand.neut})"
-                f" != recounted ({sc.pos},{sc.neg},{sc.neut})"
-            )
+    none = codes[None]
+    names, decoded = {}, {}
+    for key, counts in index.keys.items():
+        cur, *ctx = [tags[code] for code in key[1:]]
+        neg, total = counts.get(key[1], 0), sum(counts.values())
+        for to, pos in counts.items():
+            if to != key[1] and to != none:
+                rule = names[key, to] = Rule(cur, tags[to], zip(psets[key[0]], ctx))
+                decoded[rule] = RuleScore(pos, neg, total - pos - neg)
+    if decoded != scored:
+        rule = next(r for r in decoded.keys() | scored.keys() if decoded.get(r) != scored.get(r))
+        raise AuditError(
+            f"{rule.canonical!r}: stored score {decoded.get(rule)} != recounted {scored.get(rule)}"
+        )
+    if index.candidates != len(scored):
+        raise AuditError(f"candidate count {index.candidates} != recounted {len(scored)}")
 
-    # The scores were just checked against the recount, so the wanted list rests on them.
-    want_listed = sorted(
-        (cand for cand in index.table.values() if cand.pos - cand.neg >= 1),
-        key=lambda cand: rule_order(cand.rule),
-    )
+    if index.listed.keys() - index.keys.keys():
+        raise AuditError("listed candidates are filed under keys no site observes")
+    listed = {}
+    for key, entries in index.listed.items():
+        if not entries:
+            raise AuditError(f"key {key} keeps an empty listing")
+        for to, cand in entries.items():
+            rule = names.get((key, to))
+            if rule is None:
+                raise AuditError(f"{cand.rule.canonical!r}: listed under a name no candidate has")
+            if (cand.key, cand.to, cand.rule, cand.order) != (key, to, rule, rule_order(rule)):
+                raise AuditError(f"{cand.rule.canonical!r}: listed entry is not its name's rule")
+            net = scored[rule].score
+            if cand.net != net or net < 1:
+                raise AuditError(
+                    f"{rule.canonical!r}: listed at net score {cand.net}, recounted {net}"
+                )
+            listed[rule] = cand
+
+    # Every listed entry is a net-positive rule of the recount, so listing each of those
+    # makes the two sets equal.
+    want_listed = sorted((rule for rule, sc in scored.items() if sc.score >= 1), key=rule_order)
+    for rule in want_listed:
+        if rule not in listed:
+            raise AuditError(f"{rule.canonical!r}: net-positive but not listed")
     if len(index.eligible) != len(want_listed):
         raise AuditError(
             f"draw list holds {len(index.eligible)} candidates,"
             f" {len(want_listed)} are net-positive"
         )
-    for i, (have, want) in enumerate(zip(index.eligible, want_listed)):
-        if have is not want:
+    for i, (have, rule) in enumerate(zip(index.eligible, want_listed)):
+        if have is not listed[rule]:
             raise AuditError(
                 f"draw list entry {i} is {have.rule.canonical!r},"
-                f" wanted the table's {want.rule.canonical!r}"
+                f" wanted the listed {rule.canonical!r}"
             )
 
 
@@ -578,7 +644,7 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
                 )
         if audit_log is not None:
             audit_log.append(
-                f"{pass_no}\t{len(index.table)}\t{len(index.keys)}"
+                f"{pass_no}\t{index.candidates}\t{len(index.keys)}"
                 f"\t{index.last_unseen_added}\t{index.last_sites_rechecked}"
             )
     return Model(lexicon, learned, config), trace, curve

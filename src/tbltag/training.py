@@ -126,7 +126,7 @@ def select(scored, config: TrainerConfig, rng: random.Random):
     net-positive.
 
     This is the reference trainer's selector, and the tests' oracle for
-    the incremental trainer's picks from its live list.
+    the incremental trainer's picks from its draw list.
     """
     if config.strategy is Strategy.GREEDY:
         scored = list(scored)

@@ -3,11 +3,17 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from tbltag.synth import ChainSpec, markov_corpus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+# A file the example leaves open warns as it is freed; turned into an error
+# there, the warning is unraisable, and pytest reports it as such.
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_library_example_runs(tmp_path, monkeypatch, capsys):
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

@@ -1,6 +1,7 @@
 """Incremental trainer: live index correctness and engine equivalence."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -64,10 +65,6 @@ def _small_corpus(seed: int, n_tokens: int = 200):
 # --- init_index -----------------------------------------------------------------
 
 
-def _scores(index) -> dict:
-    return {r: RuleScore(c.pos, c.neg, c.neut) for r, c in index.table.items()}
-
-
 def _truths(index, rule) -> dict:
     """Truth-tag counts of the sites observing the rule's key."""
     counts = index.keys.get(index.key_of(rule), {})
@@ -86,7 +83,7 @@ def _decoded(index) -> dict:
 def test_init_index_matches_enumeration_toy():
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     index = init_index(c, T1)
-    assert _scores(index) == enumerate_candidates(c, T1)
+    assert index.table == enumerate_candidates(c, T1)
     verify_index(index, c)
 
 
@@ -97,7 +94,7 @@ def test_init_index_links():
     codes = index.codes
     assert index.key_of(rule) == (0, codes["MD"], codes["DT"])
     assert _truths(index, rule) == {"NN": 2}
-    assert _scores(index) == {rule: RuleScore(2, 0, 0)}
+    assert index.table == {rule: RuleScore(2, 0, 0)}
     assert len(index.keys) == 5
     # one site-to-key membership per token and position set
     assert index.links_total == 6
@@ -114,7 +111,7 @@ def test_init_index_matches_enumeration(seed):
     c = _small_corpus(seed)
     baseline_assign(c, build_lexicon(c, "T00"))
     index = init_index(c, T3)
-    assert _scores(index) == enumerate_candidates(c, T3)
+    assert index.table == enumerate_candidates(c, T3)
     verify_index(index, c)
 
 
@@ -283,11 +280,31 @@ def test_apply_and_update_toy():
     verify_index(index, c)
 
 
-def test_apply_and_update_unknown_rule():
+def _refuses(rule: Rule) -> None:
+    """apply_and_update refuses the rule on the toy index, and changes nothing."""
     c = baselined(TOY_TEXT, TOY_LEX, "NN")
     index = init_index(c, T1)
-    with pytest.raises(KeyError):
-        apply_and_update(index, c, Rule("X", "Y", [(-1, "Z")]))
+    text = index.text
+    message = f"rule '{rule.canonical}' is not in the trainer index"
+    with pytest.raises(KeyError, match=re.escape(message)):
+        apply_and_update(index, c, rule)
+    assert index.text == text
+    verify_index(index, c)
+
+
+def test_apply_and_update_unknown_rule():
+    # no tag of it has a code
+    _refuses(Rule("X", "Y", [(-1, "Z")]))
+
+
+def test_apply_and_update_refuses_offsets_no_template_has():
+    # its tags have codes, but -2 is no position set: key_of's psets.index fails
+    _refuses(Rule("MD", "NN", [(-2, "DT")]))
+
+
+def test_apply_and_update_refuses_a_target_its_key_never_holds():
+    # its key is live, but no site observing it is a VBZ
+    _refuses(Rule("MD", "VBZ", [(-1, "DT")]))
 
 
 def test_apply_and_update_discovers_unseen_rules():
@@ -305,7 +322,7 @@ def test_apply_and_update_discovers_unseen_rules():
     assert index.last_unseen_added == 0  # both keys were already observed
     assert index.last_sites_rechecked == 2
     assert _truths(index, r2) == {"V2": 1, "V9": 1}
-    assert _scores(index)[r2] == RuleScore(pos=1, neg=0, neut=1)
+    assert index.table[r2] == RuleScore(pos=1, neg=0, neut=1)
     verify_index(index, c)
 
 
@@ -319,7 +336,7 @@ def test_missing_truth_counts_as_neutral():
     baseline_assign(c, lex)
     index = init_index(c, T1)
     rule = Rule("P", "X", [(-1, "DT")])
-    assert _scores(index) == {rule: RuleScore(2, 0, 1)}
+    assert index.table == {rule: RuleScore(2, 0, 1)}
     assert index.codes[None] not in (PAD, *[index.codes[t] for t in ("DT", "P", "X")])
     verify_index(index, c)
 
@@ -351,12 +368,12 @@ def test_chaining_pass_by_pass():
 
     first = Rule("P", "X", [(-1, "DT")])
     stale = Rule("Q", "Y", [(-1, "P")])
-    assert _scores(index) == {first: RuleScore(1, 0, 0), stale: RuleScore(1, 0, 0)}
+    assert index.table == {first: RuleScore(1, 0, 0), stale: RuleScore(1, 0, 0)}
 
     apply_and_update(index, c, first)
     # the first rewrite retired both initial rules and surfaced the chained one
     chained = Rule("Q", "Y", [(-1, "X")])
-    assert _scores(index) == {chained: RuleScore(1, 0, 0)}
+    assert index.table == {chained: RuleScore(1, 0, 0)}
     assert index.key_of(stale) not in index.keys
     assert _truths(index, chained) == {"Y": 1}
     verify_index(index, c)
@@ -386,7 +403,7 @@ def test_index_vs_fresh_rebuild_after_pass():
                 fresh.tags[code] for code in getattr(fresh, attr)
             ]
         assert index.starts == fresh.starts
-        assert _scores(index) == _scores(fresh)
+        assert index.table == fresh.table
         verify_index(index, c)
 
 
@@ -400,27 +417,59 @@ def _fresh_index():
     return init_index(c, T1), c
 
 
+def _delist(index, cand) -> None:
+    """Take a listed entry off its key's listing and off the draw list."""
+    entries = index.listed[cand.key]
+    del entries[cand.to]
+    if not entries:
+        del index.listed[cand.key]
+    index.eligible.remove(cand)
+
+
+def _toy_entry(index):
+    (cand,) = index.eligible
+    assert cand.rule == TOY_RULE
+    return cand
+
+
 def test_verify_index_catches_score_drift():
+    # a listed entry's stored net score goes stale
     index, c = _fresh_index()
-    index.table[TOY_RULE].pos += 1
-    with pytest.raises(AuditError):
+    _toy_entry(index).net += 1
+    with pytest.raises(AuditError, match="listed at net score 3, recounted 2"):
         verify_index(index, c)
 
 
 def test_verify_index_catches_missing_candidate():
+    # a net-positive rule left unlisted
     index, c = _fresh_index()
-    del index.table[TOY_RULE]
-    with pytest.raises(AuditError):
+    _delist(index, _toy_entry(index))
+    with pytest.raises(AuditError, match="net-positive but not listed"):
         verify_index(index, c)
 
 
 def test_verify_index_catches_extra_candidate():
-    # MD>VBZ @ -1:DT is filed under a live key, but no site it matches is a VBZ
+    # MD>VBZ @ -1:DT is listed under a live key, but no site it matches is a VBZ
     index, c = _fresh_index()
     rule = Rule("MD", "VBZ", [(-1, "DT")])
-    cand = index.table[rule] = Candidate(rule)
-    index.cands[index.key_of(rule)][index.codes["VBZ"]] = cand
-    with pytest.raises(AuditError, match="candidate table"):
+    key, to = index.key_of(rule), index.codes["VBZ"]
+    index.listed[key][to] = Candidate(rule, key, to, 1)
+    with pytest.raises(AuditError, match="a name no candidate has"):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_candidate_count_drift():
+    index, c = _fresh_index()
+    index.candidates += 1
+    with pytest.raises(AuditError, match="candidate count 2 != recounted 1"):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_a_listed_entry_not_its_names_rule():
+    # the entry filed as (MD -1:DT, NN) carries another rule
+    index, c = _fresh_index()
+    _toy_entry(index).rule = Rule("MD", "NN", [(-1, "VBZ")])
+    with pytest.raises(AuditError, match="not its name's rule"):
         verify_index(index, c)
 
 
@@ -432,9 +481,11 @@ def test_verify_index_catches_bucket_drift():
 
 
 def test_verify_index_catches_candidates_of_a_dead_key():
+    # an entry filed under a key no site observes
     index, c = _fresh_index()
-    index.cands[(0, PAD, PAD)] = {}
-    with pytest.raises(AuditError):
+    cand = _toy_entry(index)
+    index.listed[(0, PAD, PAD)] = {cand.to: cand}
+    with pytest.raises(AuditError, match="keys no site observes"):
         verify_index(index, c)
 
 
@@ -479,10 +530,12 @@ def test_verify_index_catches_missing_draw_entry():
 
 
 def test_verify_index_catches_stale_draw_entry():
+    # a candidate at net score 0 has no entry; one made for it is not drawn
     index, c = _listed_index()
-    stale = index.table[Rule("P", "X", [(-1, "DT")])]
-    assert stale.pos - stale.neg < 1
-    index.eligible.insert(0, stale)
+    rule = Rule("P", "X", [(-1, "DT")])
+    assert index.table[rule].score == 0
+    key, to = index.key_of(rule), index.codes["X"]
+    index.eligible.insert(0, Candidate(rule, key, to, 0))
     with pytest.raises(AuditError, match="draw list"):
         verify_index(index, c)
 
@@ -496,11 +549,9 @@ def test_verify_index_catches_swapped_draw_entries():
 
 def test_verify_index_catches_foreign_draw_entry():
     index, c = _listed_index()
-    # an equal-valued copy, not the table's own candidate
+    # an equal-valued copy, not the listing's own candidate
     listed = index.eligible[1]
-    copy = Candidate(listed.rule)
-    copy.pos, copy.neg, copy.neut = listed.pos, listed.neg, listed.neut
-    index.eligible[1] = copy
+    index.eligible[1] = Candidate(listed.rule, listed.key, listed.to, listed.net)
     with pytest.raises(AuditError, match="draw list"):
         verify_index(index, c)
 
@@ -698,7 +749,8 @@ def _pick_pass_by_pass(corpus, cfg, audit: bool):
             assert all(c.pos - c.neg < floor for c in index.table.values())
             verify_index(index, corpus)
             return index, passes, ties
-        assert got[0] is want[0]
+        # the picked rule is a listed entry's own
+        assert any(got[0] is cand.rule for cand in index.eligible)
         best = got[1].score
         ties += sum(c.pos - c.neg == best for c in index.table.values()) > 1
         passes += 1
@@ -779,37 +831,65 @@ ADVERSARIAL_TEMPLATES = (
 
 
 @st.composite
-def _adversarial_corpus(draw) -> str:
-    """Tiny alphabets, 1-4 token sentences, and sometimes nothing to fix."""
+def _adversarial_corpus(draw, wide: bool = False) -> tuple[str, list[int]]:
+    """Tiny alphabets, 1-4 token sentences, and sometimes nothing to fix.
+
+    Returns the text and the tokens, numbered through the text, whose truth
+    is then taken away.  A wide draw takes 6 to 9 tags, more and longer
+    sentences with always something to fix, and a few missing truths, so
+    that candidates are listed and delisted many times in one run.
+    """
     # '>' in tags lets distinct rules share a canonical string
     alphabet = ["A", "B", "C", "A>B", "B>C"]
-    tags = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=3, unique=True))
-    words = ["w0", "w1", "w2", "w3"][: draw(st.integers(1, 4))]
+    n_tags, n_words, n_lines, length, missing = (1, 3), 4, (1, 10), 4, st.just([])
+    if wide:
+        alphabet += ["D", "E", "F", "G"]
+        n_tags, n_words, n_lines, length = (6, 9), 6, (4, 12), 6
+        missing = st.lists(st.integers(0, 71), min_size=1, max_size=6)
+    tags = draw(st.lists(st.sampled_from(alphabet), min_size=n_tags[0], max_size=n_tags[1],
+                         unique=True))
+    words = [f"w{i}" for i in range(n_words)][: draw(st.integers(1, n_words))]
     # one fixed tag per word makes the baseline exact: all tokens correct
-    fixed = draw(st.none() | st.fixed_dictionaries({w: st.sampled_from(tags) for w in words}))
+    fixed = None if wide else draw(
+        st.none() | st.fixed_dictionaries({w: st.sampled_from(tags) for w in words})
+    )
     lines = []
-    for length in draw(st.lists(st.integers(1, 4), min_size=1, max_size=10)):
+    for n in draw(st.lists(st.integers(1, length), min_size=n_lines[0], max_size=n_lines[1])):
         items = []
-        for _ in range(length):
+        for _ in range(n):
             word = draw(st.sampled_from(words))
             tag = fixed[word] if fixed else draw(st.sampled_from(tags))
             items.append(f"{word}/{tag}")
         lines.append(" ".join(items))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", draw(missing)
+
+
+_ADVERSARIAL_CORPORA = _adversarial_corpus() | _adversarial_corpus(wide=True)
+
+
+def _adversarial_input(drawn):
+    """The drawn corpus, with its missing truths taken away, and its lexicon."""
+    text, missing = drawn
+    corpus = parse_corpus(text)
+    lex = build_lexicon(corpus, "A")
+    tokens = [tok for sent in corpus.sentences for tok in sent]
+    for i in missing:
+        if i < len(tokens):
+            tokens[i].truth = None
+    return corpus, lex
 
 
 @given(
-    text=_adversarial_corpus(),
+    drawn=_ADVERSARIAL_CORPORA,
     templates=st.sampled_from(ADVERSARIAL_TEMPLATES),
     strategy=st.sampled_from([Strategy.GREEDY, Strategy.RANDOM]),
     threshold=st.integers(1, 2),
     rng_seed=st.integers(0, 99),
 )
 @settings(max_examples=150)
-def test_engine_equivalence_adversarial(text, templates, strategy, threshold, rng_seed):
-    corpus_n = parse_corpus(text)
+def test_engine_equivalence_adversarial(drawn, templates, strategy, threshold, rng_seed):
+    corpus_n, lex = _adversarial_input(drawn)
     corpus_i = clone(corpus_n)
-    lex = build_lexicon(corpus_n, "A")
     base = dict(templates=templates, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
     cfg_n = TrainerConfig(**base, record_deps=True)
     cfg_i = TrainerConfig(**base, record_deps=True, audit=True)
@@ -851,18 +931,18 @@ def _reread(corpus, sites, psets) -> int:
 
 
 @given(
-    text=_adversarial_corpus(),
+    drawn=_ADVERSARIAL_CORPORA,
     templates=st.sampled_from(ADVERSARIAL_TEMPLATES + (DEFAULT_TEMPLATES,)),
     strategy=st.sampled_from([Strategy.GREEDY, Strategy.RANDOM]),
     rng_seed=st.integers(0, 99),
 )
 @settings(max_examples=150)
-def test_pass_counters_match_a_recount(text, templates, strategy, rng_seed):
+def test_pass_counters_match_a_recount(drawn, templates, strategy, rng_seed):
     # new_keys and sites_rechecked of the audit log, and every candidate's
     # counts, recounted by brute force: score_rule matches the rule at each
     # site through find_sites, not through observation keys
-    corpus = parse_corpus(text)
-    baseline_assign(corpus, build_lexicon(corpus, "A"))
+    corpus, lex = _adversarial_input(drawn)
+    baseline_assign(corpus, lex)
     cfg = TrainerConfig(templates=templates, threshold=1, strategy=strategy, rng_seed=rng_seed)
     psets = position_sets(templates)
     index = init_index(corpus, templates)
@@ -872,5 +952,6 @@ def test_pass_counters_match_a_recount(text, templates, strategy, rng_seed):
         sites = apply_and_update(index, corpus, picked[0])
         assert index.last_unseen_added == len(_observed_keys(corpus, psets) - before)
         assert index.last_sites_rechecked == _reread(corpus, sites, psets)
-        for rule, cand in index.table.items():
-            assert RuleScore(cand.pos, cand.neg, cand.neut) == score_rule(rule, corpus)
+        for rule, sc in index.table.items():
+            assert sc == score_rule(rule, corpus)
+        verify_index(index, corpus)
