@@ -5,9 +5,10 @@ tag (``truth``) and the working tag (``current``).  Training mutates only
 ``current``; ``truth`` and words are fixed after parsing.  Dependency links
 are kept apart from the tokens, keyed by site (``dependency.record_pass``).
 
-The incremental trainer's front end builds no tokens: ``count_tagged``
-reads a text's ``(word, tag)`` pairs straight from its lines, and
-``lexicon_of`` files them, as ``build_lexicon`` files a Corpus's.
+The train front end builds no tokens: ``count_tagged`` counts a text's
+whole ``word/TAG`` items, splits each distinct one into its ``(word,
+tag)`` pair with ``parse_line``, the one item rule, and ``lexicon_of``
+files the pairs, as ``build_lexicon`` files a Corpus's.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 # Reserved pseudo-tag returned for positions outside the sentence.  It may
 # appear in rule contexts but never as a token tag, a rule's source/target,
@@ -250,13 +252,25 @@ def count_tagged(text: str) -> Counter:
 
     The text is read as ``parse_corpus`` reads it, and a malformed item
     raises the same ParseError, but no token is built and no list of all
-    its lines is held.  The pairs are in the order of their first use.
+    its lines is held.  The whole ``word/TAG`` items are counted a chunk
+    (``text_chunks``) at a time, and only the distinct ones are split, by
+    one ``parse_line`` over them all.  An item and its pair determine each
+    other, the tag being everything after the last slash, so the pairs are
+    in the order of their first use.  A malformed item sends the text back
+    through ``parse_line`` line by line, for the ParseError of the first
+    one, with its line and column.
     """
-    pairs = Counter()
-    for first, lines in text_chunks(text):
-        for lineno, line in enumerate(lines, first):
-            pairs.update(zip(*parse_line(line, lineno)))
-    return pairs
+    items = Counter()
+    for _, lines in text_chunks(text):
+        items.update(chain.from_iterable(map(str.split, lines)))
+    try:
+        words, tags = parse_line(" ".join(items), 0)
+    except ParseError:
+        for first, lines in text_chunks(text):
+            for lineno, line in enumerate(lines, first):
+                parse_line(line, lineno)
+        raise
+    return Counter(dict(zip(zip(words, tags), items.values())))
 
 
 def lexicon_of(pairs: dict[tuple[str, str], int], default_tag: str) -> Lexicon:

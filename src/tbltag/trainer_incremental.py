@@ -15,11 +15,15 @@ the templates' reach capped at the longest sentence, the rule stated at
 ``rules.PAD``.  A template offset past that width reads padding from every
 site, so the plan reads it as a constant PAD column and it moves no key.
 ``train_text`` reads them straight from the corpus text in a second pass
-over its lines (``code_text``), after ``corpus.count_tagged`` counted the
-lexicon in the first, so it builds no ``Token``.  A ``Corpus`` is kept,
-and each pass's sites written to it, only for ``train_incremental`` and
-the audit, which reads tokens: an audited ``train_text`` parses the text
-for it.  Dependency links are recorded by ``on_rule`` from the sites.
+(``code_text``), after ``corpus.count_tagged`` counted the lexicon in the
+first, so it builds no ``Token``.  Neither pass splits an item per token:
+the first counts whole ``word/TAG`` items and splits each distinct one,
+and the second codes each item whole from an item -> codes table, with
+sentence ends carried by an item that no valid text holds.  A
+``Corpus`` is kept, and each pass's sites written to it, only for
+``train_incremental`` and the audit, which reads tokens: an audited
+``train_text`` parses the text for it.  Dependency links are recorded
+by ``on_rule`` from the sites.
 
 Rules are applied to the coded current tags by ``rules.rewrite``, the
 step of the one replay loop ``rules.run_rules``: a literal window
@@ -56,7 +60,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter, ne
 
 from .corpus import (
@@ -68,7 +72,6 @@ from .corpus import (
     baseline_assign,
     error_count,
     parse_corpus,
-    parse_line,
     text_chunks,
 )
 from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
@@ -164,10 +167,12 @@ class TrainerIndex:
         at ``rules.PAD``, the templates' reach capped at the longest
         sentence.  An offset past it is a constant PAD column.  Per counted
         position set, one Counter over columns of the strings counts every
-        (key, truth) pair, and the pairs, projected, count the keys of the
-        sets it contains.  Then every key is scored, so the candidates and
-        their counts equal a fresh enumerate_candidates over the same tags,
-        and the net-positive ones are listed.
+        row of codes as a flat tuple, at C speed; a ``(key, truth)`` pair is
+        built only for each distinct row, and the rows of the padding
+        between sentences are dropped there.  The pairs, projected, count
+        the keys of the sets it contains.  Then every key is scored, so the
+        candidates and their counts equal a fresh enumerate_candidates over
+        the same tags, and the net-positive ones are listed.
         """
         self.psets: list[tuple[int, ...]] = position_sets(templates)
         self.width = width = starts[0] if starts else 0
@@ -200,9 +205,12 @@ class TrainerIndex:
                 repeat(PAD) if off is None else current[width + off : end + off]
                 for off in offsets
             ]
-            pairs = _pairs(pi, columns, truths)
-            for pair in [pair for pair in pairs if pair[0][1] == PAD]:
-                del pairs[pair]  # the padding between sentences
+            # a row whose own code is PAD is the padding between sentences
+            pairs = {
+                ((pi, *row[:-1]), row[-1]): n
+                for row, n in Counter(zip(*columns, truths)).items()
+                if row[0] != PAD
+            }
             self._move(pairs, set())
             _project(pairs, projections, projected)
         self._move(projected, set())
@@ -325,6 +333,10 @@ def _score(counts: dict, cur: str, to: str) -> RuleScore:
 def _pairs(pi: int, columns, truths) -> Counter:
     """``(key, truth code)`` counts of counted set ``pi``'s positions, from
     their codes at each of the set's plan offsets and their truth codes.
+
+    A pass's positions are few and their rows mostly distinct, so each
+    row is keyed as it is counted; the index build, over every position,
+    counts flat rows and keys only the distinct ones.
     """
     return Counter(zip(zip(repeat(pi), *columns), truths))
 
@@ -364,32 +376,36 @@ def code_text(text: str, lexicon: Lexicon, reach: int) -> tuple:
     ``init_index`` makes of ``parse_corpus(text)`` after
     ``baseline_assign(corpus, lexicon)``, and the baseline's errors.  The
     lines are read as ``parse_corpus`` reads them, a chunk at a time
-    (``corpus.text_chunks``), and each chunk's sentences are joined one PAD
-    apart before the next is read.  A word's baseline code comes from a
-    word -> code table built once from ``Lexicon.most_frequent``.  The
-    padding is then widened to ``min(reach, longest sentence)``, the rule
-    stated at ``rules.PAD``, with ``str.replace``: no code of a tag is PAD.
+    (``corpus.text_chunks``), and each ``word/TAG`` item is coded whole by
+    one table, built once from the lexicon's pairs and
+    ``Lexicon.most_frequent``: item -> its baseline code and its truth
+    code.  So one join codes both strings, as its even and odd characters.
+    Each non-blank line's items are followed by the item PAD, which
+    ``count_tagged`` always refuses (it has no slash) and the table codes
+    as PAD twice: every sentence ends with one PAD, and the sentences'
+    lengths are read off the coded string.  The padding is then widened
+    to ``min(reach, longest sentence)``, the rule stated at ``rules.PAD``,
+    with ``str.replace``: no code of a tag is PAD.
     """
     tagset = {tag for by_tag in lexicon.counts.values() for tag in by_tag}
     codes = tag_codes(sorted(tagset) + [None])
-    most_frequent = lexicon.most_frequent
-    word_code = {word: codes[most_frequent(word)] for word in lexicon.counts}
-    current, truth, lengths = [], [], []
-    for first, lines in text_chunks(text):
-        cur, tru = [], []
-        for lineno, line in enumerate(lines, first):
-            words, tags = parse_line(line, lineno)
-            if words:
-                lengths.append(len(words))
-                cur.append("".join(map(word_code.__getitem__, words)))
-                tru.append("".join(map(codes.__getitem__, tags)))
-        if cur:
-            current.append(PAD.join(cur))
-            truth.append(PAD.join(tru))
+    both = {PAD: PAD + PAD}
+    for word, by_tag in lexicon.counts.items():
+        code = codes[lexicon.most_frequent(word)]
+        for tag in by_tag:
+            both[f"{word}/{tag}"] = code + codes[tag]
+    coded = []
+    for _, lines in text_chunks(text):
+        sentences = filter(None, map(str.split, lines))
+        items = chain.from_iterable(chain.from_iterable(zip(sentences, repeat([PAD]))))
+        coded.append("".join(map(both.__getitem__, items)))
+    coded = "".join(coded)
+    current, truth = coded[0::2], coded[1::2]
+    lengths = list(map(len, current.split(PAD)))[:-1]
     width = min(reach, max(lengths, default=0))
     pad = PAD * width
-    current = pad + PAD.join(current).replace(PAD, pad) + pad
-    truth = pad + PAD.join(truth).replace(PAD, pad) + pad
+    current = pad + current.replace(PAD, pad)
+    truth = pad + truth.replace(PAD, pad)
     starts = list(accumulate((n + width for n in lengths), initial=width))[:-1]
     return current, truth, starts, codes, sum(map(ne, current, truth))
 
@@ -457,12 +473,14 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     Independent of the update code and of the coded strings: these must
     decode to the corpus's current and truth tags; the key counters,
     decoded, must equal ``trainer_naive.count_keys``, and ``links_total``
-    their sum.  Every candidate name ``(key, to)`` is decoded here into a
-    rule, and the rules and their scores, read off the stored counters,
-    must be exactly those ``score_keys`` admits; ``candidates`` must be
-    their number.  Each listed entry must sit under a live key, carry its
-    own name and the rule that name decodes to, and store the recount's
-    net score, which must be at least 1; every net-positive rule must be
+    their sum.  Every rule ``score_keys`` admits is named ``(key_of(rule),
+    to code)``, and the candidate names and their scores, read off the
+    stored counters, must be exactly those names and the recount's scores;
+    ``candidates`` must be their number.  So each ``Rule`` is built once,
+    by the recount, and no stored name needs decoding.  Each listed entry
+    must sit under a live key, carry its own name and the recount's rule
+    of that name and its ``rule_order``, and store the recount's net
+    score, which must be at least 1; every net-positive rule must be
     listed; and the draw list must hold exactly the listed entries, the
     same objects, in rule_order.  A site matches a rule exactly when its
     key is the rule's, so the recount's scores are those of matching every
@@ -501,21 +519,23 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     if links != index.links_total:
         raise AuditError(f"links_total {index.links_total} != recounted {links}")
 
-    # Every code now decodes: each name decodes to a rule, scored off its stored counter.
+    # Every code now decodes.  The recount's rules are named as the index
+    # names them, and each is scored off the stored counter of its name.
     scored = score_keys(counters, psets)
+    oracle = {(index.key_of(rule), codes[rule.to]): rule for rule in scored}
+    recounted = {name: scored[rule] for name, rule in oracle.items()}
     none = codes[None]
-    names, decoded = {}, {}
+    have = {}
     for key, counts in index.keys.items():
-        cur, *ctx = [tags[code] for code in key[1:]]
         neg, total = counts.get(key[1], 0), sum(counts.values())
         for to, pos in counts.items():
             if to != key[1] and to != none:
-                rule = names[key, to] = Rule(cur, tags[to], zip(psets[key[0]], ctx))
-                decoded[rule] = RuleScore(pos, neg, total - pos - neg)
-    if decoded != scored:
-        rule = next(r for r in decoded.keys() | scored.keys() if decoded.get(r) != scored.get(r))
+                have[key, to] = RuleScore(pos, neg, total - pos - neg)
+    if have != recounted:
+        name = next(n for n in have.keys() | recounted.keys() if have.get(n) != recounted.get(n))
+        rule = oracle[name] if name in oracle else index._rule(*name)
         raise AuditError(
-            f"{rule.canonical!r}: stored score {decoded.get(rule)} != recounted {scored.get(rule)}"
+            f"{rule.canonical!r}: stored score {have.get(name)} != recounted {recounted.get(name)}"
         )
     if index.candidates != len(scored):
         raise AuditError(f"candidate count {index.candidates} != recounted {len(scored)}")
@@ -527,7 +547,7 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
         if not entries:
             raise AuditError(f"key {key} keeps an empty listing")
         for to, cand in entries.items():
-            rule = names.get((key, to))
+            rule = oracle.get((key, to))
             if rule is None:
                 raise AuditError(f"{cand.rule.canonical!r}: listed under a name no candidate has")
             if (cand.key, cand.to, cand.rule, cand.order) != (key, to, rule, rule_order(rule)):

@@ -3,6 +3,7 @@
 import random
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tbltag.corpus import (
     BOUNDARY,
+    CHUNK_CHARS,
     ParseError,
     baseline_assign,
     build_lexicon,
@@ -17,6 +19,7 @@ from tbltag.corpus import (
     error_count,
     lexicon_of,
     parse_corpus,
+    text_chunks,
 )
 from tbltag.dependency import dependency_report, record_pass
 from tbltag.evaluate import tag
@@ -126,21 +129,42 @@ _BAD_ITEMS = ["x", "/x", "x/", f"x/{BOUNDARY}"]
 
 @st.composite
 def _tagged_text(draw):
-    """Tagged text whose words may hold '/', sometimes with one malformed item."""
-    words = st.sampled_from(["a", "b", "a/b", "/", "c//", "d"])
-    tags = st.sampled_from(["T0", "T1", "T2", "D"])
-    lines = []
-    for _ in range(draw(st.integers(0, 6))):
-        items = [f"{draw(words)}/{draw(tags)}" for _ in range(draw(st.integers(0, 5)))]
-        indent = draw(st.sampled_from(["", " ", "\t"]))
-        lines.append(indent + draw(st.sampled_from(_GAPS)).join(items))
-    if draw(st.integers(0, 3)) == 0:
+    """Tagged text whose words may hold '/' or control characters, with up
+    to two malformed items, on one line or two."""
+    words = st.sampled_from(["a", "b", "a/b", "/", "c//", "d", "\0", "e\0", "\x01", "f\x7f/\x1b"])
+    tags = st.sampled_from(["T0", "T1", "T2", "D", "\0", "T\x1b"])
+    lines = [
+        [f"{draw(words)}/{draw(tags)}" for _ in range(draw(st.integers(0, 5)))]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         bad = draw(st.sampled_from(_BAD_ITEMS))
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "a/T0  "])) + bad)
-    breaks = [draw(st.sampled_from(_BREAKS)) for _ in lines]
+        at = draw(st.integers(0, len(lines)))
+        if at == len(lines) or draw(st.booleans()):
+            lines.insert(at, [bad])
+        else:
+            lines[at].insert(draw(st.integers(0, len(lines[at]))), bad)
+    text = []
+    for items in lines:
+        indent = draw(st.sampled_from(["", " ", "\t"]))
+        text.append(indent + draw(st.sampled_from(_GAPS)).join(items))
+    breaks = [draw(st.sampled_from(_BREAKS)) for _ in text]
     if breaks and draw(st.booleans()):
         breaks[-1] = ""
-    return "".join(line + end for line, end in zip(lines, breaks))
+    return "".join(line + end for line, end in zip(text, breaks))
+
+
+def _chunked(chunk_chars: int, fn, *args):
+    """``fn(*args)`` with the front end reading its text in chunks of ``chunk_chars``."""
+    chunks = partial(text_chunks, chunk_chars=chunk_chars)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("tbltag.corpus.text_chunks", chunks)
+        mp.setattr("tbltag.trainer_incremental.text_chunks", chunks)
+        return fn(*args)
+
+
+# The default chunk, and chunks cut after nearly every line.
+_CHUNK_CHARS = [CHUNK_CHARS, 1, 2, 7]
 
 
 @given(text=_tagged_text(), width=st.integers(1, 3))
@@ -149,17 +173,14 @@ def test_front_end_matches_the_token_path(text, width):
     try:
         corpus = parse_corpus(text)
     except ParseError as exc:
-        with pytest.raises(ParseError) as got:
-            count_tagged(text)
-        assert (str(got.value), got.value.line, got.value.column) == (
-            str(exc), exc.line, exc.column
-        )
+        for chunk_chars in _CHUNK_CHARS:
+            with pytest.raises(ParseError) as got:
+                _chunked(chunk_chars, count_tagged, text)
+            assert (str(got.value), got.value.line, got.value.column) == (
+                str(exc), exc.line, exc.column
+            )
         return
-    pairs = count_tagged(text)
-    assert sum(pairs.values()) == corpus.n_tokens
-    lexicon = lexicon_of(pairs, "D")
     want = build_lexicon(corpus, "D")
-    assert list(lexicon.counts.items()) == list(want.counts.items())
     errors = baseline_assign(corpus, want)
     codes = tag_codes(sorted({tok.truth for sent in corpus.sentences for tok in sent}) + [None])
     # the third argument is the templates' reach; the padding is capped at
@@ -167,7 +188,14 @@ def test_front_end_matches_the_token_path(text, width):
     padded = min(width, max((len(sent) for sent in corpus.sentences), default=0))
     current, starts = code_corpus(corpus, codes, padded)
     truth = code_corpus(corpus, codes, padded, "truth")[0]
-    assert code_text(text, lexicon, width) == (current, truth, starts, codes, errors)
+    for chunk_chars in _CHUNK_CHARS:
+        pairs = _chunked(chunk_chars, count_tagged, text)
+        assert sum(pairs.values()) == corpus.n_tokens
+        lexicon = lexicon_of(pairs, "D")
+        assert list(lexicon.counts.items()) == list(want.counts.items())
+        assert _chunked(chunk_chars, code_text, text, lexicon, width) == (
+            current, truth, starts, codes, errors
+        )
 
 
 def test_padding_is_capped_at_the_longest_sentence():
