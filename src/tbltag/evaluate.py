@@ -18,7 +18,8 @@ from itertools import accumulate, count, repeat
 from operator import ne, sub
 
 from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_line
-from .rules import PAD, Rule, code_corpus, compile_rules, run_rules, sites_of, tag_codes
+from .rules import (PAD, Rule, code_corpus, compile_rules, join_padded, run_rules, sites_of,
+                    tag_codes)
 from .training import Model
 
 
@@ -28,14 +29,12 @@ def tag(model: Model, corpus: Corpus) -> Corpus:
     Mutates and returns the given corpus; current tags are overwritten,
     truth tags (when present) are untouched.  Replaying a model over its
     own training corpus reproduces the trainer's final tags exactly.  The
-    coded corpus (``rules.code_corpus``) is padded for the widest rule
-    context that fits in a sentence.
+    corpus is coded by ``rules.code_corpus`` for the rules' reach.
     """
     baseline_assign(corpus, model.lexicon)
     codes = tag_codes(model.tagset())
-    longest = max((len(sent) for sent in corpus.sentences), default=0)
-    width = min(max((rule.span for rule in model.rules), default=0), longest)
-    text, starts = code_corpus(corpus, codes, width)
+    reach = max((rule.span for rule in model.rules), default=0)
+    text, starts, width = code_corpus(corpus, codes, reach)
     text = run_rules(compile_rules(model.rules, codes, width), text)
     tag_of = {code: tag for tag, code in codes.items()}
     for sent, start in zip(corpus.sentences, starts):
@@ -93,17 +92,17 @@ def tag_stream(
     with their sites in order, sentences counted from the start of the text.
 
     Each word is coded through a word -> code table built once from
-    ``Lexicon.most_frequent``, and each chunk's coded string is padded
-    only as wide as its longest sentence needs; the compiled rule list is
-    kept per width.  A truth tag outside the tagset is coded as padding,
-    which no rule's tags match.
+    ``Lexicon.most_frequent``, and each chunk's sentences are joined by
+    ``rules.join_padded`` on their own; the compiled rule list is kept per
+    width.  A truth tag outside the tagset is coded as padding, which no
+    rule's tags match.
     """
     codes = tag_codes(model.tagset())
     tag_of = {code: tag for tag, code in codes.items()}
     most_frequent = model.lexicon.most_frequent
     word_code = {word: codes[most_frequent(word)] for word in model.lexicon.counts}
     default = codes[model.default_tag]
-    span = max((rule.span for rule in model.rules), default=0)
+    reach = max((rule.span for rule in model.rules), default=0)
     ends = [(codes[rule.frm], codes[rule.to]) for rule in model.rules]
     fixed = [0] * len(ends)
     repaired = [0] * len(ends)
@@ -118,21 +117,15 @@ def tag_stream(
                 sents.append((words, tags))
         if not sents:
             continue
-        width = min(span, max(len(words) for words, _ in sents))
+        coded = ["".join(map(word_code.get, words, repeat(default))) for words, _ in sents]
+        base, starts, width = join_padded(coded, reach)
         rules = compiled.get(width)
         if rules is None:
             rules = compiled[width] = compile_rules(model.rules, codes, width)
-        pad = PAD * width
-        coded = [
-            "".join(map(word_code.get, words, repeat(default))) for words, _ in sents
-        ]
-        base = pad + pad.join(coded) + pad
         tokens += sum(map(len, coded))
         if tagged:
-            truth = pad + pad.join(
-                "".join(map(codes.get, tags, repeat(PAD))) for _, tags in sents
-            ) + pad
-            starts = list(accumulate((len(c) + width for c in coded[:-1]), initial=width))
+            truths = ["".join(map(codes.get, tags, repeat(PAD))) for _, tags in sents]
+            truth = join_padded(truths, reach)[0]
 
             def count_hits(n: int, hits: list[int]) -> None:
                 frm, to = ends[n]
@@ -156,13 +149,10 @@ def tag_stream(
         else:
             text = run_rules(rules, base)
         if out is not None:
-            pos = width
             rows = []
-            for words, _ in sents:
-                end = pos + len(words)
-                current = map(tag_of.__getitem__, text[pos:end])
+            for (words, _), start in zip(sents, starts):
+                current = map(tag_of.__getitem__, text[start : start + len(words)])
                 rows.append(" ".join(map("/".join, zip(words, current))))
-                pos = end + width
             out.write("\n".join(rows) + "\n")
         sentences += len(sents)
     return Tally(tokens, errors, fixed, repaired)

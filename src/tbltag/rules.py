@@ -7,10 +7,11 @@ a site's observation key under a template's offsets, together with its
 truth tag, is a rule that would fix it.
 
 ``find_sites`` and ``apply_rule`` match rules token by token; they are the
-oracle.  The fast path codes the corpus as one character per tag
-(``code_corpus``) and matches each rule in that string: as a literal
-window found with ``str.find`` when its offsets and 0 form an unbroken
-run, as a look-around regular expression when the run has a gap.
+oracle.  The fast path codes the corpus as one character per tag, its
+sentences joined by padding (``join_padded``), and matches each rule in
+that string: as a literal window found with ``str.find`` when its offsets
+and 0 form an unbroken run, as a look-around regular expression when the
+run has a gap.
 ``rewrite`` applies one rule, ``run_rules`` a compiled list of them.
 """
 
@@ -20,7 +21,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter
 
 from .corpus import BOUNDARY, Corpus, Site
@@ -181,9 +182,9 @@ def observe(sent, psets, span: int) -> list[list[tuple]]:
     tags)``, the context read at the set's offsets with BOUNDARY outside
     the sentence.  A rule over ``psets[pi]`` matches the site exactly when
     its source and context tags make the same key.  ``span`` must be at
-    least the largest offset in ``psets``.  The sentence is padded by the
-    rule stated at ``PAD``: by ``min(span, len(sent))``, and an offset
-    farther than that is a column of BOUNDARY.
+    least the largest offset in ``psets``.  The sentence is padded by
+    ``join_padded``'s rule, on its own: by ``min(span, len(sent))``, and an
+    offset farther than that is a column of BOUNDARY.
     """
     n = len(sent)
     width = min(span, n)
@@ -243,11 +244,8 @@ def apply_rule(rule: Rule, corpus: Corpus) -> list[Site]:
 # --- the tag-coded corpus string ----------------------------------------------
 
 # The coded corpus string pads sentences with this character; rule contexts
-# code BOUNDARY as it.  Tags are coded from the next code point up.  Every
-# padded sentence follows one rule: the padding is as wide as the farthest
-# offset read, but never wider than the longest sentence, and any farther
-# offset reads BOUNDARY, since from every site it lands outside the sentence.
-# So a template's reach costs nothing past the longest sentence.
+# code BOUNDARY as it.  Tags are coded from the next code point up.  The
+# padding rule is ``join_padded``'s.
 PAD = "\0"
 
 
@@ -261,24 +259,27 @@ def tag_codes(tags) -> dict:
     return codes
 
 
-def code_corpus(corpus: Corpus, codes: dict, width: int, which: str = "current") -> tuple:
-    """The corpus's ``which`` tags as ``(text, starts)``, one character each.
+def join_padded(coded: list[str], reach: int) -> tuple[str, list[int], int]:
+    """Coded sentences joined into one string: ``(text, starts, width)``.
 
-    Each sentence is preceded and the last one followed by ``width`` PAD
-    characters; sentence ``si`` starts at ``text[starts[si]]``.  Callers
-    choose ``width`` by the rule stated at ``PAD``: the farthest offset they
-    read, capped at the longest sentence.
+    The one padding rule: ``width`` is the farthest offset read,
+    ``reach``, but never more than the longest sentence, and any farther
+    offset reads BOUNDARY, since from every site it lands outside the
+    sentence.  So a reach costs nothing past the longest sentence.  Each
+    sentence is preceded and the last one followed by ``width`` PAD
+    characters; sentence ``si`` starts at ``text[starts[si]]``.
     """
+    width = min(reach, max(map(len, coded), default=0))
+    pad = PAD * width
+    starts = list(accumulate((len(s) + width for s in coded), initial=width))[:-1]
+    return pad + pad.join(coded) + pad, starts, width
+
+
+def code_corpus(corpus: Corpus, codes: dict, reach: int, which: str = "current") -> tuple:
+    """The corpus's ``which`` tags, one character each, joined by ``join_padded``."""
     code = codes.__getitem__
     tag = attrgetter(which)
-    pad = PAD * width
-    starts = []
-    pos = width
-    for sent in corpus.sentences:
-        starts.append(pos)
-        pos += len(sent) + width
-    text = pad + pad.join(["".join(map(code, map(tag, sent))) for sent in corpus.sentences]) + pad
-    return text, starts
+    return join_padded(["".join(map(code, map(tag, sent))) for sent in corpus.sentences], reach)
 
 
 # What ``_compile`` makes of a rule: a ``(window, at)`` literal, a pattern, or None.
@@ -359,7 +360,7 @@ def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[i
 
     The hits are the rule's sites as matched before any rewriting, as in
     ``apply_rule``, in ascending order; each becomes the code of
-    ``rule.to``.  ``text`` is padded by ``width``, as from ``code_corpus``.
+    ``rule.to``.  ``text`` is padded by ``width``, as ``join_padded`` pads.
     """
     return _sub(_compile(rule, codes, width), codes[rule.to], text)
 

@@ -10,10 +10,10 @@ effect counts are read off its key's counter: ``pos = counts[to]``,
 would fix some mistagged site.
 
 The index reads only two strings, the current and the truth tags coded
-one character per tag and padded as ``rules.code_corpus`` pads them: by
-the templates' reach capped at the longest sentence, the rule stated at
-``rules.PAD``.  A template offset past that width reads padding from every
-site, so the plan reads it as a constant PAD column and it moves no key.
+one character per tag and joined by ``rules.join_padded`` for the
+templates' reach.  A template offset past the width reads padding from
+every site, so the plan reads it as a constant PAD column and it moves no
+key.
 ``train_text`` reads them straight from the corpus text in a second pass
 (``code_text``), after ``corpus.count_tagged`` counted the lexicon in the
 first, so it builds no ``Token``.  Neither pass splits an item per token:
@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter, ne
 
 from .corpus import (
@@ -74,7 +74,8 @@ from .corpus import (
     parse_corpus,
     text_chunks,
 )
-from .rules import PAD, Rule, RuleScore, code_corpus, position_sets, rewrite, sites_of, tag_codes
+from .rules import (PAD, Rule, RuleScore, code_corpus, join_padded, position_sets, rewrite,
+                    sites_of, tag_codes)
 from .trainer_naive import count_keys, score_keys
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
 
@@ -141,6 +142,7 @@ class TrainerIndex:
 
     __slots__ = (
         "psets",
+        "pset_of",
         "plan",
         "width",
         "codes",
@@ -161,11 +163,10 @@ class TrainerIndex:
     def __init__(self, current: str, truth: str, starts: list[int], codes: dict, templates):
         """Build the index from scratch from the coded current and truth tags.
 
-        ``current`` and ``truth`` are padded as ``rules.code_corpus`` pads
-        them with ``codes``, and ``starts`` says where each sentence
-        starts in both.  So the width is ``starts[0]``: by the rule stated
-        at ``rules.PAD``, the templates' reach capped at the longest
-        sentence.  An offset past it is a constant PAD column.  Per counted
+        ``current`` and ``truth`` are joined by ``rules.join_padded`` for
+        the templates' reach, and ``starts`` says where each sentence
+        starts in both.  So the width is ``starts[0]``, and an offset past
+        it reads padding from every site: a constant PAD column.  Per counted
         position set, one Counter over columns of the strings counts every
         row of codes as a flat tuple, at C speed; a ``(key, truth)`` pair is
         built only for each distinct row, and the rows of the padding
@@ -175,6 +176,7 @@ class TrainerIndex:
         the same tags, and the net-positive ones are listed.
         """
         self.psets: list[tuple[int, ...]] = position_sets(templates)
+        self.pset_of = {pset: pi for pi, pset in enumerate(self.psets)}
         self.width = width = starts[0] if starts else 0
         self.plan = _plan(self.psets, width)
         self.codes = codes
@@ -217,8 +219,10 @@ class TrainerIndex:
         self._rescore(self.keys)
 
     def key_of(self, rule: Rule) -> tuple:
-        codes = self.codes
-        return (self.psets.index(rule.positions), codes[rule.frm], *[codes[t] for _, t in rule.ctx])
+        """The rule's key; KeyError for a tag with no code or offsets no template has."""
+        code = self.codes.__getitem__
+        positions, tags = zip(*rule.ctx)
+        return (self.pset_of[positions], code(rule.frm), *map(code, tags))
 
     def _rule(self, key: tuple, to: str) -> Rule:
         """The rule named ``(key, to)``."""
@@ -360,10 +364,9 @@ def init_index(corpus: Corpus, templates) -> TrainerIndex:
     tags = {tok.current for sent in corpus.sentences for tok in sent}
     tags.update(tok.truth for sent in corpus.sentences for tok in sent)
     codes = tag_codes(sorted(tags - {None}) + [None])
-    longest = max((len(sent) for sent in corpus.sentences), default=0)
-    width = min(max(t.span for t in templates), longest)
-    current, starts = code_corpus(corpus, codes, width)
-    truth = code_corpus(corpus, codes, width, "truth")[0]
+    reach = max(t.span for t in templates)
+    current, starts, _ = code_corpus(corpus, codes, reach)
+    truth = code_corpus(corpus, codes, reach, "truth")[0]
     return TrainerIndex(current, truth, starts, codes, templates)
 
 
@@ -382,10 +385,9 @@ def code_text(text: str, lexicon: Lexicon, reach: int) -> tuple:
     code.  So one join codes both strings, as its even and odd characters.
     Each non-blank line's items are followed by the item PAD, which
     ``count_tagged`` always refuses (it has no slash) and the table codes
-    as PAD twice: every sentence ends with one PAD, and the sentences'
-    lengths are read off the coded string.  The padding is then widened
-    to ``min(reach, longest sentence)``, the rule stated at ``rules.PAD``,
-    with ``str.replace``: no code of a tag is PAD.
+    as PAD twice: every sentence ends with one PAD, and no code of a tag
+    is PAD, so each string splits into its sentences at PAD, which
+    ``rules.join_padded`` joins.
     """
     tagset = {tag for by_tag in lexicon.counts.values() for tag in by_tag}
     codes = tag_codes(sorted(tagset) + [None])
@@ -400,13 +402,8 @@ def code_text(text: str, lexicon: Lexicon, reach: int) -> tuple:
         items = chain.from_iterable(chain.from_iterable(zip(sentences, repeat([PAD]))))
         coded.append("".join(map(both.__getitem__, items)))
     coded = "".join(coded)
-    current, truth = coded[0::2], coded[1::2]
-    lengths = list(map(len, current.split(PAD)))[:-1]
-    width = min(reach, max(lengths, default=0))
-    pad = PAD * width
-    current = pad + current.replace(PAD, pad)
-    truth = pad + truth.replace(PAD, pad)
-    starts = list(accumulate((n + width for n in lengths), initial=width))[:-1]
+    current, starts, _ = join_padded(coded[0::2].split(PAD)[:-1], reach)
+    truth = join_padded(coded[1::2].split(PAD)[:-1], reach)[0]
     return current, truth, starts, codes, sum(map(ne, current, truth))
 
 
@@ -426,7 +423,7 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
     """
     try:
         known = index.codes[rule.to] in index.keys.get(index.key_of(rule), ())
-    except (KeyError, ValueError):  # a tag with no code, or offsets no template has
+    except KeyError:  # a tag with no code, or offsets no template has
         known = False
     if not known:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")

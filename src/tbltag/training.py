@@ -306,6 +306,14 @@ def format_model(model: Model) -> str:
                 f"rule {rule.canonical!r} would not read back as itself; "
                 "its tags cannot be stored in a model file"
             )
+    return _render(model)
+
+
+def _render(model: Model) -> str:
+    """``format_model`` less its rule read-back check, which every rule
+    ``decode_rule`` returns passes: it cuts the head at the first '>' and
+    the context only at ``,N:`` boundaries.
+    """
     tags = model.tagset()
     if BOUNDARY in tags:
         raise ModelFormatError(f"tag {BOUNDARY!r} is reserved for sentence boundaries")
@@ -378,7 +386,8 @@ def parse_model(text: str) -> Model:
     """Read a model file, accepting it only if format_model writes it back.
 
     The lines are read for their values alone, and then the text must
-    equal format_model of the model read, byte for byte.  Whatever saving
+    equal format_model of the model read, byte for byte; its rules were
+    just decoded, so ``_render`` alone writes it.  Whatever saving
     would write differently (order, spacing, an integer's spelling, a
     blank line, a missing final newline, a carriage return) is refused
     with a ModelFormatError naming the first line that differs.  The
@@ -432,7 +441,7 @@ def parse_model(text: str) -> Model:
     except DecodeError as exc:
         raise ModelFormatError(str(exc)) from None
     model = Model(lexicon, rules, config)
-    written = format_model(model)  # refuses a lexicon count below 1
+    written = _render(model)  # refuses a lexicon count below 1
     if written != text:
         raise _first_difference(text, written)
     return model

@@ -421,3 +421,21 @@ def test_load_model_from_training(tmp_path):
     assert loaded.rules == model.rules
     assert loaded.lexicon.counts == model.lexicon.counts
     assert format_model(loaded) == format_model(model)
+
+
+def test_parse_model_decodes_each_rule_once(monkeypatch):
+    # a rule decoded from its line always reads back as itself, so loading
+    # compares the text with the model's rendering and decodes no rule again
+    corpus = parse_corpus(markov_corpus(ChainSpec(structure_seed=7), draw_seed=1, n_tokens=2000))
+    model, _, _ = train_incremental(corpus, build_lexicon(corpus, "T00"), TrainerConfig())
+    text = format_model(model)
+    decoded = []
+
+    def counting_decode(line):
+        decoded.append(line)
+        return decode_rule(line)
+
+    monkeypatch.setattr("tbltag.training.decode_rule", counting_decode)
+    assert parse_model(text).rules == model.rules
+    assert decoded == text.splitlines()[-len(model.rules):]
+    assert len(model.rules) > 1

@@ -9,6 +9,7 @@ from tbltag.rules import (
     DEFAULT_TEMPLATE_SPEC,
     DEFAULT_TEMPLATES,
     DecodeError,
+    PAD,
     Rule,
     RuleScore,
     Template,
@@ -18,6 +19,7 @@ from tbltag.rules import (
     display_rule,
     encode_rule,
     find_sites,
+    join_padded,
     observe,
     parse_template_spec,
     position_sets,
@@ -375,19 +377,47 @@ def test_apply_touches_only_matched_sites(cr):
             assert _token(corpus, site).current == frozen[site]
 
 
+def _coded(corpus, codes) -> list[str]:
+    return ["".join(codes[tok.current] for tok in sent) for sent in corpus.sentences]
+
+
 @given(corpus_and_rule(), st.integers(0, 2))
 @settings(max_examples=300)
 def test_rewrite_agrees_with_apply_rule(cr, extra):
     # the coded string's matcher, a literal window or a pattern, against
-    # the oracle; padding wider than needed must not change the result
+    # the oracle; padding wider than join_padded's must not change the
+    # result, so the string is padded here, by hand
     corpus, rule = cr
     codes = tag_codes(_TAGS)
     longest = max(len(sent) for sent in corpus.sentences)
     width = min(rule.span, longest) + extra
-    text, starts = code_corpus(corpus, codes, width)
+    pad = PAD * width
+    coded = _coded(corpus, codes)
+    text = pad + pad.join(coded) + pad
+    starts = [width + sum(len(c) + width for c in coded[:si]) for si in range(len(coded))]
+    if not extra:
+        assert (text, starts, width) == code_corpus(corpus, codes, rule.span)
     got, hits = rewrite(rule, text, codes, width)
     assert sites_of(hits, starts) == apply_rule(rule, corpus)
-    assert (got, starts) == code_corpus(corpus, codes, width)
+    assert got == pad + pad.join(_coded(corpus, codes)) + pad
+
+
+@given(st.lists(st.text("\x01\x02\x03", min_size=1, max_size=6), max_size=5),
+       st.integers(0, 8))
+def test_join_padded_places_each_sentence_between_pad_runs(coded, reach):
+    text, starts, width = join_padded(coded, reach)
+    if not coded:
+        assert (text, starts, width) == ("", [], 0)
+        return
+    assert width == min(reach, max(map(len, coded)))
+    assert starts[0] == width
+    assert len(starts) == len(coded)
+    assert len(text) == sum(map(len, coded)) + width * (len(coded) + 1)
+    rest = list(text)
+    for sent, start in zip(coded, starts):
+        assert text[start : start + len(sent)] == sent
+        rest[start : start + len(sent)] = [PAD] * len(sent)
+    assert rest == [PAD] * len(text)  # every other character is padding
 
 
 @given(corpus_and_rule())

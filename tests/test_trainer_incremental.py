@@ -167,9 +167,9 @@ def _chunked(chunk_chars: int, fn, *args):
 _CHUNK_CHARS = [CHUNK_CHARS, 1, 2, 7]
 
 
-@given(text=_tagged_text(), width=st.integers(1, 3))
+@given(text=_tagged_text(), reach=st.integers(1, 3))
 @settings(max_examples=300)
-def test_front_end_matches_the_token_path(text, width):
+def test_front_end_matches_the_token_path(text, reach):
     try:
         corpus = parse_corpus(text)
     except ParseError as exc:
@@ -183,17 +183,14 @@ def test_front_end_matches_the_token_path(text, width):
     want = build_lexicon(corpus, "D")
     errors = baseline_assign(corpus, want)
     codes = tag_codes(sorted({tok.truth for sent in corpus.sentences for tok in sent}) + [None])
-    # the third argument is the templates' reach; the padding is capped at
-    # the longest sentence
-    padded = min(width, max((len(sent) for sent in corpus.sentences), default=0))
-    current, starts = code_corpus(corpus, codes, padded)
-    truth = code_corpus(corpus, codes, padded, "truth")[0]
+    current, starts, _ = code_corpus(corpus, codes, reach)
+    truth = code_corpus(corpus, codes, reach, "truth")[0]
     for chunk_chars in _CHUNK_CHARS:
         pairs = _chunked(chunk_chars, count_tagged, text)
         assert sum(pairs.values()) == corpus.n_tokens
         lexicon = lexicon_of(pairs, "D")
         assert list(lexicon.counts.items()) == list(want.counts.items())
-        assert _chunked(chunk_chars, code_text, text, lexicon, width) == (
+        assert _chunked(chunk_chars, code_text, text, lexicon, reach) == (
             current, truth, starts, codes, errors
         )
 
@@ -848,24 +845,28 @@ T_WIDE = parse_template_spec("-1; +1; -3; +2,+3; -2,-1")
 
 # The cases of the index's plan: a set contained in two others, no set
 # containing another, and T_WIDE's mix of counted and projected sets.  The
-# last reaches past every sentence, so the padding is capped at the longest
-# one: the counted set -6,-5 and the projected -5 read only padding.
+# fourth reaches past every sentence of most corpora, so the padding is
+# capped at the longest one: the counted set -6,-5 and the projected -5 read
+# only padding.  The last reaches past every short sentence but not past the
+# long one of a long draw, which sets the padding for all of them.
 ADVERSARIAL_TEMPLATES = (
     parse_template_spec("-1; -2,-1; -1,+1"),
     parse_template_spec("-3; +2"),
     T_WIDE,
     parse_template_spec("-6,-5; -5; +1", window=6),
+    parse_template_spec("-1; +1,+8", window=8),
 )
 
 
 @st.composite
-def _adversarial_corpus(draw, wide: bool = False) -> tuple[str, list[int]]:
+def _adversarial_corpus(draw, wide: bool = False, long: bool = False) -> tuple[str, list[int]]:
     """Tiny alphabets, 1-4 token sentences, and sometimes nothing to fix.
 
     Returns the text and the tokens, numbered through the text, whose truth
     is then taken away.  A wide draw takes 6 to 9 tags, more and longer
     sentences with always something to fix, and a few missing truths, so
-    that candidates are listed and delisted many times in one run.
+    that candidates are listed and delisted many times in one run.  A long
+    draw puts one sentence of 10 to 20 tokens among the short ones.
     """
     # '>' in tags lets distinct rules share a canonical string
     alphabet = ["A", "B", "C", "A>B", "B>C"]
@@ -878,11 +879,14 @@ def _adversarial_corpus(draw, wide: bool = False) -> tuple[str, list[int]]:
                          unique=True))
     words = [f"w{i}" for i in range(n_words)][: draw(st.integers(1, n_words))]
     # one fixed tag per word makes the baseline exact: all tokens correct
-    fixed = None if wide else draw(
+    fixed = None if wide or long else draw(
         st.none() | st.fixed_dictionaries({w: st.sampled_from(tags) for w in words})
     )
+    lengths = draw(st.lists(st.integers(1, length), min_size=n_lines[0], max_size=n_lines[1]))
+    if long:
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(10, 20)))
     lines = []
-    for n in draw(st.lists(st.integers(1, length), min_size=n_lines[0], max_size=n_lines[1])):
+    for n in lengths:
         items = []
         for _ in range(n):
             word = draw(st.sampled_from(words))
@@ -892,7 +896,9 @@ def _adversarial_corpus(draw, wide: bool = False) -> tuple[str, list[int]]:
     return "\n".join(lines) + "\n", draw(missing)
 
 
-_ADVERSARIAL_CORPORA = _adversarial_corpus() | _adversarial_corpus(wide=True)
+_ADVERSARIAL_CORPORA = (
+    _adversarial_corpus() | _adversarial_corpus(wide=True) | _adversarial_corpus(long=True)
+)
 
 
 def _adversarial_input(drawn):
