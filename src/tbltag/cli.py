@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
 
 from .corpus import (ParseError, accuracy_of, count_tagged, file_chunks, lexicon_of,
@@ -117,34 +117,39 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [cleaned[0], *_read_config_file(path), *cleaned[1:], f"--config={path}"]
 
 
-def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> _DataError:
-    byte = exc.object[exc.start]
-    return _DataError(f"{what} {path} is not valid UTF-8: byte 0x{byte:02x}, {exc.reason}")
-
-
-def _read_text(path: str, what: str) -> str:
+@contextmanager
+def _reading(what: str, path: str):
+    """Turn a failed read of the ``what`` at ``path`` into exit 1, or 2 if it is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except OSError as exc:
         raise _UsageError(f"cannot read {what}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _not_utf8(what, path, exc) from None
+        reason = f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+        raise _DataError(f"{what} {path} is not valid UTF-8: {reason}") from None
 
 
-def _cannot_write(path: str, exc: OSError) -> _UsageError:
-    # The exception's own text may name the temp file rather than path.
-    return _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+def _read_text(path: str, what: str) -> str:
+    with _reading(what, path), open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn a failed write of ``path`` into exit 1, naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        # The exception's own text may name the temp file rather than path.
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    try:
+    with _writing(path):
         write_text_atomic(path, text)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -162,17 +167,19 @@ _INPUTS = {"corpus": "corpus", "test_corpus": "test corpus", "input": "input cor
 def _resolve_outputs(args) -> None:
     """Resolve the command's output paths and try each before any work.
 
-    An output that is one of the command's inputs or an earlier output
-    stops the command, as does one that cannot be written, so a failed
-    run writes nothing.  "-" is stdout, except for the model train writes.
+    An output that is empty, one of the command's inputs or an earlier
+    output stops the command, as does one that cannot be written, so a
+    failed run writes nothing.  "-" is stdout, except for the model train writes.
     """
     inputs = [(what, getattr(args, name, None)) for name, what in _INPUTS.items()]
     if args.command == "train":
-        args.trace = args.trace or args.model + ".trace.tsv"
-        args.curve = args.curve or args.model + ".curve.tsv"
-        if args.deps:
-            args.deps_out = args.deps_out or args.model + ".deps.txt"
-        elif args.deps_out:
+        if args.trace is None:
+            args.trace = args.model + ".trace.tsv"
+        if args.curve is None:
+            args.curve = args.model + ".curve.tsv"
+        if args.deps and args.deps_out is None:
+            args.deps_out = args.model + ".deps.txt"
+        elif not args.deps and args.deps_out is not None:
             raise _UsageError("--deps-out names the report of --deps; give --deps too")
         outputs = {"model": args.model, "trace": args.trace, "curve": args.curve,
                    "deps report": args.deps_out, "audit log": args.audit_log}
@@ -183,13 +190,13 @@ def _resolve_outputs(args) -> None:
     for what, path in outputs.items():
         if path is None or (path == "-" and what != "model"):
             continue
+        if not path:
+            raise _UsageError(f"{what} path is empty")
         for other, other_path in earlier + inputs:
             if other_path is not None and _same_file(path, other_path):
                 raise _UsageError(f"{what} {path} would overwrite the {other} {other_path}")
-        try:
+        with _writing(path):
             check_writable(path)
-        except OSError as exc:
-            raise _cannot_write(path, exc) from None
         earlier.append((what, path))
 
 
@@ -201,12 +208,8 @@ def _header(cmd: str, pairs: dict) -> str:
 
 
 def _load_model(path: str) -> Model:
-    try:
+    with _reading("model", path):
         return load_model(path)
-    except OSError as exc:
-        raise _UsageError(f"cannot read model: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8("model", path, exc) from None
 
 
 def _cmd_train(args) -> int:
@@ -224,16 +227,16 @@ def _cmd_train(args) -> int:
     from .dependency import dependency_report, record_pass
 
     naive = args.engine == "naive"
-    if naive and (args.audit or args.audit_log):
+    if naive and (args.audit or args.audit_log is not None):
         raise _UsageError("--audit and --audit-log check the index of the incremental engine")
     text = _read_text(args.corpus, "corpus")
-    pairs = count_tagged(text)
+    pairs = count_tagged(text_chunks(text))
     if not pairs:
         raise _UsageError(f"corpus {args.corpus} has no tokens")
     # The test corpus is checked now and tagged after training, kept as
     # text rather than as a Corpus.
-    test_text = _read_text(args.test_corpus, "test corpus") if args.test_corpus else ""
-    count_tagged(test_text)
+    test_text = "" if args.test_corpus is None else _read_text(args.test_corpus, "test corpus")
+    count_tagged(text_chunks(test_text))
     # A default tag no model file can carry exits 2, before Lexicon refuses it.
     check_tagset([args.default_tag])
     lexicon = lexicon_of(pairs, args.default_tag)
@@ -249,7 +252,7 @@ def _cmd_train(args) -> int:
         audit=args.audit,
     )
 
-    audit_log: list[str] | None = [] if args.audit_log else None
+    audit_log: list[str] | None = None if args.audit_log is None else []
     links = {}
     on_rule = partial(record_pass, links) if args.deps else None
     if naive:
@@ -269,16 +272,14 @@ def _cmd_train(args) -> int:
         "window": args.window,
         "model": args.model,
     }
-    if args.test_corpus:
+    if args.test_corpus is not None:
         effective["test-corpus"] = args.test_corpus
 
-    try:
+    with _writing(args.model):
         save_model(model, args.model)
-    except OSError as exc:
-        raise _cannot_write(args.model, exc) from None
 
     test_acc = None
-    if args.test_corpus:
+    if args.test_corpus is not None:
         test_acc = tag_stream(model, text_chunks(test_text), tagged=True).accuracies()
     reports = [
         (args.trace, trace_tsv(trace)),
@@ -286,7 +287,7 @@ def _cmd_train(args) -> int:
     ]
     if args.deps:
         reports.append((args.deps_out, dependency_report(links)))
-    if args.audit_log:  # refused above for the naive engine
+    if audit_log is not None:  # refused above for the naive engine
         log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])
         reports.append((args.audit_log, log_text))
     header = _header("train", effective)
@@ -310,23 +311,15 @@ def _tag_file(model: Model, path: str, what: str, output: str | None = None,
     """
 
     def chunks():
-        try:
-            with open(path, encoding="utf-8") as src:
-                yield from file_chunks(src)
-        except OSError as exc:
-            raise _UsageError(f"cannot read {what}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(what, path, exc) from None
+        with _reading(what, path), open(path, encoding="utf-8") as src:
+            yield from file_chunks(src)
 
     if output is None or output == "-":
         sink = nullcontext(sys.stdout if output else None)
     else:
         sink = atomic_writer(output)
-    try:
-        with sink as out:
-            return tag_stream(model, chunks(), out, tagged, on_new_tag)
-    except OSError as exc:
-        raise _cannot_write(output, exc) from None
+    with _writing(output), sink as out:
+        return tag_stream(model, chunks(), out, tagged, on_new_tag)
 
 
 def _tag_timed(model: Model, path: str, what: str, output: str | None = None,
@@ -349,7 +342,7 @@ def _warn_new_tag(tag: str) -> None:
 
 def _cmd_tag(args) -> int:
     model = _load_model(args.model)
-    _tag_timed(model, args.input, "input corpus", args.output or "-", not args.raw, _warn_new_tag)
+    _tag_timed(model, args.input, "input corpus", args.output, not args.raw, _warn_new_tag)
     return 0
 
 
@@ -371,14 +364,14 @@ def _cmd_curve(args) -> int:
     # One file at a time, so an error names the file it is in.
     train = _tag_file(model, args.train, "train corpus").accuracies(args.errored_only)
     test = None
-    if args.test:
+    if args.test is not None:
         test = _tag_file(model, args.test, "test corpus").accuracies(args.errored_only)
     pairs = {
         "model": args.model,
         "train": args.train,
         "errored-only": int(args.errored_only),
     }
-    if args.test:
+    if args.test is not None:
         pairs["test"] = args.test
     _write_text(args.output, _header("curve", pairs) + Curve.of(train, test).to_tsv())
     return 0
@@ -394,7 +387,8 @@ def _cmd_deps(args) -> int:
         )
     text = _read_text(args.corpus, "corpus")
     not_trained_on = f"corpus {args.corpus} is not the one the model was trained on"
-    if lexicon_of(count_tagged(text), model.default_tag).counts != model.lexicon.counts:
+    counts = lexicon_of(count_tagged(text_chunks(text)), model.default_tag).counts
+    if counts != model.lexicon.counts:
         raise _DataError(f"{not_trained_on}: its word/tag counts differ from the model's lexicon")
     # Replaying the training application order with recording on rebuilds
     # the training run's structures.  Each rule lowered the errors at its
@@ -455,7 +449,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True, help="corpus to tag")
     p.add_argument("--raw", action="store_true", help="input is bare words, no /TAG")
-    p.add_argument("-o", "--output", help="default stdout")
+    p.add_argument("-o", "--output", default="-", help="default stdout")
     add_config(p)
     p.set_defaults(func=_cmd_tag)
 

@@ -5,10 +5,12 @@ tag (``truth``) and the working tag (``current``).  Training mutates only
 ``current``; ``truth`` and words are fixed after parsing.  Dependency links
 are kept apart from the tokens, keyed by site (``dependency.record_pass``).
 
-The train front end builds no tokens: ``count_tagged`` counts a text's
-whole ``word/TAG`` items, splits each distinct one into its ``(word,
-tag)`` pair with ``parse_line``, the one item rule, and ``lexicon_of``
-files the pairs, as ``build_lexicon`` files a Corpus's.
+Every pass reads a corpus as ``(first line number, lines)`` chunks
+(``text_chunks``, ``file_chunks``), and ``parse_lines`` parses a chunk's
+lines with ``parse_line``, the one item rule.  The train front end builds
+no tokens: ``count_tagged`` counts whole ``word/TAG`` items, splits each
+distinct one into its ``(word, tag)`` pair, and ``lexicon_of`` files the
+pairs, as ``build_lexicon`` files a Corpus's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 
 # Reserved pseudo-tag returned for positions outside the sentence.  It may
 # appear in rule contexts but never as a token tag, a rule's source/target,
@@ -111,24 +113,28 @@ def _refuse_item(line: str, lineno: int, k: int):
     raise ParseError(f"tag {BOUNDARY!r} is reserved for sentence boundaries", lineno, col)
 
 
+def parse_lines(first: int, lines: list[str], tagged: bool = True) -> list[tuple]:
+    """``parse_line`` of each non-blank line of a chunk, the lines numbered from ``first``."""
+    sentences = []
+    for lineno, line in enumerate(lines, first):
+        words, tags = parse_line(line, lineno, tagged)
+        if words:
+            sentences.append((words, tags))
+    return sentences
+
+
 def parse_corpus(text: str, tagged: bool = True) -> Corpus:
     """Parse one-sentence-per-line text of whitespace-separated items.
 
-    Lines are split by ``str.splitlines`` and their items parsed by
-    ``parse_line``.  Blank lines are skipped.
+    Lines are split by ``str.splitlines``, a chunk (``text_chunks``) at a
+    time, and parsed by ``parse_lines``.  Blank lines are skipped.
     """
     intern = sys.intern
     sentences = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words, tags = parse_line(line, lineno, tagged)
-        if not words:
-            continue
-        if tags is None:
-            sentences.append([Token(intern(word), None, None) for word in words])
-        else:
-            sentences.append(
-                [Token(intern(word), tag, tag) for word, tag in zip(words, map(intern, tags))]
-            )
+    for first, lines in text_chunks(text):
+        for words, tags in parse_lines(first, lines, tagged):
+            tags = repeat(None) if tags is None else map(intern, tags)
+            sentences.append([Token(intern(word), tag, tag) for word, tag in zip(words, tags)])
     return Corpus(sentences)
 
 
@@ -247,30 +253,31 @@ def file_chunks(src, chunk_chars: int = CHUNK_CHARS):
         lineno += len(lines)
 
 
-def count_tagged(text: str) -> Counter:
+def count_tagged(chunks) -> Counter:
     """How often each ``(word, tag)`` pair occurs in tagged text.
 
-    The text is read as ``parse_corpus`` reads it, and a malformed item
-    raises the same ParseError, but no token is built and no list of all
-    its lines is held.  The whole ``word/TAG`` items are counted a chunk
-    (``text_chunks``) at a time, and only the distinct ones are split, by
-    one ``parse_line`` over them all.  An item and its pair determine each
-    other, the tag being everything after the last slash, so the pairs are
-    in the order of their first use.  A malformed item sends the text back
-    through ``parse_line`` line by line, for the ParseError of the first
-    one, with its line and column.
+    The text is given as ``text_chunks`` or ``file_chunks`` yields it, and
+    each chunk is read once, as ``parse_corpus`` reads it, but no token is
+    built.  Each chunk's whole ``word/TAG`` items are counted, and the
+    distinct ones it is the first to hold are split, by one ``parse_line``.
+    An item and its pair determine each other, the tag being everything
+    after the last slash, so the pairs are in the order of their first use.
+    A malformed item is new in the chunk that first holds it, so
+    ``parse_lines`` of that chunk's lines raises the ParseError
+    ``parse_corpus`` raises, with its line and column.
     """
     items = Counter()
-    for _, lines in text_chunks(text):
+    pairs = []
+    for first, lines in chunks:
+        seen = len(items)
         items.update(chain.from_iterable(map(str.split, lines)))
-    try:
-        words, tags = parse_line(" ".join(items), 0)
-    except ParseError:
-        for first, lines in text_chunks(text):
-            for lineno, line in enumerate(lines, first):
-                parse_line(line, lineno)
-        raise
-    return Counter(dict(zip(zip(words, tags), items.values())))
+        new = [*islice(reversed(items), len(items) - seen)][::-1]
+        try:
+            pairs += zip(*parse_line(" ".join(new), 0))
+        except ParseError:
+            parse_lines(first, lines)
+            raise
+    return Counter(dict(zip(pairs, items.values())))
 
 
 def lexicon_of(pairs: dict[tuple[str, str], int], default_tag: str) -> Lexicon:

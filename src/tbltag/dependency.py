@@ -160,9 +160,7 @@ def dependency_report(links: Links, include_pass: bool = True) -> str:
     """
     classes = collect_classes(links, include_pass)
     changed = sum(tc.count for tc in classes)
-    multi = sum(
-        tc.count for tc in classes if tc.representative.node_count() > 1
-    )
+    multi = sum(tc.count for tc in classes if tc.representative.children)
     leverage = multi / changed if changed else 0.0
     lines = [
         f"sites-changed\t{changed}",

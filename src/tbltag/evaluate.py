@@ -17,7 +17,7 @@ from io import TextIOBase
 from itertools import accumulate, count, repeat
 from operator import ne, sub
 
-from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_line
+from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_lines
 from .rules import (PAD, Rule, code_corpus, compile_rules, join_padded, run_rules, sites_of,
                     tag_codes)
 from .training import Model
@@ -110,11 +110,7 @@ def tag_stream(
     seen: set[str] = set()
     tokens = errors = sentences = 0
     for first, lines in chunks:
-        sents = []
-        for lineno, line in enumerate(lines, first):
-            words, tags = parse_line(line, lineno, tagged)
-            if words:
-                sents.append((words, tags))
+        sents = parse_lines(first, lines, tagged)
         if not sents:
             continue
         coded = ["".join(map(word_code.get, words, repeat(default))) for words, _ in sents]
@@ -155,6 +151,7 @@ def tag_stream(
                 rows.append(" ".join(map("/".join, zip(words, current))))
             out.write("\n".join(rows) + "\n")
         sentences += len(sents)
+        del sents  # so that two chunks' words are never held at once
     return Tally(tokens, errors, fixed, repaired)
 
 

@@ -234,11 +234,16 @@ def apply_rule(rule: Rule, corpus: Corpus) -> list[Site]:
     overlapping matches all fire even when one changes another's context.
     """
     sites = find_sites(rule, corpus)
+    apply_at_sites(corpus, rule, sites)
+    return sites
+
+
+def apply_at_sites(corpus: Corpus, rule: Rule, sites: list[Site]) -> None:
+    """Rewrite the current tag at each given site to the rule's target."""
     to = rule.to
     sentences = corpus.sentences
     for si, ti in sites:
         sentences[si][ti].current = to
-    return sites
 
 
 # --- the tag-coded corpus string ----------------------------------------------

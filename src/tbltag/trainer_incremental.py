@@ -155,7 +155,6 @@ class TrainerIndex:
         "candidates",
         "listed",
         "eligible",
-        "links_total",
         "last_unseen_added",
         "last_sites_rechecked",
     )
@@ -195,7 +194,6 @@ class TrainerIndex:
         self.listed: dict[tuple, dict[str, Candidate]] = {}
         # the same Candidate objects, sorted by rule_order
         self.eligible: list[Candidate] = []
-        self.links_total = self.n_tokens * len(self.psets)  # site-to-key memberships
         self.last_unseen_added = 0  # keys created by the last pass
         self.last_sites_rechecked = 0  # tokens whose keys the last pass re-read
 
@@ -217,6 +215,11 @@ class TrainerIndex:
             _project(pairs, projections, projected)
         self._move(projected, set())
         self._rescore(self.keys)
+
+    @property
+    def links_total(self) -> int:
+        """Site-to-key memberships: each token observes one key per position set."""
+        return self.n_tokens * len(self.psets)
 
     def key_of(self, rule: Rule) -> tuple:
         """The rule's key; KeyError for a tag with no code or offsets no template has."""
@@ -370,16 +373,16 @@ def init_index(corpus: Corpus, templates) -> TrainerIndex:
     return TrainerIndex(current, truth, starts, codes, templates)
 
 
-def code_text(text: str, lexicon: Lexicon, reach: int) -> tuple:
+def code_text(chunks, lexicon: Lexicon, reach: int) -> tuple:
     """Tagged text's baseline and truth tags, coded, with no Token built.
 
-    The lexicon must hold the text's own counts (``corpus.count_tagged``),
-    and ``reach`` is the templates' farthest offset.  Returns ``(current,
-    truth, starts, codes, errors)``: the strings, starts and codes
-    ``init_index`` makes of ``parse_corpus(text)`` after
-    ``baseline_assign(corpus, lexicon)``, and the baseline's errors.  The
-    lines are read as ``parse_corpus`` reads them, a chunk at a time
-    (``corpus.text_chunks``), and each ``word/TAG`` item is coded whole by
+    The text is given as ``corpus.text_chunks`` or ``corpus.file_chunks``
+    yields it, and each chunk is read once.  The lexicon must hold the
+    text's own counts (``corpus.count_tagged``), and ``reach`` is the
+    templates' farthest offset.  Returns ``(current, truth, starts, codes,
+    errors)``: the strings, starts and codes ``init_index`` makes of
+    ``parse_corpus(text)`` after ``baseline_assign(corpus, lexicon)``, and
+    the baseline's errors.  Each ``word/TAG`` item is coded whole by
     one table, built once from the lexicon's pairs and
     ``Lexicon.most_frequent``: item -> its baseline code and its truth
     code.  So one join codes both strings, as its even and odd characters.
@@ -397,7 +400,7 @@ def code_text(text: str, lexicon: Lexicon, reach: int) -> tuple:
         for tag in by_tag:
             both[f"{word}/{tag}"] = code + codes[tag]
     coded = []
-    for _, lines in text_chunks(text):
+    for _, lines in chunks:
         sentences = filter(None, map(str.split, lines))
         items = chain.from_iterable(chain.from_iterable(zip(sentences, repeat([PAD]))))
         coded.append("".join(map(both.__getitem__, items)))
@@ -616,7 +619,7 @@ def train_text(
     if config is None:
         config = TrainerConfig()
     reach = max(t.span for t in config.templates)
-    current, truth, starts, codes, errors = code_text(text, lexicon, reach)
+    current, truth, starts, codes, errors = code_text(text_chunks(text), lexicon, reach)
     index = TrainerIndex(current, truth, starts, codes, config.templates)
     corpus = parse_corpus(text) if config.audit else None
     if corpus is not None:

@@ -17,13 +17,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .corpus import BOUNDARY, Corpus, Lexicon, Site
+from .corpus import BOUNDARY, Lexicon
 from .rules import (
     DEFAULT_TEMPLATES,
     DecodeError,
     Rule,
     RuleScore,
     Template,
+    apply_at_sites,  # both trainers import it from here
     decode_rule,
     display_rule,
     encodable_tag,
@@ -145,14 +146,6 @@ def select(scored, config: TrainerConfig, rng: random.Random):
     eligible.sort(key=lambda pair: rule_order(pair[0]))
     rule, sc = eligible[rng.randrange(len(eligible))]
     return rule, RuleScore(sc.pos, sc.neg, sc.neut)
-
-
-def apply_at_sites(corpus: Corpus, rule: Rule, sites: list[Site]) -> None:
-    """Rewrite the current tag at each given site to the rule's target."""
-    to = rule.to
-    sentences = corpus.sentences
-    for si, ti in sites:
-        sentences[si][ti].current = to
 
 
 # --- trace and curve rendering ----------------------------------------------

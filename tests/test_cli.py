@@ -953,6 +953,59 @@ def test_exit_1_before_reading_on_unwritable_output(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+_RUNS = {
+    "train": ["train", "--corpus", "chain.txt", "--default-tag", "Z", "--deps", "-o", "new.model"],
+    "tag": ["tag", "--model", "m.model", "--in", "chain.txt"],
+    "eval": ["eval", "--model", "m.model", "--corpus", "chain.txt"],
+    "curve": ["curve", "--model", "m.model", "--train", "chain.txt", "--test", "chain.txt"],
+    "deps": ["deps", "--model", "m.model", "--corpus", "chain.txt"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("train", "-o", "model path is empty"),
+        ("train", "--trace", "trace path is empty"),
+        ("train", "--curve", "curve path is empty"),
+        ("train", "--deps-out", "deps report path is empty"),
+        ("train", "--audit-log", "audit log path is empty"),
+        ("train", "trace=", "trace path is empty"),  # a line of a --config file
+        ("train", "--corpus", "cannot read corpus: "),
+        ("train", "--test-corpus", "cannot read test corpus: "),
+        ("train", "--config", "cannot read config file: "),
+        ("tag", "--model", "cannot read model: "),
+        ("tag", "--in", "cannot read input corpus: "),
+        ("tag", "-o", "output path is empty"),
+        ("eval", "--corpus", "cannot read corpus: "),
+        ("eval", "-o", "output path is empty"),
+        ("curve", "--train", "cannot read train corpus: "),
+        ("curve", "--test", "cannot read test corpus: "),
+        ("curve", "-o", "output path is empty"),
+        ("deps", "--corpus", "cannot read corpus: "),
+        ("deps", "-o", "output path is empty"),
+    ],
+)
+def test_exit_1_on_an_empty_path(tmp_path, chain, capsys, monkeypatch, command, flag, message):
+    # an empty output path is refused before any work, and an empty input
+    # path is a missing file; neither is ignored or replaced by a default
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    _train(tmp_path, chain, "--deps")
+    (tmp_path / "cfg.txt").write_text("trace=\n")
+    monkeypatch.setattr("tbltag.trainer_incremental.train_text", no_training)
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = _RUNS[command] + (["--config", "cfg.txt"] if flag == "trace=" else [flag, ""])
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_output_to_a_fifo_is_written_in_place(tmp_path, chain, capsys):
     model = _train(tmp_path, chain, "--deps")

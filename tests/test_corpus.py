@@ -262,7 +262,7 @@ def test_lexicon_of_the_text_holds_the_tokens_own_strings():
     # from the same text, so the reference trainer compares them by identity
     text = "the/DT dog/NN runs/VBZ\ndog/NN\n"
     corpus = parse_corpus(text)
-    lexicon = lexicon_of(count_tagged(text), "NN")
+    lexicon = lexicon_of(count_tagged(text_chunks(text)), "NN")
     baseline_assign(corpus, lexicon)
     for tok in corpus.sentences[0]:
         assert tok.current is tok.truth

@@ -3,10 +3,9 @@
 import random
 import re
 from dataclasses import replace
-from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbltag.corpus import (
@@ -154,28 +153,22 @@ def _tagged_text(draw):
     return "".join(line + end for line, end in zip(text, breaks))
 
 
-def _chunked(chunk_chars: int, fn, *args):
-    """``fn(*args)`` with the front end reading its text in chunks of ``chunk_chars``."""
-    chunks = partial(text_chunks, chunk_chars=chunk_chars)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("tbltag.corpus.text_chunks", chunks)
-        mp.setattr("tbltag.trainer_incremental.text_chunks", chunks)
-        return fn(*args)
-
-
 # The default chunk, and chunks cut after nearly every line.
 _CHUNK_CHARS = [CHUNK_CHARS, 1, 2, 7]
 
 
 @given(text=_tagged_text(), reach=st.integers(1, 3))
+@example(text="a/T0\nb/T1 a/T0\nb/T1 c\n", reach=1)  # the bad item is in a later chunk
 @settings(max_examples=300)
 def test_front_end_matches_the_token_path(text, reach):
+    # Each call reads its own text_chunks generator, which yields each chunk
+    # once: a second read of the text would find it exhausted.
     try:
         corpus = parse_corpus(text)
     except ParseError as exc:
         for chunk_chars in _CHUNK_CHARS:
             with pytest.raises(ParseError) as got:
-                _chunked(chunk_chars, count_tagged, text)
+                count_tagged(text_chunks(text, chunk_chars))
             assert (str(got.value), got.value.line, got.value.column) == (
                 str(exc), exc.line, exc.column
             )
@@ -186,11 +179,11 @@ def test_front_end_matches_the_token_path(text, reach):
     current, starts, _ = code_corpus(corpus, codes, reach)
     truth = code_corpus(corpus, codes, reach, "truth")[0]
     for chunk_chars in _CHUNK_CHARS:
-        pairs = _chunked(chunk_chars, count_tagged, text)
+        pairs = count_tagged(text_chunks(text, chunk_chars))
         assert sum(pairs.values()) == corpus.n_tokens
         lexicon = lexicon_of(pairs, "D")
         assert list(lexicon.counts.items()) == list(want.counts.items())
-        assert _chunked(chunk_chars, code_text, text, lexicon, reach) == (
+        assert code_text(text_chunks(text, chunk_chars), lexicon, reach) == (
             current, truth, starts, codes, errors
         )
 
@@ -206,7 +199,8 @@ def test_padding_is_capped_at_the_longest_sentence():
     baseline_assign(corpus, lexicon)
     assert init_index(corpus, templates).width == 5
     n = len(corpus.sentences)
-    current, truth, starts, _, _ = code_text(text, lexicon_of(count_tagged(text), "T00"), 20000)
+    counted = lexicon_of(count_tagged(text_chunks(text)), "T00")
+    current, truth, starts, _, _ = code_text(text_chunks(text), counted, 20000)
     assert len(current) == len(truth) == corpus.n_tokens + 5 * (n + 1)
     assert starts == [5 + 10 * si for si in range(n)]
 
@@ -217,7 +211,8 @@ def test_train_text_matches_train_incremental():
     corpus = parse_corpus(text)
     lexicon = build_lexicon(corpus, "T00")
     model, trace, curve = train_incremental(corpus, lexicon, config)
-    got, got_trace, got_curve = train_text(text, lexicon_of(count_tagged(text), "T00"), config)
+    counted = lexicon_of(count_tagged(text_chunks(text)), "T00")
+    got, got_trace, got_curve = train_text(text, counted, config)
     assert len(model.rules) > 5
     assert (format_model(got), got_trace, got_curve) == (format_model(model), trace, curve)
 
@@ -246,7 +241,8 @@ def test_train_text_without_corpus_records_like_train_incremental():
     want_links, want_stream, on_rule = _recorder()
     model, _, _ = train_incremental(corpus, build_lexicon(corpus, "T00"), config, on_rule=on_rule)
     links, stream, on_rule = _recorder()
-    got, _, _ = train_text(text, lexicon_of(count_tagged(text), "T00"), config, on_rule=on_rule)
+    counted = lexicon_of(count_tagged(text_chunks(text)), "T00")
+    got, _, _ = train_text(text, counted, config, on_rule=on_rule)
     assert len(stream) > 5
     assert format_model(got) == format_model(model)
     assert stream == want_stream
@@ -262,7 +258,7 @@ def test_train_text_audit_checks_the_coded_strings(monkeypatch):
     want_log = []
     model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), config,
                                             audit_log=want_log)
-    lexicon = lexicon_of(count_tagged(text), "T00")
+    lexicon = lexicon_of(count_tagged(text_chunks(text)), "T00")
     log = []
     got, got_trace, got_curve = train_text(text, lexicon, config, audit_log=log)
     assert len(log) > 5
@@ -516,8 +512,8 @@ def test_verify_index_catches_candidates_of_a_dead_key():
 
 def test_verify_index_catches_link_total_drift():
     index, c = _fresh_index()
-    index.links_total += 1
-    with pytest.raises(AuditError):
+    index.n_tokens += 1  # links_total is n_tokens times the position sets
+    with pytest.raises(AuditError, match="links_total"):
         verify_index(index, c)
 
 
