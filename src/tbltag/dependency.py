@@ -33,18 +33,6 @@ class DependencyNode:
         self.pass_no = pass_no
         self.children = children
 
-    def node_count(self) -> int:
-        """Number of distinct nodes reachable from this one, itself included."""
-        seen = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.extend(node.children.values())
-        return len(seen)
-
     def __repr__(self):
         return f"DependencyNode({self.rule.canonical!r}, pass={self.pass_no})"
 

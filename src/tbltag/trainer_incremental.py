@@ -59,12 +59,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import Counter
-from itertools import chain, repeat
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter, ne
 
 from .corpus import (
-    BOUNDARY,
     Corpus,
     Lexicon,
     Site,
@@ -470,56 +469,64 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
 def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     """Compare the whole index with the reference trainer's recount.
 
-    Independent of the update code and of the coded strings: these must
-    decode to the corpus's current and truth tags; the key counters,
-    decoded, must equal ``trainer_naive.count_keys``, and ``links_total``
-    their sum.  Every rule ``score_keys`` admits is named ``(key_of(rule),
-    to code)``, and the candidate names and their scores, read off the
-    stored counters, must be exactly those names and the recount's scores;
-    ``candidates`` must be their number.  So each ``Rule`` is built once,
-    by the recount, and no stored name needs decoding.  Each listed entry
-    must sit under a live key, carry its own name and the recount's rule
-    of that name and its ``rule_order``, and store the recount's net
-    score, which must be at least 1; every net-positive rule must be
-    listed; and the draw list must hold exactly the listed entries, the
-    same objects, in rule_order.  A site matches a rule exactly when its
-    key is the rule's, so the recount's scores are those of matching every
-    rule at every site, at a cost linear in tokens times position sets.
-    Raises AuditError on the first discrepancy.
+    Independent of the update code, and checked in code space: the decode
+    map must be the inverse of the codes; each coded string must equal the
+    corpus's current or truth tags coded here, with ``width`` PAD before
+    each sentence and after the last, and ``starts`` must match; the key
+    counters must equal ``trainer_naive.count_keys``, coded, and
+    ``links_total`` their sum.  Every rule ``score_keys`` admits is named
+    ``(key_of(rule), to code)``, and the candidate names and their scores,
+    read off the stored counters, must be exactly those names and the
+    recount's scores; ``candidates`` must be their number.  So each
+    ``Rule`` is built once, by the recount, and only a key that differs is
+    decoded, for its message.  Each listed entry must sit under a live key,
+    carry its name's rule and ``rule_order``, and store the recount's net
+    score, at least 1; every net-positive rule must be listed; and the draw
+    list must hold exactly the listed entries, the same objects, in
+    rule_order.  A site matches a rule exactly when its key is the rule's,
+    so the recount's scores are those of matching every rule at every
+    site, at a cost linear in tokens times position sets.  Raises
+    AuditError on the first discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
     codes, tags = index.codes, index.tags
     if len(tags) != len(codes):
         raise AuditError("two tags share a code")
+    if tags != {c: t for t, c in codes.items()}:
+        raise AuditError("a code decodes to another tag")
     width = index.width
-    uncoded = object()
+    pad = PAD * width
     for which, text in (("current", index.text), ("truth", index.truth)):
-        want = [BOUNDARY] * width
-        starts = []
-        for sent in sentences:
-            starts.append(len(want))
-            want += [getattr(tok, which) for tok in sent]
-            want += [BOUNDARY] * width
-        if [tags.get(code, uncoded) for code in text] != want:
+        tag = attrgetter(which)
+        # width PAD before each sentence and after the last; a tag with no
+        # code codes as "", so the string comes out short
+        coded = ["".join([codes.get(tag(tok), "") for tok in sent]) for sent in sentences]
+        if pad.join(["", *coded, ""]) != text:
             raise AuditError(f"coded string does not decode to the corpus's {which} tags")
+    starts = list(accumulate((len(sent) + width for sent in sentences), initial=width))[:-1]
     if index.starts != starts:
         raise AuditError("sentence starts disagree with the coded strings")
 
     counters = count_keys(corpus, psets, max(abs(off) for pset in psets for off in pset))
-    stored = {}
-    for (pi, *key), counts in index.keys.items():
-        cur, *ctx = [tags.get(code, uncoded) for code in key]
-        stored[pi, cur, tuple(ctx)] = {tags.get(t, uncoded): n for t, n in counts.items()}
-    if stored != counters:
-        key = next(k for k in stored.keys() | counters.keys() if stored.get(k) != counters.get(k))
-        have, want = stored.get(key, {}), counters.get(key, {})
+    # a tag with no code, or a code with no tag, maps to a new object, equal to nothing
+    code, decode = defaultdict(object, codes).__getitem__, defaultdict(object, tags).__getitem__
+    recount = {
+        (pi, code(cur), *map(code, ctx)): {code(t): n for t, n in counts.items()}
+        for (pi, cur, ctx), counts in counters.items()
+    }
+    if recount != index.keys:
+        name = next(k for k in recount.keys() | index.keys.keys()
+                    if recount.get(k) != index.keys.get(k))
+        key = name[0], decode(name[1]), tuple(map(decode, name[2:]))
+        have = {decode(t): n for t, n in index.keys.get(name, {}).items()}
+        want = counters.get(key, {})
         raise AuditError(f"{psets[key[0]]} {key[1:]}: stored truth counts {have} != {want}")
     links = sum(sum(counts.values()) for counts in counters.values())
     if links != index.links_total:
         raise AuditError(f"links_total {index.links_total} != recounted {links}")
 
-    # Every code now decodes.  The recount's rules are named as the index
+    # Every stored code decodes.  The recount's rules are named as the index
     # names them, and each is scored off the stored counter of its name.
     scored = score_keys(counters, psets)
     oracle = {(index.key_of(rule), codes[rule.to]): rule for rule in scored}

@@ -22,6 +22,18 @@ def score_rule(rule: Rule, corpus: Corpus) -> RuleScore:
     return RuleScore(pos, neg, len(truths) - pos - neg)
 
 
+def node_count(node) -> int:
+    """Number of distinct dependency nodes reachable from node, itself included."""
+    seen = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children.values())
+    return len(seen)
+
+
 def lex_of(mapping: dict[str, str], default: str) -> Lexicon:
     """Lexicon with one observation per (word, tag) pair."""
     lex = Lexicon(default)

@@ -26,7 +26,7 @@ from functools import partial
 
 import pytest
 
-from helpers import clone, lex_of
+from helpers import clone, lex_of, node_count
 from tbltag.corpus import (
     baseline_assign,
     build_lexicon,
@@ -341,14 +341,14 @@ def test_criterion_8_dependency_shapes():
     model, _, _ = train_incremental(chain, lex, cfg, on_rule=partial(record_pass, links))
     if [r.canonical for r in model.rules] != ["P>X @ -1:DT", "Q>Y @ -1:X"]:
         problems.append(f"chain rules {[r.canonical for r in model.rules]}")
-    multi = [tc for tc in collect_classes(links) if tc.representative.node_count() > 1]
+    multi = [tc for tc in collect_classes(links) if node_count(tc.representative) > 1]
     if len(multi) != 1 or multi[0].count != 1:
         problems.append(f"chain multi-node classes {[(tc.key, tc.count) for tc in multi]}")
     else:
         root = multi[0].representative
         child_offsets = sorted(root.children)
-        if root.node_count() != 2 or child_offsets != [-1]:
-            problems.append(f"chain shape offsets={child_offsets} nodes={root.node_count()}")
+        if node_count(root) != 2 or child_offsets != [-1]:
+            problems.append(f"chain shape offsets={child_offsets} nodes={node_count(root)}")
         elif root.children[-1].pass_no >= root.pass_no:
             problems.append("chain pass order")
 

@@ -17,7 +17,7 @@ from tbltag.rules import Rule, parse_template_spec
 from tbltag.trainer_incremental import train_incremental
 from tbltag.training import TrainerConfig
 
-from helpers import lex_of
+from helpers import lex_of, node_count
 
 T1 = parse_template_spec("-1")
 R1 = Rule("A", "B", [(-1, "X")])
@@ -42,10 +42,10 @@ def test_node_count_shares_subtrees():
     leaf = DependencyNode(R1, 1, {})
     mid = DependencyNode(R2, 2, {0: leaf})
     root = DependencyNode(R3, 3, {0: mid, -1: leaf})
-    assert leaf.node_count() == 1
-    assert mid.node_count() == 2
+    assert node_count(leaf) == 1
+    assert node_count(mid) == 2
     # leaf reachable twice but counted once
-    assert root.node_count() == 3
+    assert node_count(root) == 3
 
 
 # --- record_pass ------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_chaining_structure():
     assert b_node.pass_no == 1 and b_node.children == {}
     assert c_node.pass_no == 2
     assert c_node.children == {-1: b_node}
-    assert c_node.node_count() == 2
+    assert node_count(c_node) == 2
 
 
 def test_chaining_report():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -497,6 +498,14 @@ def test_verify_index_catches_a_listed_entry_not_its_names_rule():
 def test_verify_index_catches_bucket_drift():
     index, c = _fresh_index()
     index.keys[index.key_of(TOY_RULE)][index.codes["NN"]] += 1
+    with pytest.raises(AuditError, match="stored truth counts"):
+        verify_index(index, c)
+
+
+def test_verify_index_catches_tag_map_drift():
+    # the code of NN decodes to VBZ, while the strings and counters stay right
+    index, c = _fresh_index()
+    index.tags[index.codes["NN"]] = "VBZ"
     with pytest.raises(AuditError):
         verify_index(index, c)
 
@@ -526,6 +535,32 @@ def test_verify_index_catches_coded_string_drift():
         setattr(index, attr, text[:p] + index.codes["VBZ"] + text[p + 1 :])
         with pytest.raises(AuditError, match="coded"):
             verify_index(index, c)
+
+
+def test_verify_index_catches_starts_drift():
+    index, c = _fresh_index()
+    index.starts[0] += 1
+    with pytest.raises(AuditError, match="sentence starts"):
+        verify_index(index, c)
+
+
+def test_verify_index_holds_no_corpus_sized_decoded_list():
+    # one long sentence makes the padding most of the coded strings; the
+    # audit compares them in code space, not as lists of decoded tags
+    spec = ChainSpec(sentence_len=(5, 5), structure_seed=7)
+    lines = markov_corpus(spec, draw_seed=1, n_tokens=1000).splitlines()
+    lines.insert(len(lines) // 2, " ".join(markov_corpus(spec, draw_seed=2, n_tokens=2000).split()))
+    corpus = parse_corpus("\n".join(lines) + "\n")
+    baseline_assign(corpus, build_lexicon(corpus, "T00"))
+    index = init_index(corpus, parse_template_spec("-1; +1,+2000", window=2000))
+    assert index.width == 2000
+    tracemalloc.start()
+    try:
+        verify_index(index, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(index.text)
 
 
 def _listed_index():
