@@ -21,7 +21,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import attrgetter
 
 from .corpus import BOUNDARY, Corpus, Site
@@ -336,23 +336,32 @@ def compile_rules(rules, codes: dict, width: int) -> list[tuple[Matcher, str]]:
     return [(_compile(rule, codes, width), codes[rule.to]) for rule in rules]
 
 
-def _sub(matcher: Matcher, code: str, text: str) -> tuple[str, list[int]]:
+def _sub(
+    matcher: Matcher, code: str, text: str, count: int | None = None
+) -> tuple[str, list[int]]:
     """Every site of ``matcher`` in ``text``, ascending, rewritten to ``code``.
 
-    A window's hits may overlap, so each search starts one past the last.
+    With a ``count``, only the first ``count`` sites: the search stops
+    there.  No text has more sites than characters, so that is the bound
+    when none is given.  A window's hits may overlap, so each search starts
+    one past the last.
     """
     if matcher is None:
         return text, []
+    if count is None:
+        count = len(text)
     if isinstance(matcher, re.Pattern):
-        hits = [m.start() for m in matcher.finditer(text)]
+        hits = [m.start() for m in islice(matcher.finditer(text), count)]
     else:
         window, at = matcher
         find = text.find
         hits = []
-        p = find(window)
-        while p >= 0:
-            hits.append(p + at)
+        p = -1
+        for _ in range(count):
             p = find(window, p + 1)
+            if p < 0:
+                break
+            hits.append(p + at)
     if not hits:
         return text, hits
     cuts = [0, *[h + 1 for h in hits]]
@@ -360,14 +369,19 @@ def _sub(matcher: Matcher, code: str, text: str) -> tuple[str, list[int]]:
     return code.join([text[a:b] for a, b in zip(cuts, ends)]), hits
 
 
-def rewrite(rule: Rule, text: str, codes: dict, width: int) -> tuple[str, list[int]]:
+def rewrite(
+    rule: Rule, text: str, codes: dict, width: int, count: int | None = None
+) -> tuple[str, list[int]]:
     """Apply the rule to a coded corpus string: ``(new text, hit positions)``.
 
     The hits are the rule's sites as matched before any rewriting, as in
     ``apply_rule``, in ascending order; each becomes the code of
     ``rule.to``.  ``text`` is padded by ``width``, as ``join_padded`` pads.
+    A caller that knows the number of sites passes it as ``count``, and
+    the scan stops at the last one instead of reading the rest of the
+    string; with a smaller count only the first ``count`` sites are hit.
     """
-    return _sub(_compile(rule, codes, width), codes[rule.to], text)
+    return _sub(_compile(rule, codes, width), codes[rule.to], text, count)
 
 
 def run_rules(

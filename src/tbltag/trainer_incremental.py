@@ -28,7 +28,10 @@ by ``on_rule`` from the sites.
 Rules are applied to the coded current tags by ``rules.rewrite``, the
 step of the one replay loop ``rules.run_rules``: a literal window
 search for a rule whose offsets and 0 form an unbroken run, a
-look-around pattern for one with a gap.  The counting follows a plan
+look-around pattern for one with a gap.  Every site of a rule observes
+its key, so the key's counter holds the number of sites, and the
+trainer's scan stops at the last one instead of reading the rest of the
+string.  The counting follows a plan
 made once from the templates.  A position set that no other set contains is counted: its
 (key, truth) pairs are counted in bulk from columns of the coded strings.
 A set that another contains is projected: its key is read off the
@@ -37,11 +40,14 @@ templates count 3 of their 7 sets and project 4 (``-1`` and ``-2`` from
 ``-2,-1``, ``+1`` and ``+2`` from ``+1,+2``).
 
 A hit at ``h`` changes only the keys of the positions ``h - o``, for
-``o`` in 0 and a set's offsets.  Per counted set, a pass counts these
-positions' pairs in the old string and in the new one; the difference is
-the net move of each key's counts, and its nonzero part, projected, is
-the move of the contained sets' keys.  Only keys whose counts moved are
-rescored, once per pass.
+``o`` in 0 and a set's offsets.  A pass counts every counted set's pairs
+of these positions in the new string into one move dict, and takes away
+their count in the old one; the nonzero nets, projected into the same
+dict, are the moves of the contained sets' keys, and one ``_move`` makes
+them all.  Only a key whose listing can change is rescored, once per
+pass: a listed key, one where a candidate gained count or the current
+tag's count fell, and one left empty, which is deleted.  Any other move
+only lowers an unlisted key's net scores.
 
 A candidate is only a name, ``(key, to code)``: its counts are read off
 its key's counter whenever they are needed, and no object stands for it
@@ -73,8 +79,8 @@ from .corpus import (
     parse_corpus,
     text_chunks,
 )
-from .rules import (PAD, Rule, RuleScore, code_corpus, join_padded, position_sets, rewrite,
-                    sites_of, tag_codes)
+from .rules import (PAD, Rule, RuleScore, code_corpus, find_sites, join_padded, position_sets,
+                    rewrite, sites_of, tag_codes)
 from .trainer_naive import count_keys, score_keys
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
 
@@ -109,8 +115,8 @@ _order = attrgetter("order")
 _net = attrgetter("net")
 
 
-def _plan(psets: list[tuple[int, ...]], width: int) -> list[tuple]:
-    """How each position set's keys are counted: ``[(pi, offsets, projections)]``.
+def _plan(psets: list[tuple[int, ...]], width: int) -> dict[int, tuple]:
+    """How each position set's keys are counted: ``{pi: (offsets, projections)}``.
 
     A set that no other set contains is counted, at ``offsets``: 0, then
     its own, with None for an offset past ``width``, which reads padding
@@ -130,10 +136,10 @@ def _plan(psets: list[tuple[int, ...]], width: int) -> list[tuple]:
                 entry for pi, entry in plan.items() if set(pset) < set(psets[pi])
             )
             projections.append((si, itemgetter(1, *[1 + offsets.index(o) for o in pset])))
-    return [
-        (pi, tuple(None if abs(off) > width else off for off in offsets), projections)
+    return {
+        pi: (tuple(None if abs(off) > width else off for off in offsets), projections)
         for pi, (offsets, projections) in plan.items()
-    ]
+    }
 
 
 class TrainerIndex:
@@ -199,7 +205,7 @@ class TrainerIndex:
         end = len(current) - width
         truths = truth[width:end]
         projected = {}
-        for pi, offsets, projections in self.plan:
+        for pi, (offsets, projections) in self.plan.items():
             columns = [
                 repeat(PAD) if off is None else current[width + off : end + off]
                 for off in offsets
@@ -211,7 +217,8 @@ class TrainerIndex:
                 if row[0] != PAD
             }
             self._move(pairs, set())
-            _project(pairs, projections, projected)
+            if projections:
+                _project(pairs.items(), self.plan, projected)
         self._move(projected, set())
         self._rescore(self.keys)
 
@@ -270,12 +277,15 @@ class TrainerIndex:
     def _move(self, moved: dict, touched: set) -> int:
         """Add each nonzero ``(key, truth code)`` count of moved to its key.
 
-        Returns how many keys it created; every key it changes goes into
-        touched.  A truth code that joins or leaves a key's counter, other
-        than the key's current code and a missing truth's, adds or removes
-        a candidate.
+        Returns how many keys it created.  A truth code that joins or leaves
+        a key's counter, other than the key's current code and a missing
+        truth's, adds or removes a candidate.  A key goes into touched when
+        its listing can change: when it is listed, when a candidate's truth
+        gained count, when the current code's count fell, or when its
+        counter emptied, to be deleted.  Any other move of an unlisted key
+        only lowers its net scores, so it stays unlisted.
         """
-        keys = self.keys
+        keys, listed = self.keys, self.listed
         none = self.codes[None]
         created = candidates = 0
         for (key, t), n in moved.items():
@@ -286,16 +296,23 @@ class TrainerIndex:
                 counts = keys[key] = {}
                 created += 1
             had = counts.get(t, 0)
-            n += had
-            if n:
-                counts[t] = n
-                if not had and t != key[1] and t != none:
-                    candidates += 1
+            now = had + n
+            if now:
+                counts[t] = now
             else:
                 del counts[t]
-                if t != key[1] and t != none:
+            if t == key[1]:
+                rescore = now < had
+            elif t == none:
+                rescore = False
+            else:
+                rescore = now > had
+                if not had:
+                    candidates += 1
+                elif not now:
                     candidates -= 1
-            touched.add(key)
+            if rescore or not counts or key in listed:
+                touched.add(key)
         self.candidates += candidates
         return created
 
@@ -305,7 +322,8 @@ class TrainerIndex:
         A listed entry's stored net score is refreshed, and the entry is
         delisted once it drops below 1; a truth code that newly reaches 1
         gets its ``Rule`` and ``Candidate`` here, and no other does.  A key
-        left with no count is deleted.
+        left with no count is deleted.  A key with no listing allocates
+        nothing unless one of its candidates reaches 1.
         """
         counters, listed, eligible = self.keys, self.listed, self.eligible
         none = self.codes[None]
@@ -314,20 +332,23 @@ class TrainerIndex:
             if not counts:
                 del counters[key]
             neg = counts.get(key[1], 0)
-            entries = listed.pop(key, None) or {}
-            for to, cand in list(entries.items()):
-                net = counts.get(to, 0) - neg
-                if net >= 1:
-                    cand.net = net
-                else:
-                    del entries[to]
-                    del eligible[bisect_left(eligible, cand.order, key=_order)]
+            entries = listed.get(key)
+            if entries is not None:
+                for to, cand in list(entries.items()):
+                    net = counts.get(to, 0) - neg
+                    if net >= 1:
+                        cand.net = net
+                    else:
+                        del entries[to]
+                        del eligible[bisect_left(eligible, cand.order, key=_order)]
             for to, pos in counts.items():
-                if pos - neg >= 1 and to != none and to not in entries:
+                if pos - neg >= 1 and to != none and (entries is None or to not in entries):
+                    if entries is None:
+                        entries = listed[key] = {}
                     cand = entries[to] = Candidate(self._rule(key, to), key, to, pos - neg)
                     insort(eligible, cand, key=_order)
-            if entries:
-                listed[key] = entries
+            if entries is not None and not entries:
+                del listed[key]
 
 
 def _score(counts: dict, cur: str, to: str) -> RuleScore:
@@ -336,24 +357,12 @@ def _score(counts: dict, cur: str, to: str) -> RuleScore:
     return RuleScore(pos, neg, sum(counts.values()) - pos - neg)
 
 
-def _pairs(pi: int, columns, truths) -> Counter:
-    """``(key, truth code)`` counts of counted set ``pi``'s positions, from
-    their codes at each of the set's plan offsets and their truth codes.
-
-    A pass's positions are few and their rows mostly distinct, so each
-    row is keyed as it is counted; the index build, over every position,
-    counts flat rows and keys only the distinct ones.
-    """
-    return Counter(zip(zip(repeat(pi), *columns), truths))
-
-
-def _project(moved, projections, into: dict) -> None:
-    """Add each nonzero count of moved, projected, to the keys of the contained sets."""
-    if not projections:
-        return
-    for (key, t), n in moved.items():
+def _project(moved, plan: dict, into: dict) -> None:
+    """Add each nonzero count of moved's ``((key, truth code), n)`` items, projected, to
+    the keys of the sets that the plan projects from the key's set."""
+    for (key, t), n in moved:
         if n:
-            for si, pick in projections:
+            for si, pick in plan[key[0]][1]:
                 pair = (si, *pick(key)), t
                 into[pair] = into.get(pair, 0) + n
 
@@ -413,35 +422,38 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
     """Apply a candidate rule at its sites and repair the index.
 
     The sites are matched in the coded string before any is rewritten, so
-    changes never alter the match set mid-pass.  A hit at ``h`` changes
-    the key of each position ``h - o``, for ``o`` in 0 and a position set's
-    offsets.  For each counted set, these positions' codes are gathered
-    from the old and the new string at once, and their (key, truth) pairs
-    counted: the new counts less the old are the net moves of the set's
-    keys.  The sets it contains read no position it does not, so its
-    nonzero moves, projected, are theirs.  Only the keys whose counts
-    moved are rescored.  Returns the changed sites in corpus order, and
-    rewrites them in ``corpus`` too when one is given.
+    changes never alter the match set mid-pass.  Every site of the rule
+    observes its key, so the key's counter holds their number, and the scan
+    stops at the last one.  A hit at ``h`` changes the key of each position
+    ``h - o``, for ``o`` in 0 and a position set's offsets.  For each
+    counted set, these positions' codes are gathered from the old and the
+    new string at once.  Their (key, truth) pairs in the new string, for
+    every counted set, are counted into one move dict, and their count in
+    the old string is taken away.  The sets a counted set contains read no
+    position it does not, so its nonzero nets, projected into the same
+    dict, are theirs.  One ``_move`` makes every move, and only the keys
+    whose listing can change are rescored.  Returns the changed sites in
+    corpus order, and rewrites them in ``corpus`` too when one is given.
     """
     try:
-        known = index.codes[rule.to] in index.keys.get(index.key_of(rule), ())
-    except KeyError:  # a tag with no code, or offsets no template has
+        counts = index.keys[index.key_of(rule)]
+        known = index.codes[rule.to] in counts
+    except KeyError:  # a tag with no code, offsets no template has, or a key no site observes
         known = False
     if not known:
         raise KeyError(f"rule {rule.canonical!r} is not in the trainer index")
     old = index.text
-    new, hits = rewrite(rule, old, index.codes, index.width)
+    new, hits = rewrite(rule, old, index.codes, index.width, sum(counts.values()))
     sites = sites_of(hits, index.starts)
     if corpus is not None:
         apply_at_sites(corpus, rule, sites)
     index.text = new
 
     truth = index.truth
-    touched = set()
+    moved = {}
+    get_moved = moved.get
     reread = set()
-    projected = {}
-    created = 0
-    for pi, offsets, projections in index.plan:
+    for pi, (offsets, _) in index.plan.items():
         # an offset past the width (None) reads padding from every site:
         # it adds no neighbour, and its codes are gathered from position 0
         near = {h - off for off in offsets if off is not None for h in hits}
@@ -452,16 +464,14 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
         # of n codes per offset, offset 0 (the positions themselves) first
         get = itemgetter(*[0 if off is None else p + off for off in offsets for p in near])
         truths = get(truth)[:n]
-        was, now = get(old), get(new)
-        runs = range(0, len(was), n)
-        moved = _pairs(pi, [now[i : i + n] for i in runs], truths)
-        moved.subtract(_pairs(pi, [was[i : i + n] for i in runs], truths))
-        created += index._move(moved, touched)
-        _project(moved, projections, projected)
-    created += index._move(projected, touched)
-
+        for sign, codes in ((1, get(new)), (-1, get(old))):
+            columns = [codes[i : i + n] for i in range(0, len(codes), n)]
+            for pair in zip(zip(repeat(pi), *columns), truths):
+                moved[pair] = get_moved(pair, 0) + sign
+    _project(list(moved.items()), index.plan, moved)
+    touched = set()
+    index.last_unseen_added = index._move(moved, touched)
     index._rescore(touched)
-    index.last_unseen_added = created
     index.last_sites_rechecked = len(reread)
     return sites
 
@@ -596,7 +606,8 @@ def train_incremental(
 
     Output-equivalent to train_naive under the same config and seed, and
     so are its ``on_rule`` calls.  With config.audit the index is recounted
-    after setup and every pass.  audit_log, when given, receives one
+    after setup and every pass, and each pass's sites must be the ones
+    ``rules.find_sites`` matches before it.  audit_log, when given, receives one
     tab-separated line per pass, in the columns of AUDIT_LOG_HEADER.  Each
     pass's sites are rewritten in the corpus, which ends with the tags the
     model's replay gives it.
@@ -652,7 +663,15 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
             break
         rule, sc = picked
         pass_no = len(learned) + 1
+        # the rewrite stops at the site count its key's counter holds, so
+        # the audit checks the sites against the oracle's match
+        matched = find_sites(rule, corpus) if config.audit else None
         sites = apply_and_update(index, corpus, rule)
+        if config.audit and sites != matched:
+            raise AuditError(
+                f"pass {pass_no} rewrote {len(sites)} sites of {rule.canonical!r},"
+                f" find_sites matched {len(matched)}"
+            )
         if on_rule is not None:
             on_rule(pass_no, rule, sites)
         # Matches were classified before the rewrite, so the error count

@@ -1,7 +1,7 @@
 """Templates, rules, matching, scoring, application, text encodings."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbltag.corpus import BOUNDARY, error_count, parse_corpus
@@ -381,9 +381,23 @@ def _coded(corpus, codes) -> list[str]:
     return ["".join(codes[tok.current] for tok in sent) for sent in corpus.sentences]
 
 
-@given(corpus_and_rule(), st.integers(0, 2))
+def _tagged_as_truth(text: str):
+    corpus = parse_corpus(text)
+    for sent in corpus.sentences:
+        for tok in sent:
+            tok.current = tok.truth
+    return corpus
+
+
+# a run of T0 holds overlapping windows of T0>T1 @ -1:T0; -2 leaves a gap
+_RUN = "w/T0 w/T0 w/T0 w/T1 w/T0 w/T0\n"
+
+
+@given(corpus_and_rule(), st.integers(0, 2), st.integers(0, 8))
+@example((_tagged_as_truth(_RUN), Rule("T0", "T1", [(-1, "T0")])), 0, 1)
+@example((_tagged_as_truth(_RUN), Rule("T0", "T1", [(-2, "T0")])), 0, 1)
 @settings(max_examples=300)
-def test_rewrite_agrees_with_apply_rule(cr, extra):
+def test_rewrite_agrees_with_apply_rule(cr, extra, short):
     # the coded string's matcher, a literal window or a pattern, against
     # the oracle; padding wider than join_padded's must not change the
     # result, so the string is padded here, by hand
@@ -398,8 +412,18 @@ def test_rewrite_agrees_with_apply_rule(cr, extra):
     if not extra:
         assert (text, starts, width) == code_corpus(corpus, codes, rule.span)
     got, hits = rewrite(rule, text, codes, width)
-    assert sites_of(hits, starts) == apply_rule(rule, corpus)
+    sites = apply_rule(rule, corpus)
+    assert sites_of(hits, starts) == sites
     assert got == pad + pad.join(_coded(corpus, codes)) + pad
+    # told the oracle's site count, the scan stops at the last site
+    assert rewrite(rule, text, codes, width, len(sites)) == (got, hits)
+    if sites:
+        # told fewer, it hits the first k sites and rewrites only those
+        k = short % len(sites)
+        cut = list(text)
+        for h in hits[:k]:
+            cut[h] = codes[rule.to]
+        assert rewrite(rule, text, codes, width, k) == ("".join(cut), hits[:k])
 
 
 @given(st.lists(st.text("\x01\x02\x03", min_size=1, max_size=6), max_size=5),

@@ -38,6 +38,7 @@ from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import (
     AuditError,
     Candidate,
+    TrainerIndex,
     apply_and_update,
     code_text,
     init_index,
@@ -45,7 +46,7 @@ from tbltag.trainer_incremental import (
     train_text,
     verify_index,
 )
-from tbltag.trainer_naive import enumerate_candidates, train_naive
+from tbltag.trainer_naive import count_keys, enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, format_model, select, trace_tsv
 
 from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule
@@ -299,6 +300,28 @@ def test_apply_and_update_toy():
     assert index.last_unseen_added == 3
     assert index.last_sites_rechecked == 4
     assert len(index.keys) == 5
+    verify_index(index, c)
+
+
+def test_apply_and_update_deletes_unlisted_keys_it_empties():
+    # holds/VBZ and ./. read the rewritten MD at -1; their keys were never
+    # listed, since each site is tagged right, and the pass empties them
+    c = baselined(TOY_TEXT, TOY_LEX, "NN")
+    index = init_index(c, T1)
+    emptied = [index.key_of(Rule(tag, "NN", [(-1, "MD")])) for tag in ("VBZ", ".")]
+    assert all(key in index.keys and key not in index.listed for key in emptied)
+    apply_and_update(index, c, Rule("MD", "NN", [(-1, "DT")]))
+    assert not any(key in index.keys for key in emptied)
+    verify_index(index, c)
+    # the key of a site with no truth tag moves nothing a rescore reads,
+    # until the pass empties it
+    c = baselined("a/DT b/NN c/VBZ\n", {"a": "DT", "b": "MD", "c": "VBZ"}, "NN")
+    c.sentences[0][2].truth = None
+    index = init_index(c, T1)
+    (key,) = [key for key in index.keys if key[1] == index.codes["VBZ"]]
+    assert index.keys[key] == {index.codes[None]: 1}
+    apply_and_update(index, c, Rule("MD", "NN", [(-1, "DT")]))
+    assert key not in index.keys
     verify_index(index, c)
 
 
@@ -578,6 +601,26 @@ def _listed_index():
     return index, c
 
 
+def test_audit_catches_a_rewrite_that_stops_short(monkeypatch):
+    # one neutral count dropped from the picked rule's key after the last
+    # verify: the rewrite stops at the key's count, one site early
+    text = "the/DT can/NN ./.\nthe/DT can/VB ./.\nthe/DT can/NN ./.\n"
+    pick = TrainerIndex.pick
+
+    def drop_neutral(index, config, rng):
+        rule, sc = picked = pick(index, config, rng)
+        assert (rule, sc) == (TOY_RULE, RuleScore(2, 0, 1))
+        counts = index.keys[index.key_of(rule)]
+        del counts[index.codes["VB"]]
+        return picked
+
+    monkeypatch.setattr(TrainerIndex, "pick", drop_neutral)
+    cfg = TrainerConfig(templates=T1, audit=True)
+    with pytest.raises(AuditError, match=r"pass 1 rewrote 2 sites of 'MD>NN @ -1:DT',"
+                                         r" find_sites matched 3"):
+        train_incremental(parse_corpus(text), lex_of(TOY_LEX, "NN"), cfg)
+
+
 def test_verify_index_catches_missing_draw_entry():
     index, c = _listed_index()
     del index.eligible[0]
@@ -656,7 +699,8 @@ def test_train_incremental_audit_log_format():
         apply_rule(rule, replay)
         candidates, keys, new_keys, rechecked = map(int, line.split("\t")[1:])
         assert candidates == len(enumerate_candidates(replay, T3))
-        assert new_keys <= keys <= replay.n_tokens * len(T3)
+        assert keys == len(count_keys(replay, position_sets(T3), 1))
+        assert new_keys <= keys
         assert 1 <= rechecked <= replay.n_tokens
 
 
