@@ -1,5 +1,9 @@
 """Synthetic corpus generators: determinism and learnable structure."""
 
+import hashlib
+
+import pytest
+
 from tbltag.corpus import baseline_assign, build_lexicon, error_count, parse_corpus
 from tbltag.synth import ChainSpec, markov_corpus, random_family_corpus
 
@@ -73,3 +77,54 @@ def test_random_family_within_documented_ranges():
         assert corpus.n_tokens == params["n_tokens"]
         assert 200 <= params["n_tokens"] <= 2000
         assert 5 <= params["n_tags"] <= 20
+
+
+CHAIN_A = ChainSpec(
+    n_tags=12, words_per_tag=8, ambiguous_words=24, ambiguous_rate=0.4, structure_seed=3
+)
+CHAIN_B = ChainSpec(
+    n_tags=20, words_per_tag=6, ambiguous_words=40, ambiguous_rate=0.5, structure_seed=11
+)
+PENN = ChainSpec(
+    n_tags=45, words_per_tag=800, ambiguous_words=3000, ambiguous_rate=0.4, structure_seed=3
+)
+
+
+# The benchmark's and CI's inputs: a change to how synth draws must leave
+# every corpus byte-identical, or no measurement compares with the last.
+@pytest.mark.parametrize(
+    "spec, draw, n_tokens, digest",
+    [
+        (CHAIN_A, 5, 50_000, "0963952239a95bf7c1eb08efe62f235175b360e8a4b3301293cd79b67791b300"),
+        (CHAIN_B, 13, 30_000, "0cf7e8a51fcb0986e9d8cfa6725e84a8efb9b6cbbbe5637a319701e546024342"),
+        (PENN, 5, 10_000, "85aa46b7081a043644a40380f333fba07fcbe368df200c0e987b588ecd532af1"),
+        (ChainSpec(structure_seed=7), 3, 3_000,
+         "b626fa28e96615716961b54f84f04d6bfebb10c15fbd684e16b465440e55a36d"),
+        (ChainSpec(sentence_len=(5, 5), structure_seed=7), 1, 30_000,
+         "e40016f4bd6e559ac28845847db7de1112840d606b3fc88774ea5cbe79b9a9e5"),
+    ],
+)
+def test_markov_corpus_digests_are_pinned(spec, draw, n_tokens, digest):
+    text = markov_corpus(spec, draw, n_tokens)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+FAMILY_DIGESTS = [
+    "b7b856837da3b2dad17002af1d1ec55a0d66ff531cb873371ff6eae25ed8e534",
+    "eb55a2ee6d2446e170e1ecc1aa375c80a24119f6fd9dff02836a4c10551a62c9",
+    "9d36fd5c08e4edb482d090d1cef8e12605eddb55594d62cb14ca6435f888af69",
+    "b7af13eda89d93c4555c39254b5ea61a7fb3bea5459a41e03700c8ba10a820bc",
+    "62095d9dc716f18d7dbb554f43e5806934f137d497243071cd7ad0f4656767ea",
+    "a4f91a93828003add51729106f9a61e4c165f9712b2d7369f3e0ef17cb0c14fb",
+    "56e4bac25ffff8435dbd7ab60f9ae4088a19a3a0d98be030c7f40da549450746",
+    "c9f687c1fb0190111b594bd71d130b69494ca47c1f267bb3013d27096eec83d2",
+    "b8373dba25e8fea3290d37c9284f5501fc70f4aae9d04e5e73689652aa41557a",
+    "03159fe06b9c4013a9e3b4a37224ee36afb95271b7e55218bdbd5048ec7aaa0e",
+]
+
+
+def test_random_family_digests_are_pinned():
+    digests = [
+        hashlib.sha256(random_family_corpus(seed)[0].encode()).hexdigest() for seed in range(10)
+    ]
+    assert digests == FAMILY_DIGESTS
