@@ -11,7 +11,9 @@ and what contextual rules can repair.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,7 +35,8 @@ class _Chain:
         self.tags = [f"T{i:02d}" for i in range(spec.n_tags)]
         # Each tag strongly prefers two successors; the rest share a thin
         # uniform remainder so lag-1 context is predictive and lag-5 is not.
-        self.nxt: dict[str, tuple[list[str], list[float]]] = {}
+        # Weights are kept cumulative, over self.tags, for _draw.
+        self.nxt: dict[str, list[float]] = {}
         for t in self.tags:
             succ = rng.sample(self.tags, k=min(2, len(self.tags)))
             weights = []
@@ -44,8 +47,8 @@ class _Chain:
                     weights.append(0.30)
                 else:
                     weights.append(0.15 / max(1, len(self.tags) - len(succ)))
-            self.nxt[t] = (self.tags, weights)
-        self.start_weights = [1.0] * len(self.tags)
+            self.nxt[t] = list(accumulate(weights))
+        self.start = list(accumulate([1.0] * len(self.tags)))
 
         self.words: dict[str, list[str]] = {
             t: [f"w{t}x{j}" for j in range(spec.words_per_tag)] for t in self.tags
@@ -57,6 +60,11 @@ class _Chain:
             self.ambiguous[a].append(word)
             self.ambiguous[b].append(word)
 
+    def _draw(self, rng: random.Random, cum: list[float]) -> str:
+        """A tag drawn by its cumulative weights, with the arithmetic of
+        ``rng.choices(self.tags, weights)[0]``, from one ``rng.random()``."""
+        return self.tags[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
+
     def emit(self, rng: random.Random, n_tokens: int) -> str:
         spec = self.spec
         lines = []
@@ -65,11 +73,10 @@ class _Chain:
             length = rng.randint(*spec.sentence_len)
             length = min(length, n_tokens - produced) or 1
             tags = []
-            tag = rng.choices(self.tags, weights=self.start_weights)[0]
+            tag = self._draw(rng, self.start)
             for _ in range(length):
                 tags.append(tag)
-                choices, weights = self.nxt[tag]
-                tag = rng.choices(choices, weights=weights)[0]
+                tag = self._draw(rng, self.nxt[tag])
             items = []
             for t in tags:
                 shared = self.ambiguous[t]

@@ -45,9 +45,9 @@ of these positions in the new string into one move dict, and takes away
 their count in the old one; the nonzero nets, projected into the same
 dict, are the moves of the contained sets' keys, and one ``_move`` makes
 them all.  Only a key whose listing can change is rescored, once per
-pass: a listed key, one where a candidate gained count or the current
-tag's count fell, and one left empty, which is deleted.  Any other move
-only lowers an unlisted key's net scores.
+pass: a listed key, one where a candidate gained count past the current
+tag's or the current tag's count fell, and one left empty, which is
+deleted.  Any other move leaves an unlisted key's net scores below 1.
 
 A candidate is only a name, ``(key, to code)``: its counts are read off
 its key's counter whenever they are needed, and no object stands for it
@@ -281,9 +281,10 @@ class TrainerIndex:
         a key's counter, other than the key's current code and a missing
         truth's, adds or removes a candidate.  A key goes into touched when
         its listing can change: when it is listed, when a candidate's truth
-        gained count, when the current code's count fell, or when its
-        counter emptied, to be deleted.  Any other move of an unlisted key
-        only lowers its net scores, so it stays unlisted.
+        gained count past the current code's count as it stands, when the
+        current code's count fell, or when its counter emptied, to be
+        deleted.  Each pair moves once per call, so any other move leaves
+        an unlisted key's net scores below 1, and it stays unlisted.
         """
         keys, listed = self.keys, self.listed
         none = self.codes[None]
@@ -306,7 +307,7 @@ class TrainerIndex:
             elif t == none:
                 rescore = False
             else:
-                rescore = now > had
+                rescore = now > had and now > counts.get(key[1], 0)
                 if not had:
                     candidates += 1
                 elif not now:
@@ -476,7 +477,7 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
     return sites
 
 
-def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
+def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> None:
     """Compare the whole index with the reference trainer's recount.
 
     Independent of the update code, and checked in code space: the decode
@@ -495,8 +496,10 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
     list must hold exactly the listed entries, the same objects, in
     rule_order.  A site matches a rule exactly when its key is the rule's,
     so the recount's scores are those of matching every rule at every
-    site, at a cost linear in tokens times position sets.  Raises
-    AuditError on the first discrepancy.
+    site, at a cost linear in tokens times position sets.  ``rules`` is
+    ``score_keys``'s memo of the recount's own rules, kept over one run's
+    passes, so it holds nothing read from the index.  Raises AuditError on
+    the first discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
@@ -538,7 +541,7 @@ def verify_index(index: TrainerIndex, corpus: Corpus) -> None:
 
     # Every stored code decodes.  The recount's rules are named as the index
     # names them, and each is scored off the stored counter of its name.
-    scored = score_keys(counters, psets)
+    scored = score_keys(counters, psets, rules)
     oracle = {(index.key_of(rule), codes[rule.to]): rule for rule in scored}
     recounted = {name: scored[rule] for name, rule in oracle.items()}
     none = codes[None]
@@ -650,8 +653,9 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
     """The passes over a fresh index whose current tags make ``errors`` errors."""
     n = index.n_tokens
     rng = random.Random(config.rng_seed)
+    rules = {}  # the audit's score_keys memo: each recounted rule is built once
     if config.audit:
-        verify_index(index, corpus)
+        verify_index(index, corpus, rules)
 
     learned: list[Rule] = []
     trace: list[TraceRecord] = []
@@ -682,7 +686,7 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, acc))
         curve.append((pass_no, acc))
         if config.audit:
-            verify_index(index, corpus)
+            verify_index(index, corpus, rules)
             actual = error_count(corpus)
             if errors != actual:
                 raise AuditError(

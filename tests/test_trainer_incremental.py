@@ -325,6 +325,33 @@ def test_apply_and_update_deletes_unlisted_keys_it_empties():
     verify_index(index, c)
 
 
+def test_apply_and_update_rescores_an_unlisted_key_only_past_its_current_count(monkeypatch):
+    # the pass moves x/Y's site from key X -1:P to key X -1:A, where one x/X
+    # site already sits: a truth Y that only ties X leaves X>Y @ -1:A at net
+    # score 0, and is not rescored; with a second x/Y site there, it passes
+    # X, is rescored and listed
+    rescore, rescored = TrainerIndex._rescore, []
+
+    def recording(index, keys):
+        rescored.extend(keys)
+        rescore(index, keys)
+
+    lex = {"d": "DT", "p": "P", "q": "A", "x": "X"}
+    for extra, listed in (("", False), ("q/A x/Y\n", True)):
+        c = baselined("d/DT p/A x/Y\nq/A x/X\n" + extra, lex, "X")
+        index = init_index(c, T1)
+        key = index.key_of(Rule("X", "Y", [(-1, "A")]))
+        assert key in index.keys and key not in index.listed
+        rescored.clear()
+        monkeypatch.setattr(TrainerIndex, "_rescore", recording)
+        apply_and_update(index, c, Rule("P", "A", [(-1, "DT")]))
+        monkeypatch.undo()
+        assert index.keys[key] == {index.codes["X"]: 1, index.codes["Y"]: 1 + listed}
+        assert (key in rescored) is listed
+        assert (key in index.listed) is listed
+        verify_index(index, c)
+
+
 def _refuses(rule: Rule) -> None:
     """apply_and_update refuses the rule on the toy index, and changes nothing."""
     c = baselined(TOY_TEXT, TOY_LEX, "NN")

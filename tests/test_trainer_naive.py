@@ -14,16 +14,19 @@ from tbltag.corpus import (
     error_count,
     parse_corpus,
 )
+from tbltag import trainer_naive
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
     Rule,
     RuleScore,
     apply_rule,
+    find_sites,
     parse_template_spec,
+    position_sets,
 )
 from tbltag.synth import ChainSpec, markov_corpus
-from tbltag.trainer_naive import enumerate_candidates, train_naive
-from tbltag.training import Strategy, TrainerConfig, select
+from tbltag.trainer_naive import count_keys, enumerate_candidates, score_keys, train_naive
+from tbltag.training import Strategy, TrainerConfig, apply_at_sites, rule_order, select
 
 from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule
 
@@ -106,6 +109,40 @@ def test_enumerate_scores_match_score_rule(seed, templates):
         assert sc == score_rule(rule, c)
 
 
+@given(
+    seed=st.integers(0, 10**6),
+    templates=st.sampled_from(
+        [DEFAULT_TEMPLATES, parse_template_spec("-1; +1; -1,+1"), parse_template_spec("-3,+3; -1")]
+    ),
+)
+@settings(max_examples=25)
+def test_score_keys_memo_changes_no_score(seed, templates):
+    # one memo kept over several passes scores exactly what no memo does, in
+    # the same order, and names each rule by the object it built first
+    rng = random.Random(seed)
+    spec = ChainSpec(n_tags=rng.randint(4, 8), words_per_tag=3,
+                     ambiguous_words=rng.randint(3, 8), structure_seed=rng.randrange(2**20))
+    c = parse_corpus(markov_corpus(spec, draw_seed=rng.randrange(2**20), n_tokens=150))
+    lex = build_lexicon(c, "T00")
+    for sent in c.sentences:
+        if rng.random() < 0.2:
+            sent[rng.randrange(len(sent))].truth = None
+    baseline_assign(c, lex)
+    psets = position_sets(templates)
+    span = max(t.span for t in templates)
+    rules, first = {}, {}
+    for _ in range(4):
+        counts = count_keys(c, psets, span)
+        scored = score_keys(counts, psets, rules)
+        assert list(scored.items()) == list(score_keys(counts, psets).items())
+        for rule in scored:
+            assert first.setdefault(rule, rule) is rule
+        if not scored:
+            break
+        rule = sorted(scored, key=rule_order)[rng.randrange(len(scored))]
+        apply_at_sites(c, rule, find_sites(rule, c))
+
+
 # --- select ----------------------------------------------------------------------
 
 
@@ -183,6 +220,24 @@ def test_train_toy_exact():
     assert rec.train_accuracy_after == 1.0
     assert curve == [(0, 2 / 3), (1, 1.0)]
     assert error_count(c) == 0
+
+
+def test_train_naive_builds_each_rule_once(monkeypatch):
+    built = []
+
+    def counting_rule(frm, to, ctx):
+        built.append(Rule(frm, to, ctx))
+        return built[-1]
+
+    monkeypatch.setattr(trainer_naive, "Rule", counting_rule)
+    spec = ChainSpec(n_tags=6, structure_seed=3)
+    c = parse_corpus(markov_corpus(spec, draw_seed=4, n_tokens=400))
+    cfg = TrainerConfig(templates=T1R, threshold=1)
+    model, _, _ = train_naive(c, build_lexicon(c, "T00"), cfg)
+    assert len(model.rules) >= 3
+    assert len(built) == len(set(built))
+    # the learned rules are the objects the memo built
+    assert all(any(rule is b for b in built) for rule in model.rules)
 
 
 def test_train_perfect_baseline_learns_nothing():
