@@ -16,7 +16,7 @@ from functools import partial
 
 from .corpus import (ParseError, accuracy_of, count_tagged, file_chunks, lexicon_of,
                      parse_corpus, text_chunks)
-from .evaluate import Curve, Tally, tag_stream
+from .evaluate import Tally, tag_stream
 from .rules import DEFAULT_TEMPLATE_SPEC, DEFAULT_WINDOW, DecodeError, parse_template_spec
 from .training import (
     Model,
@@ -27,9 +27,11 @@ from .training import (
     check_tagset,
     check_writable,
     config_pairs,
+    curve_tsv,
     load_model,
     save_model,
     trace_tsv,
+    tsv,
     write_text_atomic,
 )
 
@@ -249,10 +251,9 @@ def _cmd_train(args) -> int:
         rng_seed=args.seed,
         max_passes=args.max_passes,
         record_deps=args.deps,
-        audit=args.audit,
     )
 
-    audit_log: list[str] | None = None if args.audit_log is None else []
+    audit_log = None if args.audit_log is None else []
     links = {}
     on_rule = partial(record_pass, links) if args.deps else None
     if naive:
@@ -260,9 +261,10 @@ def _cmd_train(args) -> int:
 
         model, trace, curve = train_naive(parse_corpus(text), lexicon, config, on_rule)
     else:
-        from .trainer_incremental import AUDIT_LOG_HEADER, train_text
+        from .trainer_incremental import AUDIT_LOG_COLUMNS, train_text
 
-        model, trace, curve = train_text(text, lexicon, config, audit_log, on_rule)
+        model, trace, curve = train_text(text, lexicon, config, audit_log, on_rule,
+                                         audit=args.audit)
 
     effective = {
         **dict(config_pairs(config)),
@@ -283,21 +285,17 @@ def _cmd_train(args) -> int:
         test_acc = tag_stream(model, text_chunks(test_text), tagged=True).accuracies()
     reports = [
         (args.trace, trace_tsv(trace)),
-        (args.curve, Curve.of([a for _, a in curve], test_acc).to_tsv()),
+        (args.curve, curve_tsv(curve, test_acc)),
     ]
     if args.deps:
         reports.append((args.deps_out, dependency_report(links)))
     if audit_log is not None:  # refused above for the naive engine
-        log_text = "".join(line + "\n" for line in [AUDIT_LOG_HEADER, *audit_log])
-        reports.append((args.audit_log, log_text))
+        reports.append((args.audit_log, tsv([AUDIT_LOG_COLUMNS, *audit_log])))
     header = _header("train", effective)
     for path, body in reports:
         _write_text(path, header + body)
 
-    final_acc = curve[-1][1]
-    sys.stderr.write(
-        f"trained {len(model.rules)} rules; final train accuracy {final_acc!r}\n"
-    )
+    sys.stderr.write(f"trained {len(model.rules)} rules; final train accuracy {curve[-1]!r}\n")
     return 0
 
 
@@ -350,11 +348,8 @@ def _cmd_eval(args) -> int:
     model = _load_model(args.model)
     tally = _tag_timed(model, args.corpus, "corpus")
     pairs = {"model": args.model, "corpus": args.corpus}
-    body = (
-        f"tokens\t{tally.tokens}\n"
-        f"errors\t{tally.errors}\n"
-        f"accuracy\t{accuracy_of(tally.tokens, tally.errors)!r}\n"
-    )
+    body = tsv([("tokens", tally.tokens), ("errors", tally.errors),
+                ("accuracy", accuracy_of(tally.tokens, tally.errors))])
     _write_text(args.output, _header("eval", pairs) + body)
     return 0
 
@@ -373,7 +368,7 @@ def _cmd_curve(args) -> int:
     }
     if args.test is not None:
         pairs["test"] = args.test
-    _write_text(args.output, _header("curve", pairs) + Curve.of(train, test).to_tsv())
+    _write_text(args.output, _header("curve", pairs) + curve_tsv(train, test))
     return 0
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import Site
 from .rules import Rule, display_rule
+from .training import tsv
 
 
 class DependencyNode:
@@ -150,13 +151,8 @@ def dependency_report(links: Links, include_pass: bool = True) -> str:
     changed = sum(tc.count for tc in classes)
     multi = sum(tc.count for tc in classes if tc.representative.children)
     leverage = multi / changed if changed else 0.0
-    lines = [
-        f"sites-changed\t{changed}",
-        f"multi-node-sites\t{multi}",
-        f"leverage\t{leverage!r}",
-    ]
+    lines = []
     for tc in classes:
-        lines.append("")
-        lines.append(f"x{tc.count}")
-        lines.extend(render_tree(tc.representative))
-    return "\n".join(lines) + "\n"
+        lines += ["", f"x{tc.count}", *render_tree(tc.representative)]
+    counts = tsv([("sites-changed", changed), ("multi-node-sites", multi), ("leverage", leverage)])
+    return counts + "".join(line + "\n" for line in lines)

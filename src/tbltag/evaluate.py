@@ -6,7 +6,9 @@ through the one rule-replay loop ``rules.run_rules``.  ``tag`` codes a parsed
 Corpus and decodes the result into its tokens; ``tag_stream`` codes a text a
 chunk of lines at a time, builds no tokens, counts the errors left after
 each rule and hands each rule's sites to ``on_rule``, for the dependency
-report.  ``Curve.of`` makes a curve of ``Tally.accuracies`` columns.
+report.  ``Tally.accuracies`` reads an accuracy column off the counts,
+pass ``n`` at index ``n``, the shape the trainers return their curve in,
+and ``training.curve_tsv`` writes the curve file from such columns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from io import TextIOBase
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 from operator import ne, sub
 
 from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_lines
@@ -153,27 +155,4 @@ def tag_stream(
         sentences += len(sents)
         del sents  # so that two chunks' words are never held at once
     return Tally(tokens, errors, fixed, repaired)
-
-
-@dataclass(slots=True)
-class Curve:
-    """Accuracy after each pass; pass 0 is the baseline."""
-
-    points: list[tuple[int, float, float | None]]
-
-    @classmethod
-    def of(cls, train: list[float], test: list[float] | None = None) -> Curve:
-        """The curve of per-pass accuracy columns, passes numbered from 0."""
-        return cls(list(zip(count(), train, repeat(None) if test is None else test)))
-
-    def to_tsv(self) -> str:
-        with_test = any(p[2] is not None for p in self.points)
-        header = "pass\ttrain_acc\ttest_acc" if with_test else "pass\ttrain_acc"
-        lines = [header]
-        for pass_no, train_acc, test_acc in self.points:
-            row = f"{pass_no}\t{train_acc!r}"
-            if with_test:
-                row += f"\t{test_acc!r}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
 

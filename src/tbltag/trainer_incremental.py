@@ -85,8 +85,8 @@ from .trainer_naive import count_keys, score_keys
 from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
 
 
-# Columns of the per-pass lines train_incremental appends to its audit_log.
-AUDIT_LOG_HEADER = "pass\tcandidates\tkeys\tnew_keys\tsites_rechecked"
+# Columns of the per-pass rows train_incremental appends to its audit_log.
+AUDIT_LOG_COLUMNS = ("pass", "candidates", "keys", "new_keys", "sites_rechecked")
 
 
 class AuditError(AssertionError):
@@ -602,39 +602,43 @@ def train_incremental(
     corpus: Corpus,
     lexicon: Lexicon,
     config: TrainerConfig | None = None,
-    audit_log: list[str] | None = None,
+    audit_log: list[tuple[int, ...]] | None = None,
     on_rule=None,
+    *,
+    audit: bool = False,
 ):
     """Train on a gold corpus; returns (model, trace, curve).
 
     Output-equivalent to train_naive under the same config and seed, and
-    so are its ``on_rule`` calls.  With config.audit the index is recounted
-    after setup and every pass, and each pass's sites must be the ones
-    ``rules.find_sites`` matches before it.  audit_log, when given, receives one
-    tab-separated line per pass, in the columns of AUDIT_LOG_HEADER.  Each
-    pass's sites are rewritten in the corpus, which ends with the tags the
-    model's replay gives it.
+    so are its ``on_rule`` calls; the curve is the same accuracy column.
+    With ``audit`` the index is recounted after setup and every pass, and
+    each pass's sites must be the ones ``rules.find_sites`` matches before
+    it.  audit_log, when given, receives one row of ints per pass, in the
+    columns of AUDIT_LOG_COLUMNS.  Each pass's sites are rewritten in the
+    corpus, which ends with the tags the model's replay gives it.
     """
     if config is None:
         config = TrainerConfig()
     errors = baseline_assign(corpus, lexicon)
     index = init_index(corpus, config.templates)
-    return _train(index, errors, lexicon, config, audit_log, corpus, on_rule)
+    return _train(index, errors, lexicon, config, audit, audit_log, corpus, on_rule)
 
 
 def train_text(
     text: str,
     lexicon: Lexicon,
     config: TrainerConfig | None = None,
-    audit_log: list[str] | None = None,
+    audit_log: list[tuple[int, ...]] | None = None,
     on_rule=None,
+    *,
+    audit: bool = False,
 ):
     """``train_incremental`` of ``parse_corpus(text)``, reading the text straight into codes.
 
     The lexicon must hold the text's own counts (``corpus.count_tagged``),
     as ``code_text`` needs.  No Token is built, except for the audit: it
-    reads tokens, so with ``config.audit`` the text is parsed here too, into
-    a baseline-tagged ``Corpus`` that each pass's sites are written to and
+    reads tokens, so with ``audit`` the text is parsed here too, into a
+    baseline-tagged ``Corpus`` that each pass's sites are written to and
     that ``verify_index`` compares with the coded strings.
     """
     if config is None:
@@ -642,25 +646,26 @@ def train_text(
     reach = max(t.span for t in config.templates)
     current, truth, starts, codes, errors = code_text(text_chunks(text), lexicon, reach)
     index = TrainerIndex(current, truth, starts, codes, config.templates)
-    corpus = parse_corpus(text) if config.audit else None
+    corpus = parse_corpus(text) if audit else None
     if corpus is not None:
         baseline_assign(corpus, lexicon)
-    return _train(index, errors, lexicon, config, audit_log, corpus, on_rule)
+    return _train(index, errors, lexicon, config, audit, audit_log, corpus, on_rule)
 
 
 def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerConfig,
-           audit_log: list[str] | None, corpus: Corpus | None, on_rule):
+           audit: bool, audit_log: list[tuple[int, ...]] | None, corpus: Corpus | None,
+           on_rule):
     """The passes over a fresh index whose current tags make ``errors`` errors."""
     n = index.n_tokens
     rng = random.Random(config.rng_seed)
     rules = {}  # the audit's score_keys memo: each recounted rule is built once
-    if config.audit:
+    if audit:
         verify_index(index, corpus, rules)
 
     learned: list[Rule] = []
     trace: list[TraceRecord] = []
     acc = accuracy_of(n, errors)
-    curve: list[tuple[int, float]] = [(0, acc)]
+    curve = [acc]
     while config.max_passes is None or len(learned) < config.max_passes:
         picked = index.pick(config, rng)
         if picked is None:
@@ -669,9 +674,9 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
         pass_no = len(learned) + 1
         # the rewrite stops at the site count its key's counter holds, so
         # the audit checks the sites against the oracle's match
-        matched = find_sites(rule, corpus) if config.audit else None
+        matched = find_sites(rule, corpus) if audit else None
         sites = apply_and_update(index, corpus, rule)
-        if config.audit and sites != matched:
+        if audit and sites != matched:
             raise AuditError(
                 f"pass {pass_no} rewrote {len(sites)} sites of {rule.canonical!r},"
                 f" find_sites matched {len(matched)}"
@@ -684,8 +689,8 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
         acc = accuracy_of(n, errors)
         learned.append(rule)
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, acc))
-        curve.append((pass_no, acc))
-        if config.audit:
+        curve.append(acc)
+        if audit:
             verify_index(index, corpus, rules)
             actual = error_count(corpus)
             if errors != actual:
@@ -693,8 +698,6 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
                     f"tracked error count {errors} != recount {actual} after pass {pass_no}"
                 )
         if audit_log is not None:
-            audit_log.append(
-                f"{pass_no}\t{index.candidates}\t{len(index.keys)}"
-                f"\t{index.last_unseen_added}\t{index.last_sites_rechecked}"
-            )
+            audit_log.append((pass_no, index.candidates, len(index.keys),
+                              index.last_unseen_added, index.last_sites_rechecked))
     return Model(lexicon, learned, config), trace, curve

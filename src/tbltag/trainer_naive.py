@@ -89,7 +89,8 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
     rule at its ``find_sites`` matches and calls ``on_rule(pass_no, rule,
     sites)``, when given, as ``evaluate.tag_stream`` does.  The corpus is
     left baseline-tagged then rewritten by the learned rules in order; the
-    curve starts at pass 0 with the baseline accuracy.
+    curve is the accuracy column, the baseline's at index 0 and pass
+    ``n``'s at index ``n``.
     """
     if config is None:
         config = TrainerConfig()
@@ -98,7 +99,7 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
 
     learned: list[Rule] = []
     trace: list[TraceRecord] = []
-    curve: list[tuple[int, float]] = [(0, accuracy(corpus))]
+    curve = [accuracy(corpus)]
     rules: dict[tuple, dict[str, Rule]] = {}
     while config.max_passes is None or len(learned) < config.max_passes:
         candidates = enumerate_candidates(corpus, config.templates, rules)
@@ -114,5 +115,5 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
         learned.append(rule)
         a = accuracy(corpus)
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, a))
-        curve.append((pass_no, a))
+        curve.append(a)
     return Model(lexicon, learned, config), trace, curve

@@ -1,9 +1,11 @@
-"""Shared training machinery: configuration, selection, traces, model files.
+"""Shared training machinery: configuration, selection, report tables, model files.
 
 Both trainers (the per-pass rescanning one and the incremental one) select
-rules the same way, emit the same trace records, and produce the same
-Model, so a given corpus, config, and seed yield identical results from
-either engine.
+rules the same way, emit the same trace records and accuracy column, and
+produce the same Model, so a given corpus, config, and seed yield
+identical results from either engine.  Every report table (trace, curve,
+audit log, ``tbltag eval``'s body, the dependency report's counts) is
+written by ``tsv``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from .corpus import BOUNDARY, Lexicon
 from .rules import (
@@ -55,7 +58,6 @@ class TrainerConfig:
     rng_seed: int = 0
     max_passes: int | None = None
     record_deps: bool = False  # marks the model for `tbltag deps`; on_rule records links
-    audit: bool = False
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -148,18 +150,29 @@ def select(scored, config: TrainerConfig, rng: random.Random):
     return rule, RuleScore(sc.pos, sc.neg, sc.neut)
 
 
-# --- trace and curve rendering ----------------------------------------------
+# --- report tables -----------------------------------------------------------
+
+
+def tsv(rows) -> str:
+    """One tab-separated line per row, each cell as ``str`` writes it: a float
+    as its ``repr``, which reads back to the same float, so tables compare exactly."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def trace_tsv(records) -> str:
     """Tab-separated trace, one selected rule per line."""
-    lines = ["pass\trule_canonical\trule_display\tpos\tneg\tneut\ttrain_acc"]
-    for r in records:
-        lines.append(
-            f"{r.pass_no}\t{r.rule.canonical}\t{display_rule(r.rule)}"
-            f"\t{r.pos}\t{r.neg}\t{r.neut}\t{r.train_accuracy_after!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return tsv([
+        ("pass", "rule_canonical", "rule_display", "pos", "neg", "neut", "train_acc"),
+        *((r.pass_no, r.rule.canonical, display_rule(r.rule), r.pos, r.neg, r.neut,
+           r.train_accuracy_after) for r in records),
+    ])
+
+
+def curve_tsv(train: list[float], test: list[float] | None = None) -> str:
+    """The curve of per-pass accuracy columns: pass ``n`` at index ``n``, the baseline at 0."""
+    if test is None:
+        return tsv([("pass", "train_acc"), *enumerate(train)])
+    return tsv([("pass", "train_acc", "test_acc"), *zip(count(), train, test)])
 
 
 # --- model files -------------------------------------------------------------

@@ -140,8 +140,7 @@ def test_criterion_3_error_drop_and_monotone(suite1):
                 bad.append((run["seed"], rec.pass_no, "drop"))
                 break
         else:
-            accs = [a for _, a in curve]
-            if any(b < a for a, b in zip(accs, accs[1:])):
+            if any(b < a for a, b in zip(curve, curve[1:])):
                 bad.append((run["seed"], None, "curve"))
             if serialize_corpus(corpus, "current") != final_tags:
                 bad.append((run["seed"], None, "tags"))
@@ -187,9 +186,9 @@ def test_criterion_2_audited_bookkeeping():
     corpus = parse_corpus(markov_corpus(spec, draw_seed=11, n_tokens=2000))
     assert corpus.n_tokens == 2000
     lexicon = build_lexicon(corpus, "T00")
-    cfg = TrainerConfig(templates=T3, threshold=1, audit=True)
+    cfg = TrainerConfig(templates=T3, threshold=1)
     try:
-        model, _, _ = train_incremental(corpus, lexicon, cfg)
+        model, _, _ = train_incremental(corpus, lexicon, cfg, audit=True)
     except AuditError as exc:
         _report(2, "audited 2,000-token run stays exact", False, detail=str(exc))
         return
@@ -255,9 +254,8 @@ def _overtraining_margin(templates, spec, train_seed, test_seed):
     train = parse_corpus(train_text)
     lexicon = build_lexicon(train, "T00")
     cfg = TrainerConfig(templates=templates, threshold=1)
-    model, _, train_curve = train_incremental(train, lexicon, cfg)
+    model, _, train_accs = train_incremental(train, lexicon, cfg)
     test_accs = tag_stream(model, text_chunks(test_text), tagged=True).accuracies()
-    train_accs = [a for _, a in train_curve]
     monotone = all(b >= a for a, b in zip(train_accs, train_accs[1:]))
     return max(test_accs) - test_accs[-1], monotone
 
@@ -307,7 +305,7 @@ def test_criterion_7_random_vs_greedy():
     lexicon = build_lexicon(parse_corpus(text), "T00")
     greedy_cfg = TrainerConfig(templates=T3, threshold=1)
     model_g, _, curve_g = train_incremental(parse_corpus(text), lexicon, greedy_cfg)
-    acc_g = curve_g[-1][1]
+    acc_g = curve_g[-1]
 
     bad = []
     for seed in range(10):
@@ -315,7 +313,7 @@ def test_criterion_7_random_vs_greedy():
             templates=T3, threshold=1, strategy=Strategy.RANDOM, rng_seed=seed
         )
         model_r, _, curve_r = train_incremental(parse_corpus(text), lexicon, cfg)
-        acc_r = curve_r[-1][1]
+        acc_r = curve_r[-1]
         if abs(acc_r - acc_g) > 0.005 or len(model_r.rules) < len(model_g.rules):
             bad.append((seed, round(acc_r - acc_g, 5), len(model_r.rules)))
     _report(

@@ -17,10 +17,12 @@ import tbltag.corpus
 from tbltag.cli import main
 from tbltag.corpus import ParseError, build_lexicon, error_count, parse_corpus, serialize_corpus
 from tbltag.dependency import dependency_report, record_pass
-from tbltag.evaluate import Curve, tag
+from tbltag.evaluate import tag
+from tbltag.rules import Rule
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import train_incremental
-from tbltag.training import ModelFormatError, TrainerConfig, format_model, parse_model, trace_tsv
+from tbltag.training import (ModelFormatError, TraceRecord, TrainerConfig, curve_tsv, format_model,
+                             parse_model, trace_tsv)
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -363,6 +365,30 @@ def test_eval_output(tmp_path, chain, capsys):
     assert "tokens\t15\n" in out
     assert "errors\t0\n" in out
     assert "accuracy\t1.0\n" in out
+
+
+def test_report_tables_write_every_digit_of_a_float(tmp_path, capsys):
+    # 2/3 needs 16 significant digits, 0.1 + 0.2 and 1/6 need 17: a table
+    # that rounded a float would no longer compare exactly
+    assert curve_tsv([2 / 3, 0.1 + 0.2], [0.1 + 0.2, 2 / 3]) == (
+        "pass\ttrain_acc\ttest_acc\n"
+        "0\t0.6666666666666666\t0.30000000000000004\n"
+        "1\t0.30000000000000004\t0.6666666666666666\n"
+    )
+    rule = Rule("P", "X", [(-1, "DT")])
+    trace = [TraceRecord(1, rule, 2, 1, 0, 2 / 3), TraceRecord(2, rule, 1, 0, 0, 0.1 + 0.2)]
+    assert trace_tsv(trace).splitlines()[1:] == [
+        "1\tP>X @ -1:DT\t— DT P/X — —\t2\t1\t0\t0.6666666666666666",
+        "2\tP>X @ -1:DT\t— DT P/X — —\t1\t0\t0\t0.30000000000000004",
+    ]
+    model, gold = tmp_path / "m.model", tmp_path / "gold.txt"
+    model.write_text(CHAIN_MODEL)
+    # the baseline tags f1 as Z, and no rule rewrites a Z
+    for text, accuracy in [("f1/Q f1/Z f1/Z\n", "0.6666666666666666"),
+                           ("f1/Q f1/Q f1/Q f1/Q f1/Q f1/Z\n", "0.16666666666666666")]:
+        gold.write_text(text)
+        assert main(["eval", "--model", str(model), "--corpus", str(gold)]) == 0
+        assert _body(capsys.readouterr().out).splitlines()[-1] == f"accuracy\t{accuracy}"
 
 
 def test_curve_command(tmp_path, chain, capsys):
@@ -1203,7 +1229,7 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
         return "".join(line for line in p.read_text().splitlines(True) if not line.startswith("#"))
 
     assert body(tmp_path / "m.model.trace.tsv") == trace_tsv(trace)
-    assert body(tmp_path / "m.model.curve.tsv") == Curve.of([a for _, a in curve]).to_tsv()
+    assert body(tmp_path / "m.model.curve.tsv") == curve_tsv(curve)
     # dependency links are keyed by site, so recording them reads no token
     rc = main(["train", "--corpus", str(path), "--default-tag", "T00", "--deps",
                "-o", str(tmp_path / "d.model")])
@@ -1217,8 +1243,8 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
         "tagged.txt": (["tag", "--in", str(path)], serialize_corpus(corpus, "current")),
         "eval.tsv": (["eval", "--corpus", str(path)],
                      f"tokens\t{corpus.n_tokens}\nerrors\t{error_count(corpus)}\n"
-                     f"accuracy\t{curve[-1][1]!r}\n"),
-        "curve.tsv": (["curve", "--train", str(path)], Curve.of([a for _, a in curve]).to_tsv()),
+                     f"accuracy\t{curve[-1]!r}\n"),
+        "curve.tsv": (["curve", "--train", str(path)], curve_tsv(curve)),
     }
     for name, (argv, want) in runs.items():
         out = tmp_path / name

@@ -23,11 +23,11 @@ from tbltag.corpus import (
     serialize_corpus,
     text_chunks,
 )
-from tbltag.evaluate import Curve, tag, tag_stream
+from tbltag.evaluate import tag, tag_stream
 from tbltag.rules import Rule, apply_rule, decode_rule, encode_rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
-from tbltag.training import Model, TrainerConfig
+from tbltag.training import Model, TrainerConfig, curve_tsv
 
 from helpers import TOY_LEX, TOY_TEXT, clone, lex_of
 
@@ -50,12 +50,13 @@ def _chunkings(text, sizes=_CHUNK_SIZES):
 
 
 def _curve(model, train_text, test_text=None, errored_only=False):
-    """The accuracy curve over gold texts, each replayed once by ``tag_stream``."""
+    """The train and test accuracy columns over gold texts, each replayed
+    once by ``tag_stream``; the test column is None with no test text."""
 
     def column(text):
         return tag_stream(model, text_chunks(text), tagged=True).accuracies(errored_only)
 
-    return Curve.of(column(train_text), None if test_text is None else column(test_text))
+    return column(train_text), None if test_text is None else column(test_text)
 
 
 def _trained(seed: int = 5, n_tokens: int = 200):
@@ -286,28 +287,25 @@ def test_tag_stream_matches_tag(case):
 
 def test_evaluate_curve_matches_trainer_curve():
     model, corpus, train_text, _, train_curve = _trained()
-    replay = _curve(model, train_text)
-    assert [(p, a) for p, a, _ in replay.points] == train_curve
-    assert all(t is None for _, _, t in replay.points)
-    assert replay.points[-1][1] == accuracy(corpus)
+    train, test = _curve(model, train_text)
+    assert train == train_curve
+    assert test is None
+    assert train[-1] == accuracy(corpus)
 
 
 def test_evaluate_curve_toy():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    curve = _curve(model, TOY_TEXT)
-    assert curve.points == [(0, 2 / 3, None), (1, 1.0, None)]
+    assert _curve(model, TOY_TEXT) == ([2 / 3, 1.0], None)
 
 
 def test_evaluate_curve_with_test_corpus():
     model, _, train_text, test_text, _ = _trained()
-    curve = _curve(model, train_text, test_text)
-    assert len(curve.points) == len(model.rules) + 1
-    for _, train_acc, test_acc in curve.points:
-        assert test_acc is not None
+    train_vals, test_vals = _curve(model, train_text, test_text)
+    assert len(train_vals) == len(test_vals) == len(model.rules) + 1
+    for test_acc in test_vals:
         assert 0.0 <= test_acc <= 1.0
     # train accuracy strictly improves; test accuracy merely exists
-    train_vals = [a for _, a, _ in curve.points]
     assert train_vals == sorted(train_vals)
     assert train_vals[-1] > train_vals[0]
 
@@ -315,17 +313,15 @@ def test_evaluate_curve_with_test_corpus():
 def test_evaluate_curve_errored_only():
     corpus = parse_corpus(TOY_TEXT)
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
-    curve = _curve(model, TOY_TEXT, errored_only=True)
     # the two baseline errors go from all-wrong to all-right
-    assert curve.points == [(0, 0.0, None), (1, 1.0, None)]
+    assert _curve(model, TOY_TEXT, errored_only=True) == ([0.0, 1.0], None)
 
 
 def test_evaluate_curve_errored_only_empty_mask():
     text = "a/A b/B\n"
     corpus = parse_corpus(text)
     model, _, _ = train_naive(corpus, build_lexicon(corpus, "A"))
-    curve = _curve(model, text, errored_only=True)
-    assert curve.points == [(0, 1.0, None)]
+    assert _curve(model, text, errored_only=True) == ([1.0], None)
 
 
 def _recounted_curve(model, corpus, errored_only):
@@ -352,11 +348,11 @@ def _recounted_curve(model, corpus, errored_only):
 def test_evaluate_curve_counts_match_recount(errored_only):
     model, _, train_text, test_text, _ = _trained(seed=17, n_tokens=2000)
     assert len(model.rules) > 10
-    curve = _curve(model, train_text, test_text, errored_only)
-    assert [p for p, _, _ in curve.points] == list(range(len(model.rules) + 1))
-    for column, text in enumerate([train_text, test_text], start=1):
+    columns = _curve(model, train_text, test_text, errored_only)
+    assert [len(column) for column in columns] == [len(model.rules) + 1] * 2
+    for column, text in zip(columns, [train_text, test_text]):
         recounted = _recounted_curve(model, parse_corpus(text), errored_only)
-        assert [point[column] for point in curve.points] == recounted
+        assert column == recounted
         # the per-rule counts add up the same across any chunk boundaries
         for chunks in _chunkings(text, (1, 7, 64, CHUNK_CHARS)):
             tally = tag_stream(model, chunks, tagged=True)
@@ -364,12 +360,10 @@ def test_evaluate_curve_counts_match_recount(errored_only):
 
 
 def test_curve_tsv_train_only():
-    curve = Curve([(0, 0.5, None), (1, 1.0, None)])
-    assert curve.to_tsv() == "pass\ttrain_acc\n0\t0.5\n1\t1.0\n"
+    assert curve_tsv([0.5, 1.0]) == "pass\ttrain_acc\n0\t0.5\n1\t1.0\n"
 
 
 def test_curve_tsv_with_test():
-    curve = Curve([(0, 0.5, 0.25), (1, 1.0, 0.75)])
-    assert curve.to_tsv() == (
+    assert curve_tsv([0.5, 1.0], [0.25, 0.75]) == (
         "pass\ttrain_acc\ttest_acc\n0\t0.5\t0.25\n1\t1.0\t0.75\n"
     )

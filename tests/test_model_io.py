@@ -1,6 +1,7 @@
 """Model file format: render, parse, round-trips, corruption handling."""
 
 import os
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from tbltag.training import (
     ModelFormatError,
     Strategy,
     TrainerConfig,
+    config_pairs,
     format_model,
     load_model,
     parse_model,
@@ -76,6 +78,10 @@ def test_round_trip_preserves_everything(tmp_path):
         max_passes=7,
         record_deps=True,
     )
+    # every field off its default, so a field the file drops reads back changed
+    names = [f.name for f in fields(TrainerConfig)]
+    assert [name for name in names if getattr(cfg, name) == getattr(TrainerConfig(), name)] == []
+    assert len(config_pairs(cfg)) == len(names)
     model = Model(lex, [Rule("A", "B", [(1, "C"), (-2, "X")])], cfg)
     path = tmp_path / "m.model"
     save_model(model, str(path))
@@ -85,6 +91,11 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.lexicon.counts == lex.counts
     assert loaded.default_tag == "X"
     assert loaded.record_deps is True
+    # an audited run keeps its config, which reads back equal
+    trained, _, _ = train_incremental(parse_corpus(TOY_TEXT), lex_of(TOY_LEX, "NN"), cfg,
+                                      audit=True)
+    assert trained.config == cfg
+    assert parse_model(format_model(trained)).config == cfg
 
 
 def test_round_trip_wide_template(tmp_path):

@@ -3,7 +3,6 @@
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +35,7 @@ from tbltag.rules import (
 )
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import (
+    AUDIT_LOG_COLUMNS,
     AuditError,
     Candidate,
     TrainerIndex,
@@ -255,14 +255,14 @@ def test_train_text_audit_checks_the_coded_strings(monkeypatch):
     # the audit parses the text itself, and checks the strings code_text
     # made against the parsed tokens
     text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=2, n_tokens=1500)
-    config = replace(TrainerConfig(templates=T3, threshold=1), audit=True)
+    config = TrainerConfig(templates=T3, threshold=1)
     corpus = parse_corpus(text)
     want_log = []
     model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), config,
-                                            audit_log=want_log)
+                                            audit_log=want_log, audit=True)
     lexicon = lexicon_of(count_tagged(text_chunks(text)), "T00")
     log = []
-    got, got_trace, got_curve = train_text(text, lexicon, config, audit_log=log)
+    got, got_trace, got_curve = train_text(text, lexicon, config, audit_log=log, audit=True)
     assert len(log) > 5
     assert (format_model(got), got_trace, got_curve, log) == (
         format_model(model), trace, curve, want_log
@@ -277,7 +277,7 @@ def test_train_text_audit_checks_the_coded_strings(monkeypatch):
 
     monkeypatch.setattr("tbltag.trainer_incremental.code_text", flipped)
     with pytest.raises(AuditError, match="coded"):
-        train_text(text, lexicon, config)
+        train_text(text, lexicon, config, audit=True)
 
 
 # --- apply_and_update --------------------------------------------------------------
@@ -417,7 +417,7 @@ def test_missing_truth_counts_as_neutral():
     corpus_i = clone(corpus_n)
     cfg = TrainerConfig(templates=T1, threshold=1)
     mn, tn, _ = train_naive(corpus_n, lex, cfg)
-    mi, ti, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True))
+    mi, ti, _ = train_incremental(corpus_i, lex, cfg, audit=True)
     assert mn.rules == mi.rules == [rule]
     assert tn == ti
     assert corpus_n == corpus_i
@@ -642,10 +642,10 @@ def test_audit_catches_a_rewrite_that_stops_short(monkeypatch):
         return picked
 
     monkeypatch.setattr(TrainerIndex, "pick", drop_neutral)
-    cfg = TrainerConfig(templates=T1, audit=True)
+    cfg = TrainerConfig(templates=T1)
     with pytest.raises(AuditError, match=r"pass 1 rewrote 2 sites of 'MD>NN @ -1:DT',"
                                          r" find_sites matched 3"):
-        train_incremental(parse_corpus(text), lex_of(TOY_LEX, "NN"), cfg)
+        train_incremental(parse_corpus(text), lex_of(TOY_LEX, "NN"), cfg, audit=True)
 
 
 def test_verify_index_catches_missing_draw_entry():
@@ -701,8 +701,8 @@ def test_train_toy_both_engines_identical():
 def test_train_incremental_audit_mode():
     c = _small_corpus(7, n_tokens=150)
     lex = build_lexicon(c, "T00")
-    cfg = TrainerConfig(templates=T3, threshold=1, audit=True)
-    model, trace, _ = train_incremental(c, lex, cfg)
+    cfg = TrainerConfig(templates=T3, threshold=1)
+    model, trace, _ = train_incremental(c, lex, cfg, audit=True)
     assert len(model.rules) == len(trace)
     assert error_count(c) <= (1 - trace[-1].train_accuracy_after) * c.n_tokens + 1
 
@@ -710,21 +710,21 @@ def test_train_incremental_audit_mode():
 def test_train_incremental_audit_log_format():
     c = _small_corpus(9, n_tokens=150)
     lex = build_lexicon(c, "T00")
-    log: list[str] = []
+    log: list[tuple[int, ...]] = []
     cfg = TrainerConfig(templates=T3, threshold=1)
     model, _, _ = train_incremental(c, lex, cfg, audit_log=log)
     assert len(log) == len(model.rules)
-    for line in log:
-        fields = line.split("\t")
-        assert len(fields) == 5
-        assert all(f.isdigit() for f in fields)
+    for pass_no, row in enumerate(log, start=1):
+        assert len(row) == len(AUDIT_LOG_COLUMNS) == 5
+        assert row[0] == pass_no
+        assert all(type(f) is int and f >= 0 for f in row)
     # after each pass the candidates are exactly the rules a fresh
     # enumeration finds once the learned rules so far are replayed
     replay = clone(c)
     baseline_assign(replay, lex)
-    for rule, line in zip(model.rules, log):
+    for rule, row in zip(model.rules, log):
         apply_rule(rule, replay)
-        candidates, keys, new_keys, rechecked = map(int, line.split("\t")[1:])
+        candidates, keys, new_keys, rechecked = row[1:]
         assert candidates == len(enumerate_candidates(replay, T3))
         assert keys == len(count_keys(replay, position_sets(T3), 1))
         assert new_keys <= keys
@@ -784,7 +784,7 @@ def test_engine_equivalence_with_deps():
         links_i, stream_i, on_rule_i = _recorder()
 
         mn, _, _ = train_naive(corpus_n, lex, cfg, on_rule_n)
-        mi, _, _ = train_incremental(corpus_i, lex, replace(cfg, audit=True), on_rule=on_rule_i)
+        mi, _, _ = train_incremental(corpus_i, lex, cfg, on_rule=on_rule_i, audit=True)
         assert mn.rules == mi.rules
         assert stream_n == stream_i
         assert dependency_report(links_n) == dependency_report(links_i)
@@ -1027,13 +1027,12 @@ def test_engine_equivalence_adversarial(drawn, templates, strategy, threshold, r
     corpus_n, lex = _adversarial_input(drawn)
     corpus_i = clone(corpus_n)
     base = dict(templates=templates, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
-    cfg_n = TrainerConfig(**base, record_deps=True)
-    cfg_i = TrainerConfig(**base, record_deps=True, audit=True)
+    cfg = TrainerConfig(**base, record_deps=True)
     links_n, stream_n, on_rule_n = _recorder()
     links_i, stream_i, on_rule_i = _recorder()
 
-    mn, tn, cvn = train_naive(corpus_n, lex, cfg_n, on_rule_n)
-    mi, ti, cvi = train_incremental(corpus_i, lex, cfg_i, on_rule=on_rule_i)
+    mn, tn, cvn = train_naive(corpus_n, lex, cfg, on_rule_n)
+    mi, ti, cvi = train_incremental(corpus_i, lex, cfg, on_rule=on_rule_i, audit=True)
 
     assert mn.rules == mi.rules
     assert tn == ti

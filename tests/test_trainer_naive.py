@@ -218,7 +218,7 @@ def test_train_toy_exact():
     rec = trace[0]
     assert (rec.pass_no, rec.pos, rec.neg, rec.neut) == (1, 2, 0, 0)
     assert rec.train_accuracy_after == 1.0
-    assert curve == [(0, 2 / 3), (1, 1.0)]
+    assert curve == [2 / 3, 1.0]
     assert error_count(c) == 0
 
 
@@ -245,7 +245,7 @@ def test_train_perfect_baseline_learns_nothing():
     model, trace, curve = train_naive(c, build_lexicon(c, "A"))
     assert model.rules == []
     assert trace == []
-    assert curve == [(0, 1.0)]
+    assert curve == [1.0]
 
 
 def test_train_tie_break_order():
@@ -303,16 +303,16 @@ def test_train_curve_monotone_and_replayable(seed):
     model, trace, curve = train_naive(corpus, lex, cfg)
 
     # strictly monotone train accuracy: every selected rule has net score >= 1
-    for (_, a0), (_, a1) in zip(curve, curve[1:]):
+    for a0, a1 in zip(curve, curve[1:]):
         assert a1 > a0
-    assert curve[-1][1] == accuracy(corpus)
-    assert [rec.train_accuracy_after for rec in trace] == [a for _, a in curve[1:]]
+    assert curve[-1] == accuracy(corpus)
+    assert [rec.train_accuracy_after for rec in trace] == curve[1:]
 
     # replaying the rule sequence on a fresh copy reproduces the curve exactly
     replay = clone(corpus)
     baseline_assign(replay, lex)
-    assert accuracy(replay) == curve[0][1]
-    for rec, (_, expected) in zip(trace, curve[1:]):
+    assert accuracy(replay) == curve[0]
+    for rec, expected in zip(trace, curve[1:]):
         before = error_count(replay)
         apply_rule(rec.rule, replay)
         assert before - error_count(replay) == rec.pos - rec.neg
