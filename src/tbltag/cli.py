@@ -221,7 +221,8 @@ def _cmd_train(args) -> int:
     the token count and the lexicon, and every refusal of the input is
     made there.  The naive engine trains on ``parse_corpus(text)``; the
     incremental engine codes the text straight into its strings
-    (``trainer_incremental.train_text``).  One loop writes the reports.
+    (``trainer_incremental.train_text``).  Every report body is built
+    before the model, the first file written, so a failed run writes none.
     """
     # The trainers and the dependency layer are imported only by the
     # commands that run them, so tag, eval and curve load none of them,
@@ -277,9 +278,6 @@ def _cmd_train(args) -> int:
     if args.test_corpus is not None:
         effective["test-corpus"] = args.test_corpus
 
-    with _writing(args.model):
-        save_model(model, args.model)
-
     test_acc = None
     if args.test_corpus is not None:
         test_acc = tag_stream(model, text_chunks(test_text), tagged=True).accuracies()
@@ -292,6 +290,8 @@ def _cmd_train(args) -> int:
     if audit_log is not None:  # refused above for the naive engine
         reports.append((args.audit_log, tsv([AUDIT_LOG_COLUMNS, *audit_log])))
     header = _header("train", effective)
+    with _writing(args.model):
+        save_model(model, args.model)
     for path, body in reports:
         _write_text(path, header + body)
 

@@ -69,23 +69,24 @@ def canonical_key(node: DependencyNode, include_pass: bool = True, _memo=None) -
 
     Two structurally identical trees get equal keys; shared subtrees are
     not distinguished from equal copies.  Pass numbers are part of the key
-    unless ``include_pass`` is false.
+    unless ``include_pass`` is false.  Nodes are keyed in pass order, each
+    child before its parent, so a tree of any depth is keyed.
     """
     if _memo is None:
         _memo = {}
-    key = _memo.get(id(node))
-    if key is not None:
-        return key
-    inner = ",".join(
-        f"{off}:{canonical_key(child, include_pass, _memo)}"
-        for off, child in sorted(node.children.items())
-    )
-    head = node.rule.canonical
-    if include_pass:
-        head = f"{head}|{node.pass_no}"
-    key = f"{head}({inner})"
-    _memo[id(node)] = key
-    return key
+    todo, stack = {}, [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in _memo and id(n) not in todo:
+            todo[id(n)] = n
+            stack.extend(n.children.values())
+    for n in sorted(todo.values(), key=lambda n: n.pass_no):
+        inner = ",".join(f"{off}:{_memo[id(child)]}" for off, child in sorted(n.children.items()))
+        head = n.rule.canonical
+        if include_pass:
+            head = f"{head}|{n.pass_no}"
+        _memo[id(n)] = f"{head}({inner})"
+    return _memo[id(node)]
 
 
 def render_tree(node: DependencyNode) -> list[str]:
@@ -93,20 +94,18 @@ def render_tree(node: DependencyNode) -> list[str]:
 
     Offsets are cumulative relative to the root's site; the root is always
     the last line since children strictly precede their parents in pass
-    order.  Shared nodes reached at the same cumulative offset print once.
+    order.  Shared nodes reached at the same cumulative offset print once,
+    and a tree of any depth is rendered.
     """
     entries = []
     seen = set()
-
-    def walk(n: DependencyNode, cum: int):
-        if (id(n), cum) in seen:
-            return
-        seen.add((id(n), cum))
-        entries.append((n.pass_no, cum, n.rule))
-        for off, child in n.children.items():
-            walk(child, cum + off)
-
-    walk(node, 0)
+    stack = [(node, 0)]
+    while stack:
+        n, cum = stack.pop()
+        if (id(n), cum) not in seen:
+            seen.add((id(n), cum))
+            entries.append((n.pass_no, cum, n.rule))
+            stack.extend((child, cum + off) for off, child in n.children.items())
     entries.sort(key=lambda e: (e[0], e[1]))
     return [
         f"{off:+d}: {display_rule(rule)} ({pass_no})" if off else f"0: {display_rule(rule)} ({pass_no})"

@@ -42,15 +42,15 @@ templates count 3 of their 7 sets and project 4 (``-1`` and ``-2`` from
 A hit at ``h`` changes only the keys of the positions ``h - o``, for
 ``o`` in 0 and a set's offsets.  A pass counts every counted set's pairs
 of these positions in the new string into one move dict, and takes away
-their count in the old one; the nonzero nets, projected into the same
-dict, are the moves of the contained sets' keys, and one ``_move`` makes
-them all.  Only a key whose listing can change is rescored, once per
-pass: a listed key, one where a candidate gained count past the current
+their count in the old one.  ``_update``, the build's step too, projects
+the nonzero nets into the same dict and makes every move with one
+``_move``.  Only a key whose listing can change is rescored, once per
+update: a listed key, one where a candidate gained count past the current
 tag's or the current tag's count fell, and one left empty, which is
 deleted.  Any other move leaves an unlisted key's net scores below 1.
 
-A candidate is only a name, ``(key, to code)``: its counts are read off
-its key's counter whenever they are needed, and no object stands for it
+A candidate is only a name, ``(key, to code)``: ``_score`` reads its
+score off its key's counter when needed, and no object stands for it
 until it is listed.  Only the net-positive candidates are listed, each as
 a ``Candidate`` holding its ``Rule``, ``rule_order`` and net score, filed
 under its key in ``listed`` and kept in the draw list ``eligible``, sorted
@@ -82,7 +82,8 @@ from .corpus import (
 from .rules import (PAD, Rule, RuleScore, code_corpus, find_sites, join_padded, position_sets,
                     rewrite, sites_of, tag_codes)
 from .trainer_naive import count_keys, score_keys
-from .training import Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order
+from .training import (Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order,
+                       select)
 
 
 # Columns of the per-pass rows train_incremental appends to its audit_log.
@@ -174,10 +175,10 @@ class TrainerIndex:
         position set, one Counter over columns of the strings counts every
         row of codes as a flat tuple, at C speed; a ``(key, truth)`` pair is
         built only for each distinct row, and the rows of the padding
-        between sentences are dropped there.  The pairs, projected, count
-        the keys of the sets it contains.  Then every key is scored, so the
-        candidates and their counts equal a fresh enumerate_candidates over
-        the same tags, and the net-positive ones are listed.
+        between sentences are dropped there.  ``_update`` makes the pairs of
+        every set as it makes a pass's moves, so the candidates and their
+        counts equal a fresh enumerate_candidates over the same tags, and
+        the net-positive ones are listed.
         """
         self.psets: list[tuple[int, ...]] = position_sets(templates)
         self.pset_of = {pset: pi for pi, pset in enumerate(self.psets)}
@@ -204,23 +205,19 @@ class TrainerIndex:
 
         end = len(current) - width
         truths = truth[width:end]
-        projected = {}
-        for pi, (offsets, projections) in self.plan.items():
+        moved = {}
+        for pi, (offsets, _) in self.plan.items():
             columns = [
                 repeat(PAD) if off is None else current[width + off : end + off]
                 for off in offsets
             ]
             # a row whose own code is PAD is the padding between sentences
-            pairs = {
-                ((pi, *row[:-1]), row[-1]): n
+            moved.update(
+                (((pi, *row[:-1]), row[-1]), n)
                 for row, n in Counter(zip(*columns, truths)).items()
                 if row[0] != PAD
-            }
-            self._move(pairs, set())
-            if projections:
-                _project(pairs.items(), self.plan, projected)
-        self._move(projected, set())
-        self._rescore(self.keys)
+            )
+        self._update(moved)
 
     @property
     def links_total(self) -> int:
@@ -238,19 +235,21 @@ class TrainerIndex:
         tags = self.tags
         return Rule(tags[key[1]], tags[to], zip(self.psets[key[0]], [tags[c] for c in key[2:]]))
 
+    def scored(self):
+        """Each candidate's name ``(key, to code)`` and score, ``_score`` of its key's counter."""
+        none = self.codes[None]
+        for key, counts in self.keys.items():
+            for to in counts:
+                if to != key[1] and to != none:
+                    yield (key, to), _score(counts, key[1], to)
+
     @property
     def table(self) -> dict[Rule, RuleScore]:
-        """Every candidate's rule and score, decoded from the key counters.
+        """Every candidate's rule and score: ``scored()``, decoded.
 
         Built on each read, and read-only: nothing on the pass path reads it.
         """
-        none = self.codes[None]
-        return {
-            self._rule(key, to): _score(counts, key[1], to)
-            for key, counts in self.keys.items()
-            for to in counts
-            if to != key[1] and to != none
-        }
+        return {self._rule(*name): sc for name, sc in self.scored()}
 
     def pick(self, config: TrainerConfig, rng: random.Random):
         """Pick the next rule from the draw list, as select would from the table.
@@ -273,6 +272,20 @@ class TrainerIndex:
         else:
             cand = eligible[rng.randrange(len(eligible))]
         return cand.rule, _score(self.keys[cand.key], cand.key[1], cand.to)
+
+    def _update(self, moved: dict) -> int:
+        """Make moved's ``(key, truth code)`` moves of counted sets' keys, each nonzero one
+        projected into moved first, and rescore the keys touched; returns the keys created."""
+        plan = self.plan
+        for (key, t), n in list(moved.items()):
+            if n:
+                for si, pick in plan[key[0]][1]:
+                    pair = (si, *pick(key)), t
+                    moved[pair] = moved.get(pair, 0) + n
+        touched = set()
+        created = self._move(moved, touched)
+        self._rescore(touched)
+        return created
 
     def _move(self, moved: dict, touched: set) -> int:
         """Add each nonzero ``(key, truth code)`` count of moved to its key.
@@ -358,16 +371,6 @@ def _score(counts: dict, cur: str, to: str) -> RuleScore:
     return RuleScore(pos, neg, sum(counts.values()) - pos - neg)
 
 
-def _project(moved, plan: dict, into: dict) -> None:
-    """Add each nonzero count of moved's ``((key, truth code), n)`` items, projected, to
-    the keys of the sets that the plan projects from the key's set."""
-    for (key, t), n in moved:
-        if n:
-            for si, pick in plan[key[0]][1]:
-                pair = (si, *pick(key)), t
-                into[pair] = into.get(pair, 0) + n
-
-
 def init_index(corpus: Corpus, templates) -> TrainerIndex:
     """Build the index from scratch against the corpus's current tags.
 
@@ -431,9 +434,9 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
     new string at once.  Their (key, truth) pairs in the new string, for
     every counted set, are counted into one move dict, and their count in
     the old string is taken away.  The sets a counted set contains read no
-    position it does not, so its nonzero nets, projected into the same
-    dict, are theirs.  One ``_move`` makes every move, and only the keys
-    whose listing can change are rescored.  Returns the changed sites in
+    position it does not, so ``_update`` makes the moves as the build
+    does: it projects the nonzero nets into the same dict, and rescores
+    only the keys whose listing can change.  Returns the changed sites in
     corpus order, and rewrites them in ``corpus`` too when one is given.
     """
     try:
@@ -469,15 +472,12 @@ def apply_and_update(index: TrainerIndex, corpus: Corpus | None, rule: Rule) -> 
             columns = [codes[i : i + n] for i in range(0, len(codes), n)]
             for pair in zip(zip(repeat(pi), *columns), truths):
                 moved[pair] = get_moved(pair, 0) + sign
-    _project(list(moved.items()), index.plan, moved)
-    touched = set()
-    index.last_unseen_added = index._move(moved, touched)
-    index._rescore(touched)
+    index.last_unseen_added = index._update(moved)
     index.last_sites_rechecked = len(reread)
     return sites
 
 
-def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> None:
+def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> dict[Rule, RuleScore]:
     """Compare the whole index with the reference trainer's recount.
 
     Independent of the update code, and checked in code space: the decode
@@ -486,20 +486,20 @@ def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> None:
     each sentence and after the last, and ``starts`` must match; the key
     counters must equal ``trainer_naive.count_keys``, coded, and
     ``links_total`` their sum.  Every rule ``score_keys`` admits is named
-    ``(key_of(rule), to code)``, and the candidate names and their scores,
-    read off the stored counters, must be exactly those names and the
-    recount's scores; ``candidates`` must be their number.  So each
-    ``Rule`` is built once, by the recount, and only a key that differs is
-    decoded, for its message.  Each listed entry must sit under a live key,
-    carry its name's rule and ``rule_order``, and store the recount's net
-    score, at least 1; every net-positive rule must be listed; and the draw
-    list must hold exactly the listed entries, the same objects, in
-    rule_order.  A site matches a rule exactly when its key is the rule's,
-    so the recount's scores are those of matching every rule at every
-    site, at a cost linear in tokens times position sets.  ``rules`` is
-    ``score_keys``'s memo of the recount's own rules, kept over one run's
-    passes, so it holds nothing read from the index.  Raises AuditError on
-    the first discrepancy.
+    ``(key_of(rule), to code)``, and ``scored()``, the names and scores the
+    index hands out, must be exactly those names and the recount's scores;
+    ``candidates`` must be their number.  So each ``Rule`` is built once,
+    by the recount, and only a key that differs is decoded, for its
+    message.  Each listed entry must sit under a live key, carry its name's
+    rule and ``rule_order``, and store the recount's net score, at least 1;
+    every net-positive rule must be listed; and the draw list must hold
+    exactly the listed entries, the same objects, in rule_order.  A site
+    matches a rule exactly when its key is the rule's, so the recount's
+    scores are those of matching every rule at every site, at a cost
+    linear in tokens times position sets.  ``rules`` is ``score_keys``'s
+    memo of the recount's own rules, kept over one run's passes, so it
+    holds nothing read from the index.  Returns the recount's scores, and
+    raises AuditError on the first discrepancy.
     """
     psets = index.psets
     sentences = corpus.sentences
@@ -544,13 +544,7 @@ def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> None:
     scored = score_keys(counters, psets, rules)
     oracle = {(index.key_of(rule), codes[rule.to]): rule for rule in scored}
     recounted = {name: scored[rule] for name, rule in oracle.items()}
-    none = codes[None]
-    have = {}
-    for key, counts in index.keys.items():
-        neg, total = counts.get(key[1], 0), sum(counts.values())
-        for to, pos in counts.items():
-            if to != key[1] and to != none:
-                have[key, to] = RuleScore(pos, neg, total - pos - neg)
+    have = dict(index.scored())
     if have != recounted:
         name = next(n for n in have.keys() | recounted.keys() if have.get(n) != recounted.get(n))
         rule = oracle[name] if name in oracle else index._rule(*name)
@@ -596,6 +590,7 @@ def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> None:
                 f"draw list entry {i} is {have.rule.canonical!r},"
                 f" wanted the listed {rule.canonical!r}"
             )
+    return scored
 
 
 def train_incremental(
@@ -611,11 +606,13 @@ def train_incremental(
 
     Output-equivalent to train_naive under the same config and seed, and
     so are its ``on_rule`` calls; the curve is the same accuracy column.
-    With ``audit`` the index is recounted after setup and every pass, and
-    each pass's sites must be the ones ``rules.find_sites`` matches before
-    it.  audit_log, when given, receives one row of ints per pass, in the
-    columns of AUDIT_LOG_COLUMNS.  Each pass's sites are rewritten in the
-    corpus, which ends with the tags the model's replay gives it.
+    With ``audit`` the index is recounted after setup and every pass; each
+    pick, or stop, must be the one ``training.select`` makes from the last
+    recount with the same rng state, and each pass's sites must be the ones
+    ``rules.find_sites`` matches before it.  audit_log, when given,
+    receives one row of ints per pass, in the columns of AUDIT_LOG_COLUMNS.
+    Each pass's sites are rewritten in the corpus, which ends with the tags
+    the model's replay gives it.
     """
     if config is None:
         config = TrainerConfig()
@@ -659,19 +656,28 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
     n = index.n_tokens
     rng = random.Random(config.rng_seed)
     rules = {}  # the audit's score_keys memo: each recounted rule is built once
-    if audit:
-        verify_index(index, corpus, rules)
+    recount = verify_index(index, corpus, rules) if audit else None
 
     learned: list[Rule] = []
     trace: list[TraceRecord] = []
     acc = accuracy_of(n, errors)
     curve = [acc]
     while config.max_passes is None or len(learned) < config.max_passes:
+        pass_no = len(learned) + 1
+        if audit:  # select picks from the last recount, drawing from a copy of the rng
+            oracle = random.Random()
+            oracle.setstate(rng.getstate())
+            want = select(recount.items(), config, oracle)
         picked = index.pick(config, rng)
+        if audit and picked != want:
+            raise AuditError(
+                f"pass {pass_no}: the index picks {_named(picked)}, select picks {_named(want)}"
+            )
+        if audit and rng.getstate() != oracle.getstate():
+            raise AuditError(f"pass {pass_no}: the pick drew from the rng as select does not")
         if picked is None:
             break
         rule, sc = picked
-        pass_no = len(learned) + 1
         # the rewrite stops at the site count its key's counter holds, so
         # the audit checks the sites against the oracle's match
         matched = find_sites(rule, corpus) if audit else None
@@ -691,7 +697,7 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
         trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, acc))
         curve.append(acc)
         if audit:
-            verify_index(index, corpus, rules)
+            recount = verify_index(index, corpus, rules)
             actual = error_count(corpus)
             if errors != actual:
                 raise AuditError(
@@ -701,3 +707,8 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
             audit_log.append((pass_no, index.candidates, len(index.keys),
                               index.last_unseen_added, index.last_sites_rechecked))
     return Model(lexicon, learned, config), trace, curve
+
+
+def _named(picked) -> str:
+    """A pick, a rule and its score or None, as an audit message names it."""
+    return "no rule" if picked is None else f"{picked[0].canonical!r} at {picked[1]}"

@@ -254,6 +254,18 @@ def test_exit_1_on_deps_out_without_deps(tmp_path, chain, capsys, source):
     assert not deps.exists() and not (tmp_path / "m.model").exists()
 
 
+def test_train_that_fails_in_a_report_writes_no_file(tmp_path, chain, monkeypatch):
+    # the report is built before the model is saved
+    def fails(links, include_pass=True):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("tbltag.dependency.dependency_report", fails)
+    with pytest.raises(RecursionError):
+        main(["train", "--corpus", str(chain), "--default-tag", "Z", "--deps",
+              "-o", str(tmp_path / "m.model")])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["chain.txt"]
+
+
 def test_train_explicit_output_paths(tmp_path, chain):
     trace = tmp_path / "t.tsv"
     curve = tmp_path / "c.tsv"

@@ -221,3 +221,23 @@ def test_collect_classes_counts_and_order():
 def test_report_without_changes():
     report = dependency_report({})
     assert report == "sites-changed\t0\nmulti-node-sites\t0\nleverage\t0.0\n"
+
+
+def test_a_chain_deeper_than_the_recursion_limit_is_keyed_rendered_and_reported():
+    # one rule fixing one more site each pass, each site's node built on its
+    # left neighbour's: twice Python's default recursion limit.  The memo
+    # holds every level's key, so the depth costs its square in characters.
+    depth = 2_000
+    node = None
+    for pass_no in range(1, depth + 1):
+        node = DependencyNode(R1, pass_no, {} if node is None else {-1: node})
+    head = "A>B @ -1:X"
+    assert canonical_key(node) == "".join(
+        f"{head}|{p}(-1:" for p in range(depth, 1, -1)) + f"{head}|1()" + ")" * (depth - 1)
+    lines = render_tree(node)
+    assert len(lines) == depth
+    assert lines[0] == f"{1 - depth:+d}: — X A/B — — (1)"
+    assert lines[-1] == f"0: — X A/B — — ({depth})"
+    report = dependency_report({(0, depth - 1): node})
+    assert report.startswith("sites-changed\t1\nmulti-node-sites\t1\n")
+    assert report.endswith("\n\nx1\n" + "".join(line + "\n" for line in lines))

@@ -33,7 +33,8 @@ from tbltag.rules import (
     position_sets,
     tag_codes,
 )
-from tbltag.synth import ChainSpec, markov_corpus
+from tbltag import trainer_incremental
+from tbltag.synth import ChainSpec, markov_corpus, random_family_corpus
 from tbltag.trainer_incremental import (
     AUDIT_LOG_COLUMNS,
     AuditError,
@@ -646,6 +647,66 @@ def test_audit_catches_a_rewrite_that_stops_short(monkeypatch):
     with pytest.raises(AuditError, match=r"pass 1 rewrote 2 sites of 'MD>NN @ -1:DT',"
                                          r" find_sites matched 3"):
         train_incremental(parse_corpus(text), lex_of(TOY_LEX, "NN"), cfg, audit=True)
+
+
+def _audited_family_run(config: TrainerConfig):
+    text, _ = random_family_corpus(0)
+    corpus = parse_corpus(text)
+    return train_incremental(corpus, build_lexicon(corpus, "T00"), config, audit=True)
+
+
+def test_audit_catches_a_wrong_score_the_index_hands_out(monkeypatch):
+    # pick writes this score to the trace: the model stays right
+    score = trainer_incremental._score
+
+    def one_more_neutral(counts, cur, to):
+        sc = score(counts, cur, to)
+        return RuleScore(sc.pos, sc.neg, sc.neut + 1)
+
+    monkeypatch.setattr(trainer_incremental, "_score", one_more_neutral)
+    with pytest.raises(AuditError, match="stored score .* != recounted"):
+        _audited_family_run(TrainerConfig())
+
+
+def test_audit_catches_a_greedy_pick_that_stops_at_the_threshold(monkeypatch):
+    # a stop one net score early: 11 rules where select learns 26
+    pick = TrainerIndex.pick
+
+    def stops_early(index, config, rng):
+        picked = pick(index, config, rng)
+        return None if picked is not None and picked[1].score == config.threshold else picked
+
+    monkeypatch.setattr(TrainerIndex, "pick", stops_early)
+    with pytest.raises(AuditError, match=r"pass 12: the index picks no rule, select picks '.+' at"):
+        _audited_family_run(TrainerConfig())
+
+
+def test_audit_catches_a_random_pick_of_the_neighbouring_entry(monkeypatch):
+    def neighbour(index, config, rng):
+        eligible = index.eligible
+        if not eligible:
+            return None
+        cand = eligible[(rng.randrange(len(eligible)) + 1) % len(eligible)]
+        return cand.rule, index.table[cand.rule]
+
+    monkeypatch.setattr(TrainerIndex, "pick", neighbour)
+    picks = r"pass 1: the index picks '.+' at RuleScore\(.+\), select picks '.+' at"
+    with pytest.raises(AuditError, match=picks):
+        _audited_family_run(TrainerConfig(strategy=Strategy.RANDOM))
+
+
+def test_audit_catches_a_pick_that_draws_from_the_rng_as_select_does_not(monkeypatch):
+    # the right rule, but the draws after it come from another rng state
+    pick = TrainerIndex.pick
+
+    def draws_twice(index, config, rng):
+        picked = pick(index, config, rng)
+        rng.random()
+        return picked
+
+    monkeypatch.setattr(TrainerIndex, "pick", draws_twice)
+    with pytest.raises(AuditError, match="pass 1: the pick drew from the rng as select does not"):
+        _audited_family_run(TrainerConfig(strategy=Strategy.RANDOM))
 
 
 def test_verify_index_catches_missing_draw_entry():
