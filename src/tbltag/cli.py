@@ -205,7 +205,10 @@ def _resolve_outputs(args) -> None:
 def _header(cmd: str, pairs: dict) -> str:
     lines = [f"# tbltag {cmd}"]
     for key in sorted(pairs):
-        lines.append(f"# {key}={pairs[key]}")
+        value = str(pairs[key])
+        if "".join(value.splitlines()) != value:  # a line break would end the header line
+            value = repr(value)
+        lines.append(f"# {key}={value}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,14 @@
 """Applying trained models and measuring accuracy curves.
 
-Replay runs the model's rules, compiled once (``rules.compile_rules``), as
-literal windows or patterns over the text coded one character per tag,
-through the one rule-replay loop ``rules.run_rules``.  ``tag`` codes a parsed
-Corpus and decodes the result into its tokens; ``tag_stream`` codes a text a
-chunk of lines at a time, builds no tokens, counts the errors left after
-each rule and hands each rule's sites to ``on_rule``, for the dependency
-report.  ``Tally.accuracies`` reads an accuracy column off the counts,
-pass ``n`` at index ``n``, the shape the trainers return their curve in,
-and ``training.curve_tsv`` writes the curve file from such columns.
+``tag`` is the plain replay, the oracle: the baseline, then
+``rules.apply_rule`` for each rule over a parsed Corpus.  ``tag_stream``,
+the fast replay checked against it, codes a text a chunk of lines at a
+time, one character per tag, runs the rules through ``rules.run_rules``
+compiled once per padding width, builds no tokens, counts the errors left
+after each rule and hands each rule's sites to ``on_rule``, for the
+dependency report.  ``Tally.accuracies`` reads an accuracy column off the
+counts, pass ``n`` at index ``n``, as the trainers return their curve, and
+``training.curve_tsv`` writes the curve file from such columns.
 """
 
 from __future__ import annotations
@@ -20,28 +20,21 @@ from itertools import accumulate, repeat
 from operator import ne, sub
 
 from .corpus import Corpus, Site, accuracy_of, baseline_assign, parse_lines
-from .rules import (PAD, Rule, code_corpus, compile_rules, join_padded, run_rules, sites_of,
+from .rules import (PAD, Rule, apply_rule, compile_rules, join_padded, run_rules, sites_of,
                     tag_codes)
 from .training import Model
 
 
 def tag(model: Model, corpus: Corpus) -> Corpus:
-    """Baseline-tag the corpus, then apply the model's rules in order.
+    """Baseline-tag the corpus, then apply each rule in order with ``rules.apply_rule``.
 
     Mutates and returns the given corpus; current tags are overwritten,
     truth tags (when present) are untouched.  Replaying a model over its
-    own training corpus reproduces the trainer's final tags exactly.  The
-    corpus is coded by ``rules.code_corpus`` for the rules' reach.
+    own training corpus reproduces the trainer's final tags exactly.
     """
     baseline_assign(corpus, model.lexicon)
-    codes = tag_codes(model.tagset())
-    reach = max((rule.span for rule in model.rules), default=0)
-    text, starts, width = code_corpus(corpus, codes, reach)
-    text = run_rules(compile_rules(model.rules, codes, width), text)
-    tag_of = {code: tag for tag, code in codes.items()}
-    for sent, start in zip(corpus.sentences, starts):
-        for tok, code in zip(sent, text[start : start + len(sent)]):
-            tok.current = tag_of[code]
+    for rule in model.rules:
+        apply_rule(rule, corpus)
     return corpus
 
 

@@ -7,11 +7,11 @@ a site's observation key under a template's offsets, together with its
 truth tag, is a rule that would fix it.
 
 ``find_sites`` and ``apply_rule`` match rules token by token; they are the
-oracle.  The fast path codes the corpus as one character per tag, its
-sentences joined by padding (``join_padded``), and matches each rule in
-that string: as a literal window found with ``str.find`` when its offsets
-and 0 form an unbroken run, as a look-around regular expression when the
-run has a gap.
+oracle, and ``evaluate.tag`` replays a model with them.  The fast path
+codes the corpus as one character per tag, its sentences joined by
+padding (``join_padded``), and matches each rule in that string: as a
+literal window found with ``str.find`` when its offsets and 0 form an
+unbroken run, as a look-around regular expression when the run has a gap.
 ``rewrite`` applies one rule, ``run_rules`` a compiled list of them.
 """
 
@@ -393,8 +393,8 @@ def run_rules(
 
     Each rule rewrites its hits as ``rewrite`` does.  After rule ``n``
     (from 0) has rewritten them, ``on_hits(n, hits)`` is called when given.
-    This is the one rule-replay loop: ``evaluate.tag`` and the streaming
-    tagger ``evaluate.tag_stream`` both run it.
+    This is the one compiled rule-replay loop, run only by ``evaluate.tag_stream``;
+    ``evaluate.tag`` is the per-token replay that it is checked against.
     """
     for n, (matcher, code) in enumerate(compiled):
         text, hits = _sub(matcher, code, text)

@@ -239,9 +239,12 @@ class TrainerIndex:
         """Each candidate's name ``(key, to code)`` and score, ``_score`` of its key's counter."""
         none = self.codes[None]
         for key, counts in self.keys.items():
+            if len(counts) == 1 and (key[1] in counts or none in counts):
+                continue  # no candidate, and no sum: score_keys skips such a key too
+            total = sum(counts.values())
             for to in counts:
                 if to != key[1] and to != none:
-                    yield (key, to), _score(counts, key[1], to)
+                    yield (key, to), _score(counts, key[1], to, total)
 
     @property
     def table(self) -> dict[Rule, RuleScore]:
@@ -271,7 +274,8 @@ class TrainerIndex:
                 return None
         else:
             cand = eligible[rng.randrange(len(eligible))]
-        return cand.rule, _score(self.keys[cand.key], cand.key[1], cand.to)
+        counts = self.keys[cand.key]
+        return cand.rule, _score(counts, cand.key[1], cand.to, sum(counts.values()))
 
     def _update(self, moved: dict) -> int:
         """Make moved's ``(key, truth code)`` moves of counted sets' keys, each nonzero one
@@ -365,10 +369,10 @@ class TrainerIndex:
                 del listed[key]
 
 
-def _score(counts: dict, cur: str, to: str) -> RuleScore:
-    """Candidate ``(key, to)``'s score off its key's counter; cur is the key's current code."""
+def _score(counts: dict, cur: str, to: str, total: int) -> RuleScore:
+    """Candidate ``(key, to)``'s score off its key's counter, of current code cur and sum total."""
     pos, neg = counts[to], counts.get(cur, 0)
-    return RuleScore(pos, neg, sum(counts.values()) - pos - neg)
+    return RuleScore(pos, neg, total - pos - neg)
 
 
 def init_index(corpus: Corpus, templates) -> TrainerIndex:

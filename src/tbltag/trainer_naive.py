@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 
 from .corpus import Corpus, Lexicon, accuracy, baseline_assign
-from .rules import Rule, RuleScore, find_sites, observe, position_sets
-from .training import Model, TraceRecord, TrainerConfig, apply_at_sites, select
+from .rules import Rule, RuleScore, apply_rule, observe, position_sets
+from .training import Model, TraceRecord, TrainerConfig, select
 
 
 def count_keys(corpus: Corpus, psets, span: int) -> dict[tuple, dict]:
@@ -86,11 +86,11 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
 
     Each pass scores every candidate with ``enumerate_candidates``, whose
     one memo for the run builds each rule once; applies the ``select``-ed
-    rule at its ``find_sites`` matches and calls ``on_rule(pass_no, rule,
-    sites)``, when given, as ``evaluate.tag_stream`` does.  The corpus is
-    left baseline-tagged then rewritten by the learned rules in order; the
-    curve is the accuracy column, the baseline's at index 0 and pass
-    ``n``'s at index ``n``.
+    rule with ``apply_rule`` and calls ``on_rule(pass_no, rule, sites)``,
+    when given, as ``evaluate.tag_stream`` does.  The corpus is left
+    baseline-tagged then rewritten by the learned rules in order, as
+    ``evaluate.tag`` rewrites it; the curve is the accuracy column, the
+    baseline's at index 0 and pass ``n``'s at index ``n``.
     """
     if config is None:
         config = TrainerConfig()
@@ -108,8 +108,7 @@ def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None =
             break
         rule, sc = picked
         pass_no = len(learned) + 1
-        sites = find_sites(rule, corpus)
-        apply_at_sites(corpus, rule, sites)
+        sites = apply_rule(rule, corpus)
         if on_rule is not None:
             on_rule(pass_no, rule, sites)
         learned.append(rule)

@@ -27,7 +27,7 @@ from .rules import (
     Rule,
     RuleScore,
     Template,
-    apply_at_sites,  # both trainers import it from here
+    apply_at_sites,  # the incremental trainer imports it from here
     decode_rule,
     display_rule,
     encodable_tag,

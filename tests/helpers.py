@@ -1,6 +1,10 @@
 """Shared builders for the test suite."""
 
-from tbltag.corpus import Corpus, Lexicon, Token, baseline_assign, parse_corpus
+import io
+
+from tbltag.corpus import (Corpus, Lexicon, Token, baseline_assign, parse_corpus, serialize_corpus,
+                           text_chunks)
+from tbltag.evaluate import tag, tag_stream
 from tbltag.rules import Rule, RuleScore, find_sites
 
 
@@ -11,6 +15,18 @@ def corpus_of(text: str) -> Corpus:
 def clone(corpus: Corpus) -> Corpus:
     """Fresh copy with current reset to truth."""
     return Corpus([[Token(t.word, t.truth, t.truth) for t in sent] for sent in corpus.sentences])
+
+
+def streamed(model, text: str, tagged: bool = True) -> str:
+    """The text tagged by the fast replay, ``evaluate.tag_stream``."""
+    out = io.StringIO()
+    tag_stream(model, text_chunks(text), out, tagged)
+    return out.getvalue()
+
+
+def replayed(model, text: str, tagged: bool = True) -> str:
+    """The text tagged by ``evaluate.tag``, the plain replay ``streamed`` is checked against."""
+    return serialize_corpus(tag(model, parse_corpus(text, tagged)), "current")
 
 
 def score_rule(rule: Rule, corpus: Corpus) -> RuleScore:

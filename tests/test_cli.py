@@ -17,12 +17,13 @@ import tbltag.corpus
 from tbltag.cli import main
 from tbltag.corpus import ParseError, build_lexicon, error_count, parse_corpus, serialize_corpus
 from tbltag.dependency import dependency_report, record_pass
-from tbltag.evaluate import tag
 from tbltag.rules import Rule
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import train_incremental
 from tbltag.training import (ModelFormatError, TraceRecord, TrainerConfig, curve_tsv, format_model,
                              parse_model, trace_tsv)
+
+from helpers import replayed
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -147,8 +148,7 @@ def test_offset_above_sys_maxsize_trains_saves_and_tags(tmp_path, capsys):
     raw.write_text(re.sub(r"/\S+", "", text))
     capsys.readouterr()
     assert main(["tag", "--model", str(models[0]), "--in", str(raw), "--raw"]) == 0
-    want = serialize_corpus(tag(model, parse_corpus(raw.read_text(), tagged=False)), "current")
-    assert capsys.readouterr().out == want
+    assert capsys.readouterr().out == replayed(model, raw.read_text(), tagged=False)
 
 
 def test_train_trace_content(tmp_path, chain):
@@ -177,6 +177,35 @@ def test_train_header_records_settings(tmp_path, chain):
     assert "# threshold=1\n" in head
     assert "# engine=incremental\n" in head
     assert "# deps=1\n" in head
+
+
+def _report_files(corpus, out):
+    """Every file train (with --deps and --audit-log), eval, curve and deps write."""
+    out.mkdir()
+    model = out / "m.model"
+    assert main(["train", "--corpus", str(corpus), "--default-tag", "Z", "--templates", "-1",
+                 "--threshold", "1", "--deps", "--audit-log", str(out / "audit.tsv"),
+                 "-o", str(model)]) == 0
+    for cmd, flag in (("eval", "--corpus"), ("curve", "--train"), ("deps", "--corpus")):
+        assert main([cmd, "--model", str(model), flag, str(corpus), "-o", str(out / cmd)]) == 0
+    return {path.name: path.read_text() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("name", ["c\norp.txt", "c\u2028orp.txt"], ids=["LF", "LS"])
+def test_line_break_in_a_path_stays_in_its_header_line(tmp_path, chain, capsys, name):
+    # str.splitlines would split the path, so its header value is its repr
+    odd = tmp_path / name
+    odd.write_text(CHAIN)
+    plain = _report_files(chain, tmp_path / "plain")
+    got = _report_files(odd, tmp_path / "odd")
+    assert got.keys() == plain.keys() and len(got) == 8
+    for fname, text in got.items():
+        body = _body(plain[fname])
+        assert text.endswith(body), fname
+        header = text[: len(text) - len(body)]
+        assert all(line.startswith("#") for line in header.splitlines()), fname
+        if header:
+            assert f"={str(odd)!r}\n" in header, fname
 
 
 def test_train_test_corpus_curve_column(tmp_path, chain):

@@ -29,7 +29,7 @@ from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_naive import train_naive
 from tbltag.training import Model, TrainerConfig, curve_tsv
 
-from helpers import TOY_LEX, TOY_TEXT, clone, lex_of
+from helpers import TOY_LEX, TOY_TEXT, clone, lex_of, streamed
 
 T2 = parse_template_spec("-1; +1")
 
@@ -80,9 +80,7 @@ def test_tag_replays_training_exactly():
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
     replay = tag(model, clone(corpus))
     assert replay == corpus
-    assert serialize_corpus(replay, which="current") == serialize_corpus(
-        corpus, which="current"
-    )
+    assert streamed(model, TOY_TEXT) == serialize_corpus(replay, "current")
 
 
 @given(seed=st.integers(0, 10**6))
@@ -95,10 +93,13 @@ def test_tag_replay_property(seed):
         ambiguous_words=rng.randint(3, 8),
         structure_seed=rng.randrange(2**20),
     )
-    corpus = parse_corpus(markov_corpus(spec, draw_seed=rng.randrange(2**20), n_tokens=150))
+    text = markov_corpus(spec, draw_seed=rng.randrange(2**20), n_tokens=150)
+    corpus = parse_corpus(text)
     lex = build_lexicon(corpus, "T00")
     model, _, _ = train_naive(corpus, lex, TrainerConfig(templates=T2, threshold=1))
-    assert tag(model, clone(corpus)) == corpus
+    replay = tag(model, clone(corpus))
+    assert replay == corpus
+    assert streamed(model, text) == serialize_corpus(replay, "current")
 
 
 # Every regex metacharacter as a tag, and enough further tags that the
@@ -185,8 +186,9 @@ def test_replay_matches_apply_rule_adversarial(case):
         (pass_no, rule, apply_rule(rule, expected))
         for pass_no, rule in enumerate(model.rules, start=1)
     ]
-    assert tag(model, fresh()) == expected
     text = "".join(" ".join(f"{w}/{t}" for w, t in sent) + "\n" for sent in sentences)
+    assert tag(model, fresh()) == expected
+    assert streamed(model, text) == serialize_corpus(expected, "current")
     for chunks in _chunkings(text):
         assert _streamed_sites(model, chunks) == expected_sites
 
@@ -200,8 +202,10 @@ def test_replay_codes_beyond_latin1():
     lexicon = build_lexicon(parse_corpus(gold), "Z")
     rules = [Rule(tags[i], "Z", [(-2, tags[i - 2])]) for i in range(599, 1, -1)]
     model = Model(lexicon, rules)
-    got = tag(model, parse_corpus(" ".join(f"w{i}" for i in range(600)) + "\n", tagged=False))
+    raw = " ".join(f"w{i}" for i in range(600)) + "\n"
+    got = tag(model, parse_corpus(raw, tagged=False))
     assert [t.current for t in got.sentences[0]] == tags[:2] + ["Z"] * 598
+    assert streamed(model, raw, tagged=False) == serialize_corpus(got, "current")
     got_sites = [site for _, _, sites in _streamed_sites(model, text_chunks(gold)) for site in sites]
     assert got_sites == [(0, i) for i in range(599, 1, -1)]
 
@@ -211,6 +215,7 @@ def test_tag_unknown_words_get_default():
     model, _, _ = train_naive(corpus, lex_of(TOY_LEX, "NN"), TrainerConfig(threshold=2))
     out = tag(model, parse_corpus("frobnicate\n", tagged=False))
     assert out.sentences[0][0].current == "NN"
+    assert streamed(model, "frobnicate\n", tagged=False) == serialize_corpus(out, "current")
 
 
 # Line breaks str.splitlines honours but iterating over a file's lines

@@ -3,21 +3,21 @@
 Every corpus of at most three tokens over the words ``a`` and ``b`` and
 the tags ``X``, ``Y`` and ``Z``, in every split into sentences, is
 trained under four configs.  Templates that reach past every sentence
-make each corpus a padding test too.
+make each corpus a padding test too.  CI's "Small-scope run" makes the
+same per-corpus checks, ``check_engines_agree``, up to five tokens.
 """
 
-import io
 from itertools import product
 
 import pytest
 
-from tbltag.corpus import (baseline_assign, build_lexicon, count_tagged, lexicon_of, parse_corpus,
-                           serialize_corpus, text_chunks)
-from tbltag.evaluate import tag_stream
-from tbltag.rules import apply_rule, parse_template_spec
+from tbltag.corpus import build_lexicon, count_tagged, lexicon_of, parse_corpus, text_chunks
+from tbltag.rules import parse_template_spec
 from tbltag.trainer_incremental import train_incremental, train_text
 from tbltag.trainer_naive import train_naive
 from tbltag.training import Strategy, TrainerConfig, format_model, parse_model
+
+from helpers import replayed, streamed
 
 ITEMS = [f"{word}/{tag}" for word in "ab" for tag in "XYZ"]
 
@@ -46,23 +46,22 @@ def test_small_corpora_are_every_corpus_up_to_mirror_images():
     assert not {text.translate(mirror) for text in corpora} & set(corpora)
 
 
+def check_engines_agree(text: str, config: TrainerConfig) -> None:
+    """Both engines learn the same model, trace and curve from the corpus, audited;
+    the model round-trips, and ``tag_stream`` replays it as ``evaluate.tag`` does."""
+    lexicon = lexicon_of(count_tagged(text_chunks(text)), "X")
+    model, trace, curve = train_text(text, lexicon, config, audit=True)
+    naive, naive_trace, naive_curve = train_naive(parse_corpus(text), lexicon, config)
+    written = format_model(model)
+    assert (written, trace, curve) == (format_model(naive), naive_trace, naive_curve), text
+    assert format_model(parse_model(written)) == written, text
+    assert streamed(model, text) == replayed(model, text), text
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_engines_agree_on_every_small_corpus(name):
-    config = CONFIGS[name]
     for text in small_corpora():
-        lexicon = lexicon_of(count_tagged(text_chunks(text)), "X")
-        model, trace, curve = train_text(text, lexicon, config, audit=True)
-        naive, naive_trace, naive_curve = train_naive(parse_corpus(text), lexicon, config)
-        written = format_model(model)
-        assert (written, trace, curve) == (format_model(naive), naive_trace, naive_curve), text
-        assert format_model(parse_model(written)) == written, text
-        out = io.StringIO()
-        tag_stream(model, text_chunks(text), out, tagged=True)
-        replay = parse_corpus(text)
-        baseline_assign(replay, lexicon)
-        for rule in model.rules:
-            apply_rule(rule, replay)
-        assert out.getvalue() == serialize_corpus(replay, "current"), text
+        check_engines_agree(text, CONFIGS[name])
 
 
 @pytest.mark.parametrize("name", CONFIGS)

@@ -18,6 +18,7 @@ from tbltag.corpus import (
     error_count,
     lexicon_of,
     parse_corpus,
+    serialize_corpus,
     text_chunks,
 )
 from tbltag.dependency import dependency_report, record_pass
@@ -50,7 +51,7 @@ from tbltag.trainer_incremental import (
 from tbltag.trainer_naive import count_keys, enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, format_model, select, trace_tsv
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule
+from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule, streamed
 
 T1 = parse_template_spec("-1")
 T3 = parse_template_spec("-1; +1; -1,+1")
@@ -659,8 +660,8 @@ def test_audit_catches_a_wrong_score_the_index_hands_out(monkeypatch):
     # pick writes this score to the trace: the model stays right
     score = trainer_incremental._score
 
-    def one_more_neutral(counts, cur, to):
-        sc = score(counts, cur, to)
+    def one_more_neutral(counts, cur, to, total):
+        sc = score(counts, cur, to, total)
         return RuleScore(sc.pos, sc.neg, sc.neut + 1)
 
     monkeypatch.setattr(trainer_incremental, "_score", one_more_neutral)
@@ -849,8 +850,10 @@ def test_engine_equivalence_with_deps():
         assert mn.rules == mi.rules
         assert stream_n == stream_i
         assert dependency_report(links_n) == dependency_report(links_i)
-        replayed = tag(mi, clone(corpus_i))
-        assert replayed == corpus_i
+        replay = tag(mi, clone(corpus_i))
+        assert replay == corpus_i
+        gold = serialize_corpus(replay, "truth")
+        assert streamed(mi, gold) == serialize_corpus(replay, "current")
 
     codes = tag_codes(mi.tagset())
     used = {codes[t] for rule in mi.rules for t in (rule.frm, rule.to, *dict(rule.ctx).values())}
