@@ -57,6 +57,9 @@ class _Parser(argparse.ArgumentParser):
 # Options that are plain switches; config files give them true/false values.
 _BOOL_OPTIONS = {"deps", "raw", "audit", "errored-only", "no-pass-in-key"}
 
+# Columns of the audit log: a trace record's pass and the index's counts after it.
+AUDIT_LOG_COLUMNS = ("pass", "candidates", "keys", "new_keys", "sites_rechecked")
+
 
 def _read_config_file(path: str) -> list[str]:
     """Turn key=value lines into an argv fragment the flags can override."""
@@ -257,18 +260,14 @@ def _cmd_train(args) -> int:
         record_deps=args.deps,
     )
 
-    audit_log = None if args.audit_log is None else []
-    links = {}
-    on_rule = partial(record_pass, links) if args.deps else None
     if naive:
         from .trainer_naive import train_naive
 
-        model, trace, curve = train_naive(parse_corpus(text), lexicon, config, on_rule)
+        model, trace, curve = train_naive(parse_corpus(text), lexicon, config)
     else:
-        from .trainer_incremental import AUDIT_LOG_COLUMNS, train_text
+        from .trainer_incremental import train_text
 
-        model, trace, curve = train_text(text, lexicon, config, audit_log, on_rule,
-                                         audit=args.audit)
+        model, trace, curve = train_text(text, lexicon, config, audit=args.audit)
 
     effective = {
         **dict(config_pairs(config)),
@@ -289,9 +288,13 @@ def _cmd_train(args) -> int:
         (args.curve, curve_tsv(curve, test_acc)),
     ]
     if args.deps:
+        links = {}
+        for r in trace:
+            record_pass(links, r.pass_no, r.rule, r.sites)
         reports.append((args.deps_out, dependency_report(links)))
-    if audit_log is not None:  # refused above for the naive engine
-        reports.append((args.audit_log, tsv([AUDIT_LOG_COLUMNS, *audit_log])))
+    if args.audit_log is not None:  # refused above for the naive engine
+        rows = [(r.pass_no, r.candidates, r.keys, r.new_keys, r.sites_rechecked) for r in trace]
+        reports.append((args.audit_log, tsv([AUDIT_LOG_COLUMNS, *rows])))
     header = _header("train", effective)
     with _writing(args.model):
         save_model(model, args.model)

@@ -3,8 +3,8 @@
 Every tag change gets an immutable node naming the rule and the training
 pass.  A node's children are the previous node at the same site (offset 0)
 and the nodes at the rule's context offsets, all read as they stood before
-the pass began.  ``partial(record_pass, links)``, the ``on_rule`` of the
-trainers and of ``evaluate.tag_stream``, keeps each site's most recent node
+the pass began.  ``record_pass``, called per record of a training trace or
+as the ``on_rule`` of ``evaluate.tag_stream``, keeps each site's latest node
 in the dict ``links``, so the final links form per-site trees (really DAGs,
 since a node can be shared) whose shapes show how rules fed each other.
 """
@@ -143,8 +143,8 @@ def collect_classes(links: Links, include_pass: bool = True) -> list[TreeClass]:
 def dependency_report(links: Links, include_pass: bool = True) -> str:
     """Text report of the links: change counts, leverage, and every tree class.
 
-    The links are those ``partial(record_pass, links)`` kept over a whole
-    run; ``{}`` reports no change, so the caller makes sure it recorded.
+    The links are those ``record_pass`` kept over a whole run; ``{}``
+    reports no change, so the caller makes sure it recorded.
     """
     classes = collect_classes(links, include_pass)
     changed = sum(tc.count for tc in classes)

@@ -22,8 +22,8 @@ and the second codes each item whole from an item -> codes table, with
 sentence ends carried by an item that no valid text holds.  A
 ``Corpus`` is kept, and each pass's sites written to it, only for
 ``train_incremental`` and the audit, which reads tokens: an audited
-``train_text`` parses the text for it.  Dependency links are recorded
-by ``on_rule`` from the sites.
+``train_text`` parses the text for it.  Dependency links are read off
+the sites each trace record keeps.
 
 Rules are applied to the coded current tags by ``rules.rewrite``, the
 step of the one replay loop ``rules.run_rules``: a literal window
@@ -66,7 +66,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import attrgetter, itemgetter, ne
 
 from .corpus import (
@@ -84,10 +84,6 @@ from .rules import (PAD, Rule, RuleScore, code_corpus, find_sites, join_padded, 
 from .trainer_naive import count_keys, score_keys
 from .training import (Model, Strategy, TraceRecord, TrainerConfig, apply_at_sites, rule_order,
                        select)
-
-
-# Columns of the per-pass rows train_incremental appends to its audit_log.
-AUDIT_LOG_COLUMNS = ("pass", "candidates", "keys", "new_keys", "sites_rechecked")
 
 
 class AuditError(AssertionError):
@@ -597,43 +593,29 @@ def verify_index(index: TrainerIndex, corpus: Corpus, rules=None) -> dict[Rule, 
     return scored
 
 
-def train_incremental(
-    corpus: Corpus,
-    lexicon: Lexicon,
-    config: TrainerConfig | None = None,
-    audit_log: list[tuple[int, ...]] | None = None,
-    on_rule=None,
-    *,
-    audit: bool = False,
-):
+def train_incremental(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None, *,
+                      audit: bool = False):
     """Train on a gold corpus; returns (model, trace, curve).
 
-    Output-equivalent to train_naive under the same config and seed, and
-    so are its ``on_rule`` calls; the curve is the same accuracy column.
-    With ``audit`` the index is recounted after setup and every pass; each
+    Output-equivalent to train_naive under the same config and seed: the
+    traces compare equal, sites too, and each record also carries the
+    index's counts after its pass, the audit log's columns.  With
+    ``audit`` the index is recounted after setup and every pass; each
     pick, or stop, must be the one ``training.select`` makes from the last
     recount with the same rng state, and each pass's sites must be the ones
-    ``rules.find_sites`` matches before it.  audit_log, when given,
-    receives one row of ints per pass, in the columns of AUDIT_LOG_COLUMNS.
-    Each pass's sites are rewritten in the corpus, which ends with the tags
-    the model's replay gives it.
+    ``rules.find_sites`` matches before it.  Each pass's sites are
+    rewritten in the corpus, which ends with the tags the model's replay
+    gives it.
     """
     if config is None:
         config = TrainerConfig()
     errors = baseline_assign(corpus, lexicon)
     index = init_index(corpus, config.templates)
-    return _train(index, errors, lexicon, config, audit, audit_log, corpus, on_rule)
+    return _train(index, errors, lexicon, config, audit, corpus)
 
 
-def train_text(
-    text: str,
-    lexicon: Lexicon,
-    config: TrainerConfig | None = None,
-    audit_log: list[tuple[int, ...]] | None = None,
-    on_rule=None,
-    *,
-    audit: bool = False,
-):
+def train_text(text: str, lexicon: Lexicon, config: TrainerConfig | None = None, *,
+               audit: bool = False):
     """``train_incremental`` of ``parse_corpus(text)``, reading the text straight into codes.
 
     The lexicon must hold the text's own counts (``corpus.count_tagged``),
@@ -650,24 +632,21 @@ def train_text(
     corpus = parse_corpus(text) if audit else None
     if corpus is not None:
         baseline_assign(corpus, lexicon)
-    return _train(index, errors, lexicon, config, audit, audit_log, corpus, on_rule)
+    return _train(index, errors, lexicon, config, audit, corpus)
 
 
 def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerConfig,
-           audit: bool, audit_log: list[tuple[int, ...]] | None, corpus: Corpus | None,
-           on_rule):
+           audit: bool, corpus: Corpus | None):
     """The passes over a fresh index whose current tags make ``errors`` errors."""
     n = index.n_tokens
     rng = random.Random(config.rng_seed)
     rules = {}  # the audit's score_keys memo: each recounted rule is built once
     recount = verify_index(index, corpus, rules) if audit else None
 
-    learned: list[Rule] = []
     trace: list[TraceRecord] = []
-    acc = accuracy_of(n, errors)
-    curve = [acc]
-    while config.max_passes is None or len(learned) < config.max_passes:
-        pass_no = len(learned) + 1
+    baseline = accuracy_of(n, errors)
+    while config.max_passes is None or len(trace) < config.max_passes:
+        pass_no = len(trace) + 1
         if audit:  # select picks from the last recount, drawing from a copy of the rng
             oracle = random.Random()
             oracle.setstate(rng.getstate())
@@ -689,17 +668,18 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
         if audit and sites != matched:
             raise AuditError(
                 f"pass {pass_no} rewrote {len(sites)} sites of {rule.canonical!r},"
-                f" find_sites matched {len(matched)}"
+                f" find_sites matched {len(matched)}; {_first_of_one(sites, matched)}"
             )
-        if on_rule is not None:
-            on_rule(pass_no, rule, sites)
         # Matches were classified before the rewrite, so the error count
-        # moves by exactly the net score.
+        # moves by exactly the net score.  It falls below 0 only when the
+        # rewrite changed other sites than those scored, and then the
+        # unaudited passes might never end.
         errors -= sc.score
-        acc = accuracy_of(n, errors)
-        learned.append(rule)
-        trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, acc))
-        curve.append(acc)
+        if errors < 0:
+            raise AssertionError(f"pass {pass_no}: tracked error count fell below 0, to {errors}")
+        trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, accuracy_of(n, errors),
+                                 sites, index.candidates, len(index.keys),
+                                 index.last_unseen_added, index.last_sites_rechecked))
         if audit:
             recount = verify_index(index, corpus, rules)
             actual = error_count(corpus)
@@ -707,10 +687,16 @@ def _train(index: TrainerIndex, errors: int, lexicon: Lexicon, config: TrainerCo
                 raise AuditError(
                     f"tracked error count {errors} != recount {actual} after pass {pass_no}"
                 )
-        if audit_log is not None:
-            audit_log.append((pass_no, index.candidates, len(index.keys),
-                              index.last_unseen_added, index.last_sites_rechecked))
-    return Model(lexicon, learned, config), trace, curve
+    curve = [baseline, *(r.train_accuracy_after for r in trace)]
+    return Model(lexicon, [r.rule for r in trace], config), trace, curve
+
+
+def _first_of_one(sites: list[Site], matched: list[Site]) -> str:
+    """The first site, in corpus order, that only one of two sorted site lists holds."""
+    got, want = next(pair for pair in zip_longest(sites, matched) if pair[0] != pair[1])
+    if want is None or (got is not None and got < want):
+        return f"site {got} was rewritten, not matched"
+    return f"site {want} was matched, not rewritten"
 
 
 def _named(picked) -> str:

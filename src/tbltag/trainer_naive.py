@@ -80,39 +80,33 @@ def enumerate_candidates(corpus: Corpus, templates, rules=None) -> dict[Rule, Ru
     return score_keys(count_keys(corpus, psets, max(t.span for t in templates)), psets, rules)
 
 
-def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None,
-                on_rule=None):
+def train_naive(corpus: Corpus, lexicon: Lexicon, config: TrainerConfig | None = None):
     """Train on a gold corpus; returns (model, trace, curve).
 
     Each pass scores every candidate with ``enumerate_candidates``, whose
-    one memo for the run builds each rule once; applies the ``select``-ed
-    rule with ``apply_rule`` and calls ``on_rule(pass_no, rule, sites)``,
-    when given, as ``evaluate.tag_stream`` does.  The corpus is left
-    baseline-tagged then rewritten by the learned rules in order, as
-    ``evaluate.tag`` rewrites it; the curve is the accuracy column, the
-    baseline's at index 0 and pass ``n``'s at index ``n``.
+    one memo for the run builds each rule once, and applies the
+    ``select``-ed rule with ``apply_rule``, whose sites its trace record
+    keeps.  The corpus is left baseline-tagged then rewritten by the
+    learned rules in order, as ``evaluate.tag`` rewrites it.  The model's
+    rules are the trace's, and the curve is the baseline accuracy followed
+    by each record's.
     """
     if config is None:
         config = TrainerConfig()
     baseline_assign(corpus, lexicon)
     rng = random.Random(config.rng_seed)
 
-    learned: list[Rule] = []
     trace: list[TraceRecord] = []
-    curve = [accuracy(corpus)]
+    baseline = accuracy(corpus)
     rules: dict[tuple, dict[str, Rule]] = {}
-    while config.max_passes is None or len(learned) < config.max_passes:
+    while config.max_passes is None or len(trace) < config.max_passes:
         candidates = enumerate_candidates(corpus, config.templates, rules)
         picked = select(candidates.items(), config, rng)
         if picked is None:
             break
         rule, sc = picked
-        pass_no = len(learned) + 1
         sites = apply_rule(rule, corpus)
-        if on_rule is not None:
-            on_rule(pass_no, rule, sites)
-        learned.append(rule)
-        a = accuracy(corpus)
-        trace.append(TraceRecord(pass_no, rule, sc.pos, sc.neg, sc.neut, a))
-        curve.append(a)
-    return Model(lexicon, learned, config), trace, curve
+        trace.append(TraceRecord(len(trace) + 1, rule, sc.pos, sc.neg, sc.neut,
+                                 accuracy(corpus), sites))
+    curve = [baseline, *(r.train_accuracy_after for r in trace)]
+    return Model(lexicon, [r.rule for r in trace], config), trace, curve

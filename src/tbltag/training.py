@@ -1,11 +1,10 @@
 """Shared training machinery: configuration, selection, report tables, model files.
 
 Both trainers (the per-pass rescanning one and the incremental one) select
-rules the same way, emit the same trace records and accuracy column, and
-produce the same Model, so a given corpus, config, and seed yield
-identical results from either engine.  Every report table (trace, curve,
-audit log, ``tbltag eval``'s body, the dependency report's counts) is
-written by ``tsv``.
+rules the same way and return the same trace, one ``TraceRecord`` per
+pass, and the Model and accuracy column read off it, so a given corpus,
+config, and seed yield identical results from either engine.  Every report table (trace, curve, audit log, ``tbltag eval``'s
+body, the dependency report's counts) is written by ``tsv``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
 
-from .corpus import BOUNDARY, Lexicon
+from .corpus import BOUNDARY, Lexicon, Site
 from .rules import (
     DEFAULT_TEMPLATES,
     DecodeError,
@@ -57,7 +56,7 @@ class TrainerConfig:
     strategy: Strategy = Strategy.GREEDY
     rng_seed: int = 0
     max_passes: int | None = None
-    record_deps: bool = False  # marks the model for `tbltag deps`; on_rule records links
+    record_deps: bool = False  # marks the model for `tbltag deps`; links are read off the trace
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -70,7 +69,13 @@ class TrainerConfig:
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One selected rule with its score at selection time."""
+    """One pass: the selected rule, its score at selection time, the accuracy
+    after it and the sites it changed, in corpus order; a run's one per-pass record.
+
+    The last four fields, the audit log's, are the incremental index's counts
+    after the pass.  The naive engine leaves them None, and they take no part
+    in equality, so the two engines' traces compare equal.
+    """
 
     pass_no: int
     rule: Rule
@@ -78,6 +83,11 @@ class TraceRecord:
     neg: int
     neut: int
     train_accuracy_after: float
+    sites: list[Site]
+    candidates: int | None = field(default=None, compare=False)
+    keys: int | None = field(default=None, compare=False)
+    new_keys: int | None = field(default=None, compare=False)
+    sites_rechecked: int | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)

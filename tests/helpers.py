@@ -4,6 +4,7 @@ import io
 
 from tbltag.corpus import (Corpus, Lexicon, Token, baseline_assign, parse_corpus, serialize_corpus,
                            text_chunks)
+from tbltag.dependency import record_pass
 from tbltag.evaluate import tag, tag_stream
 from tbltag.rules import Rule, RuleScore, find_sites
 
@@ -48,6 +49,19 @@ def node_count(node) -> int:
             seen.add(id(node))
             stack.extend(node.children.values())
     return len(seen)
+
+
+def links_of(trace) -> dict:
+    """The dependency links of a training run, ``record_pass`` of each trace record in turn."""
+    links = {}
+    for r in trace:
+        record_pass(links, r.pass_no, r.rule, r.sites)
+    return links
+
+
+def stream_of(trace) -> list:
+    """Each pass's ``(pass_no, rule, sites)``, as the dependency layer reads a trace."""
+    return [(r.pass_no, r.rule, r.sites) for r in trace]
 
 
 def lex_of(mapping: dict[str, str], default: str) -> Lexicon:

@@ -22,11 +22,10 @@ helper code:
 
 import random
 import time
-from functools import partial
 
 import pytest
 
-from helpers import clone, lex_of, node_count, replayed, streamed
+from helpers import clone, lex_of, links_of, node_count, replayed, streamed
 from tbltag.corpus import (
     baseline_assign,
     build_lexicon,
@@ -35,7 +34,7 @@ from tbltag.corpus import (
     serialize_corpus,
     text_chunks,
 )
-from tbltag.dependency import collect_classes, record_pass
+from tbltag.dependency import collect_classes
 from tbltag.evaluate import tag_stream
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
@@ -334,8 +333,8 @@ def test_criterion_8_dependency_shapes():
     chain = parse_corpus("a/DT b/X c/Y\n")
     lex = lex_of({"a": "DT", "b": "P", "c": "Q"}, "Z")
     cfg = TrainerConfig(templates=parse_template_spec("-1"), threshold=1, record_deps=True)
-    links = {}
-    model, _, _ = train_incremental(chain, lex, cfg, on_rule=partial(record_pass, links))
+    model, trace, _ = train_incremental(chain, lex, cfg)
+    links = links_of(trace)
     if [r.canonical for r in model.rules] != ["P>X @ -1:DT", "Q>Y @ -1:X"]:
         problems.append(f"chain rules {[r.canonical for r in model.rules]}")
     multi = [tc for tc in collect_classes(links) if node_count(tc.representative) > 1]
@@ -358,8 +357,8 @@ def test_criterion_8_dependency_shapes():
     cfg2 = TrainerConfig(
         templates=parse_template_spec("-1; +1"), threshold=1, record_deps=True
     )
-    links2 = {}
-    model2, _, _ = train_incremental(correction, lex2, cfg2, on_rule=partial(record_pass, links2))
+    model2, trace2, _ = train_incremental(correction, lex2, cfg2)
+    links2 = links_of(trace2)
     node = links2.get((2, 1))
     if node is None or 0 not in node.children:
         problems.append("correction site lacks an offset-0 child")

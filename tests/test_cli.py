@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from functools import partial
 
 import pytest
 
@@ -16,14 +15,14 @@ import tbltag
 import tbltag.corpus
 from tbltag.cli import main
 from tbltag.corpus import ParseError, build_lexicon, error_count, parse_corpus, serialize_corpus
-from tbltag.dependency import dependency_report, record_pass
-from tbltag.rules import Rule
+from tbltag.dependency import dependency_report
+from tbltag.rules import Rule, parse_template_spec
 from tbltag.synth import ChainSpec, markov_corpus
 from tbltag.trainer_incremental import train_incremental
 from tbltag.training import (ModelFormatError, TraceRecord, TrainerConfig, curve_tsv, format_model,
                              parse_model, trace_tsv)
 
-from helpers import replayed
+from helpers import links_of, replayed
 
 # baseline gets b and c wrong in the first sentence only; training with the
 # left-context template repairs them in two chained passes
@@ -250,6 +249,12 @@ def test_train_audit_log(tmp_path, chain):
     assert lines[0] == "pass\tcandidates\tkeys\tnew_keys\tsites_rechecked"
     assert len(lines) == 3
     assert lines[1].split("\t")[0] == "1"
+    # each row is a trace record's pass and index counts, in the header's order
+    corpus = parse_corpus(CHAIN)
+    cfg = TrainerConfig(templates=parse_template_spec("-1"), threshold=1)
+    _, trace, _ = train_incremental(corpus, build_lexicon(corpus, "Z"), cfg)
+    counts = [(r.pass_no, r.candidates, r.keys, r.new_keys, r.sites_rechecked) for r in trace]
+    assert lines[1:] == ["\t".join(map(str, row)) for row in counts]
 
 
 @pytest.mark.parametrize("flag", ["--audit", "--audit-log"])
@@ -417,7 +422,8 @@ def test_report_tables_write_every_digit_of_a_float(tmp_path, capsys):
         "1\t0.30000000000000004\t0.6666666666666666\n"
     )
     rule = Rule("P", "X", [(-1, "DT")])
-    trace = [TraceRecord(1, rule, 2, 1, 0, 2 / 3), TraceRecord(2, rule, 1, 0, 0, 0.1 + 0.2)]
+    trace = [TraceRecord(1, rule, 2, 1, 0, 2 / 3, [(0, 1), (3, 1)]),
+             TraceRecord(2, rule, 1, 0, 0, 0.1 + 0.2, [(5, 1)])]
     assert trace_tsv(trace).splitlines()[1:] == [
         "1\tP>X @ -1:DT\t— DT P/X — —\t2\t1\t0\t0.6666666666666666",
         "2\tP>X @ -1:DT\t— DT P/X — —\t1\t0\t0\t0.30000000000000004",
@@ -1251,10 +1257,8 @@ def test_incremental_train_builds_no_tokens(tmp_path, monkeypatch):
     path = tmp_path / "train.txt"
     path.write_text(text)
     corpus = parse_corpus(text)
-    links = {}
-    model, trace, curve = train_incremental(
-        corpus, build_lexicon(corpus, "T00"), TrainerConfig(), on_rule=partial(record_pass, links)
-    )
+    model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), TrainerConfig())
+    links = links_of(trace)
     assert model.rules
 
     def no_token(*args):

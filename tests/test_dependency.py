@@ -1,7 +1,5 @@
 """Dependency nodes, tree keys, rendering, and the interaction report."""
 
-from functools import partial
-
 import pytest
 
 from tbltag.corpus import build_lexicon, parse_corpus
@@ -17,7 +15,7 @@ from tbltag.rules import Rule, parse_template_spec
 from tbltag.trainer_incremental import train_incremental
 from tbltag.training import TrainerConfig
 
-from helpers import lex_of, node_count
+from helpers import lex_of, links_of, node_count
 
 T1 = parse_template_spec("-1")
 R1 = Rule("A", "B", [(-1, "X")])
@@ -159,9 +157,8 @@ def _chain_links():
     lex = lex_of({"a": "DT", "b": "P", "c": "Q"}, "Z")
     corpus = parse_corpus(text)
     cfg = TrainerConfig(templates=T1, threshold=1, record_deps=True)
-    links = {}
-    model, _, _ = train_incremental(corpus, lex, cfg, on_rule=partial(record_pass, links))
-    return links, model
+    model, trace, _ = train_incremental(corpus, lex, cfg)
+    return links_of(trace), model
 
 
 def test_chaining_structure():
@@ -197,8 +194,8 @@ def test_correction_structure():
     corpus = parse_corpus(text)
     lex = build_lexicon(corpus, "D")
     cfg = TrainerConfig(templates=parse_template_spec("-1; +1"), threshold=1, record_deps=True)
-    links = {}
-    model, _, _ = train_incremental(corpus, lex, cfg, on_rule=partial(record_pass, links))
+    model, trace, _ = train_incremental(corpus, lex, cfg)
+    links = links_of(trace)
     assert [r.canonical for r in model.rules] == ["P>X @ -1:D", "X>Y @ 1:E"]
     twice = links[2, 1]
     assert twice.pass_no == 2

@@ -21,7 +21,7 @@ from tbltag.corpus import (
     serialize_corpus,
     text_chunks,
 )
-from tbltag.dependency import dependency_report, record_pass
+from tbltag.dependency import dependency_report
 from tbltag.evaluate import tag
 from tbltag.rules import (
     DEFAULT_TEMPLATES,
@@ -35,9 +35,9 @@ from tbltag.rules import (
     tag_codes,
 )
 from tbltag import trainer_incremental
+from tbltag.cli import AUDIT_LOG_COLUMNS
 from tbltag.synth import ChainSpec, markov_corpus, random_family_corpus
 from tbltag.trainer_incremental import (
-    AUDIT_LOG_COLUMNS,
     AuditError,
     Candidate,
     TrainerIndex,
@@ -51,7 +51,8 @@ from tbltag.trainer_incremental import (
 from tbltag.trainer_naive import count_keys, enumerate_candidates, train_naive
 from tbltag.training import Strategy, TrainerConfig, format_model, select, trace_tsv
 
-from helpers import TOY_LEX, TOY_TEXT, baselined, clone, lex_of, score_rule, streamed
+from helpers import (TOY_LEX, TOY_TEXT, baselined, clone, lex_of, links_of, score_rule,
+                     stream_of, streamed)
 
 T1 = parse_template_spec("-1")
 T3 = parse_template_spec("-1; +1; -1,+1")
@@ -221,36 +222,25 @@ def test_train_text_matches_train_incremental():
     assert (format_model(got), got_trace, got_curve) == (format_model(model), trace, curve)
 
 
-def _recorder():
-    """An on_rule that records dependency links and keeps every call's arguments.
-
-    Returns ``(links, stream, on_rule)``; stream holds the ``(pass_no,
-    rule, sites)`` of each call.
-    """
-    links, stream = {}, []
-
-    def on_rule(pass_no, rule, sites):
-        stream.append((pass_no, rule, sites))
-        record_pass(links, pass_no, rule, sites)
-
-    return links, stream, on_rule
-
-
 def test_train_text_without_corpus_records_like_train_incremental():
     # dependency links need only each pass's sites, so train_text needs no
-    # corpus for them: its on_rule stream is train_incremental's
+    # corpus for them: its trace's sites are train_incremental's
     text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=2, n_tokens=1500)
     config = TrainerConfig(templates=T3, threshold=1, record_deps=True)
     corpus = parse_corpus(text)
-    want_links, want_stream, on_rule = _recorder()
-    model, _, _ = train_incremental(corpus, build_lexicon(corpus, "T00"), config, on_rule=on_rule)
-    links, stream, on_rule = _recorder()
+    model, want_trace, _ = train_incremental(corpus, build_lexicon(corpus, "T00"), config)
     counted = lexicon_of(count_tagged(text_chunks(text)), "T00")
-    got, _, _ = train_text(text, counted, config, on_rule=on_rule)
+    got, trace, _ = train_text(text, counted, config)
+    stream, want_stream = stream_of(trace), stream_of(want_trace)
     assert len(stream) > 5
     assert format_model(got) == format_model(model)
     assert stream == want_stream
-    assert dependency_report(links) == dependency_report(want_links)
+    assert dependency_report(links_of(trace)) == dependency_report(links_of(want_trace))
+
+
+def _audit_rows(trace) -> list[tuple]:
+    """The audit log's rows, in the columns of AUDIT_LOG_COLUMNS, off a trace."""
+    return [(r.pass_no, r.candidates, r.keys, r.new_keys, r.sites_rechecked) for r in trace]
 
 
 def test_train_text_audit_checks_the_coded_strings(monkeypatch):
@@ -259,13 +249,13 @@ def test_train_text_audit_checks_the_coded_strings(monkeypatch):
     text = markov_corpus(ChainSpec(structure_seed=7), draw_seed=2, n_tokens=1500)
     config = TrainerConfig(templates=T3, threshold=1)
     corpus = parse_corpus(text)
-    want_log = []
     model, trace, curve = train_incremental(corpus, build_lexicon(corpus, "T00"), config,
-                                            audit_log=want_log, audit=True)
+                                            audit=True)
     lexicon = lexicon_of(count_tagged(text_chunks(text)), "T00")
-    log = []
-    got, got_trace, got_curve = train_text(text, lexicon, config, audit_log=log, audit=True)
-    assert len(log) > 5
+    got, got_trace, got_curve = train_text(text, lexicon, config, audit=True)
+    # the index counts take no part in a record's equality: compare them too
+    log, want_log = _audit_rows(got_trace), _audit_rows(trace)
+    assert len(got_trace) > 5
     assert (format_model(got), got_trace, got_curve, log) == (
         format_model(model), trace, curve, want_log
     )
@@ -646,8 +636,50 @@ def test_audit_catches_a_rewrite_that_stops_short(monkeypatch):
     monkeypatch.setattr(TrainerIndex, "pick", drop_neutral)
     cfg = TrainerConfig(templates=T1)
     with pytest.raises(AuditError, match=r"pass 1 rewrote 2 sites of 'MD>NN @ -1:DT',"
-                                         r" find_sites matched 3"):
+                                         r" find_sites matched 3;"
+                                         r" site \(2, 1\) was matched, not rewritten"):
         train_incremental(parse_corpus(text), lex_of(TOY_LEX, "NN"), cfg, audit=True)
+
+
+def test_unaudited_run_stops_once_the_tracked_errors_fall_below_0(monkeypatch):
+    # the rewrite finds the rule's sites but changes none of them, so the
+    # index is left as it was and the same rule would be picked every
+    # pass: the tracked error count, 2 at the baseline, falls below 0 at
+    # pass 2, and the run stops there rather than running forever
+    real = trainer_incremental.rewrite
+
+    def rewrite_nothing(rule, text, *args):
+        return text, real(rule, text, *args)[1]
+
+    monkeypatch.setattr(trainer_incremental, "rewrite", rewrite_nothing)
+    corpus, lexicon = parse_corpus(TOY_TEXT), lex_of(TOY_LEX, "NN")
+    errors = baseline_assign(clone(corpus), lexicon)
+    cfg = TrainerConfig(templates=T1, max_passes=errors + 2)
+    with pytest.raises(AssertionError, match="pass 2: tracked error count fell below 0"):
+        train_incremental(corpus, lexicon, cfg)
+
+
+def test_trace_sites_are_the_apply_rule_replays():
+    # each record's sites are what apply_rule returns for its rule, replayed
+    # in order from the baseline; a naive record equals an incremental one
+    # although only the incremental one carries the index's counts
+    text, _ = random_family_corpus(4)
+    corpus = parse_corpus(text)
+    lex = build_lexicon(corpus, "T00")
+    cfg = TrainerConfig(templates=T3, threshold=1)
+    tn = train_naive(clone(corpus), lex, cfg)[1]
+    ti = train_incremental(clone(corpus), lex, cfg)[1]
+    for trace in (tn, ti):
+        replay = clone(corpus)
+        baseline_assign(replay, lex)
+        assert [r.sites for r in trace] == [apply_rule(r.rule, replay) for r in trace]
+    assert len(tn) > 5
+    assert tn == ti
+    for rn, ri in zip(tn, ti):
+        assert rn == ri
+        counts = [(r.candidates, r.keys, r.new_keys, r.sites_rechecked) for r in (rn, ri)]
+        assert counts[0] == (None,) * 4
+        assert all(type(n) is int for n in counts[1])
 
 
 def _audited_family_run(config: TrainerConfig):
@@ -772,9 +804,9 @@ def test_train_incremental_audit_mode():
 def test_train_incremental_audit_log_format():
     c = _small_corpus(9, n_tokens=150)
     lex = build_lexicon(c, "T00")
-    log: list[tuple[int, ...]] = []
     cfg = TrainerConfig(templates=T3, threshold=1)
-    model, _, _ = train_incremental(c, lex, cfg, audit_log=log)
+    model, trace, _ = train_incremental(c, lex, cfg)
+    log = _audit_rows(trace)
     assert len(log) == len(model.rules)
     for pass_no, row in enumerate(log, start=1):
         assert len(row) == len(AUDIT_LOG_COLUMNS) == 5
@@ -842,14 +874,11 @@ def test_engine_equivalence_with_deps():
     for corpus_n, lex in [(small, build_lexicon(small, "T00")), _many_tags_input()]:
         corpus_i = clone(corpus_n)
         cfg = TrainerConfig(templates=T3, threshold=1, record_deps=True)
-        links_n, stream_n, on_rule_n = _recorder()
-        links_i, stream_i, on_rule_i = _recorder()
-
-        mn, _, _ = train_naive(corpus_n, lex, cfg, on_rule_n)
-        mi, _, _ = train_incremental(corpus_i, lex, cfg, on_rule=on_rule_i, audit=True)
+        mn, tn, _ = train_naive(corpus_n, lex, cfg)
+        mi, ti, _ = train_incremental(corpus_i, lex, cfg, audit=True)
         assert mn.rules == mi.rules
-        assert stream_n == stream_i
-        assert dependency_report(links_n) == dependency_report(links_i)
+        assert stream_of(tn) == stream_of(ti)
+        assert dependency_report(links_of(tn)) == dependency_report(links_of(ti))
         replay = tag(mi, clone(corpus_i))
         assert replay == corpus_i
         gold = serialize_corpus(replay, "truth")
@@ -1092,18 +1121,15 @@ def test_engine_equivalence_adversarial(drawn, templates, strategy, threshold, r
     corpus_i = clone(corpus_n)
     base = dict(templates=templates, threshold=threshold, strategy=strategy, rng_seed=rng_seed)
     cfg = TrainerConfig(**base, record_deps=True)
-    links_n, stream_n, on_rule_n = _recorder()
-    links_i, stream_i, on_rule_i = _recorder()
-
-    mn, tn, cvn = train_naive(corpus_n, lex, cfg, on_rule_n)
-    mi, ti, cvi = train_incremental(corpus_i, lex, cfg, on_rule=on_rule_i, audit=True)
+    mn, tn, cvn = train_naive(corpus_n, lex, cfg)
+    mi, ti, cvi = train_incremental(corpus_i, lex, cfg, audit=True)
 
     assert mn.rules == mi.rules
     assert tn == ti
     assert cvn == cvi
     assert corpus_n == corpus_i
-    assert stream_n == stream_i
-    assert dependency_report(links_n) == dependency_report(links_i)
+    assert stream_of(tn) == stream_of(ti)
+    assert dependency_report(links_of(tn)) == dependency_report(links_of(ti))
 
 
 def _observed_keys(corpus, psets) -> set:
